@@ -96,7 +96,8 @@ def parameter_grid(sq: StepQuantile, num_points: int) -> np.ndarray:
     m = num_points
     cell = 1.0 / m
     t = (np.arange(1, m + 1) - 0.5) * cell
-    poles = np.sort([s for s in pole_levels(sq) if 0.0 < s < 1.0])
+    poles = pole_levels(sq)
+    poles = poles[(poles > 0.0) & (poles < 1.0)]
     if poles.size:
         j = np.searchsorted(poles, t)
         dist = np.minimum(np.abs(t - poles[np.clip(j - 1, 0, poles.size - 1)]),

@@ -179,7 +179,7 @@ class RunConfig:
             "dist": self.dist, "n": self.n, "n_list": list(self.n_list),
             "scheme": self.scheme, "points": self.points,
             "coeffs": self.coeffs, "walks": self.walks, "step": self.step,
-            "seed": self.seed,
+            "seed": self.seed, "max_steps": self.max_steps,
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]

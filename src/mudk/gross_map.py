@@ -2,8 +2,8 @@
 
 The boundary real part of the map is the even 2*pi-periodic extension of
 u -> q_n(u / pi), so the coefficients are its Fourier cosine
-coefficients; for a step function they reduce to sine differences at the
-breakpoints.  The constant term is dropped (it vanishes for centered
+coefficients; for a step function they reduce to a sine sum over the
+quantile's jumps.  The constant term is dropped (it vanishes for centered
 targets up to discretization bias), which makes the map fix the origin.
 
 Evaluation is restricted to the open disc; boundary values come from the
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import StepQuantile
+from .hilbert import _BLOCK_CELLS, _jumps
 
 _DISC_MARGIN = 1e-9
 
@@ -55,16 +56,25 @@ class FourierCoefficients:
 def fourier_coefficients(sq: StepQuantile, num_terms: int | None = None) -> FourierCoefficients:
     """Cosine coefficients of the step quantile's even circle extension.
 
-    a_k = (2/(k pi)) sum_j v_j (sin(k pi s_j) - sin(k pi s_{j-1})).
-    `num_terms` defaults to max(256, 8 * number of steps).
+    Summed over the live jumps (s_j, c_j) of the step quantile (see
+    `hilbert.pole_levels`) in the telescoped form
+    a_k = -(2/(k pi)) sum_j c_j sin(k pi s_j).  The sum runs in blocks of
+    k, each temporary holding at most _BLOCK_CELLS float64 cells, so
+    memory is O(terms + jumps).  `num_terms` defaults to
+    max(256, 8 * number of steps).
     """
     if num_terms is None:
         num_terms = max(256, 8 * sq.num_steps)
     if num_terms < 1:
         raise ValueError(f"num_terms must be >= 1, got {num_terms}")
+    levels, jumps = _jumps(sq)
     k = np.arange(1, num_terms + 1)
-    sines = np.sin(np.pi * np.outer(k, sq.breakpoints))
-    coeffs = (np.diff(sines, axis=1) @ sq.values) * (2.0 / (np.pi * k))
+    coeffs = np.zeros(num_terms)
+    if levels.size:
+        rows = max(1, _BLOCK_CELLS // levels.size)
+        for i in range(0, num_terms, rows):
+            coeffs[i:i + rows] = np.sin(np.pi * np.outer(k[i:i + rows], levels)) @ jumps
+        coeffs *= -2.0 / (np.pi * k)
     return FourierCoefficients(coeffs=coeffs, source_l1_norm=sq.l1_norm())
 
 

@@ -21,6 +21,9 @@ from .discretize import StepQuantile
 
 POLE_RADIUS = 1e-9
 
+# float64 cells per temporary of a blocked kernel sum (2 MB)
+_BLOCK_CELLS = 2 ** 18
+
 
 class PoleError(ValueError):
     """Evaluation point is within POLE_RADIUS of a logarithmic pole."""
@@ -35,12 +38,23 @@ def _log_abs_sin_half(t):
 
 
 def _wrap_distance(u, poles):
-    """Min distance from each u to the pole set, modulo 2*pi."""
+    """Min distance from each u to the pole set, modulo 2*pi.
+
+    Sorted search: the poles are reduced mod 2*pi, sorted and padded
+    with one wrapped copy at each end, so each reduced angle's nearest
+    pole is one of its two neighbours.  O(N + P) memory.  Non-finite
+    angles give NaN.
+    """
+    arr = np.asarray(u, dtype=float)
     if len(poles) == 0:
-        return np.full(np.shape(u), np.inf)
-    diff = np.asarray(u)[..., None] - np.asarray(poles)
-    d = np.abs((diff + np.pi) % (2.0 * np.pi) - np.pi)
-    return np.min(d, axis=-1)
+        return np.full(arr.shape, np.inf)
+    two_pi = 2.0 * np.pi
+    p = np.sort(np.mod(np.asarray(poles, dtype=float), two_pi))
+    p = np.concatenate(([p[-1] - two_pi], p, [p[0] + two_pi]))
+    r = np.mod(arr, two_pi)
+    # NaN sorts past the end; the clip keeps it indexable and NaN propagates
+    j = np.clip(np.searchsorted(p, r), 1, p.size - 1)
+    return np.minimum(r - p[j - 1], p[j] - r)
 
 
 def _check_poles(u, poles):
@@ -79,53 +93,59 @@ def hilbert_indicator(a: float, b: float, u):
     return float(out) if scalar else out
 
 
+def _jumps(sq: StepQuantile) -> tuple[np.ndarray, np.ndarray]:
+    """Live jumps (s_j, c_j) of the step quantile, ascending in s_j.
+
+    c_j = v_{j+1} - v_j at the internal breakpoint s_j, plus -v_m at s_m
+    when the total mass falls short of 1 (at s_m = 1 every term these
+    jumps feed vanishes by periodicity).  Zero jumps are dropped.
+    """
+    coeff = np.diff(sq.values, append=0.0)
+    if sq.total_mass >= 1.0 - 1e-12:
+        coeff[-1] = 0.0
+    live = coeff != 0.0
+    return sq.breakpoints[1:][live], coeff[live]
+
+
 def pole_levels(sq: StepQuantile) -> np.ndarray:
     """Levels s in (0, 1] where the transform of the step quantile blows up.
 
-    Internal breakpoints carry a pole only when the step value actually
-    jumps there; the outermost breakpoint is a pole only if the step
-    quantile stops short of total mass 1 with a nonzero final value
-    (at s_m = 1 the two log terms cancel by periodicity).
+    These are exactly the levels of the live jumps (s_j, c_j), c_j != 0:
+    internal breakpoints where the step value actually jumps, and the
+    outermost breakpoint only if the step quantile stops short of total
+    mass 1 with a nonzero final value (at s_m = 1 the two log terms
+    cancel by periodicity).
     """
-    bp, vals = sq.breakpoints, sq.values
-    levels = [float(bp[j]) for j in range(1, sq.num_steps)
-              if abs(vals[j] - vals[j - 1]) > 0.0]
-    if sq.total_mass < 1.0 - 1e-12 and abs(vals[-1]) > 0.0:
-        levels.append(sq.total_mass)
-    return np.array(levels)
+    return _jumps(sq)[0]
 
 
 def hilbert_step_quantile(sq: StepQuantile, u):
     """Transform of the even extension of the step quantile at angles u.
 
-    Uses the telescoped form sum_j (v_{j+1} - v_j) D(pi s_j) / pi with
-    D(t) = log|sin((u-t)/2)| - log|sin((u+t)/2)|, which exposes one log
-    pair per jump; zero-width jumps contribute nothing.
+    Sums over the live jumps (s_j, c_j) of the step quantile,
+    H(u) = sum_j c_j D(u, pi s_j) / pi with
+    D(u, t) = log|sin((u-t)/2)| - log|sin((u+t)/2)|, one log pair per
+    jump.  The sum runs in blocks of points, each temporary holding at
+    most _BLOCK_CELLS float64 cells, so memory is O(points + jumps).
     """
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
-    pts = np.atleast_1d(arr).astype(float)
+    pts = np.atleast_1d(arr).ravel()
 
-    pole_t = np.pi * pole_levels(sq)
-    _check_poles(pts, np.concatenate((pole_t, -pole_t)))
+    levels, coeff = _jumps(sq)
+    theta = np.pi * levels
+    _check_poles(pts, np.concatenate((theta, -theta)))
 
-    bp, vals = sq.breakpoints, sq.values
-    theta = np.pi * bp[1:]                      # D(pi s_0) = D(0) = 0
-    coeff = np.empty(theta.size)
-    coeff[:-1] = np.diff(vals)
-    coeff[-1] = -vals[-1]
-    if sq.total_mass >= 1.0 - 1e-12:
-        # D(pi) vanishes identically; drop the term to avoid -inf * 0
-        coeff[-1] = 0.0
-    live = np.abs(coeff) > 0.0
-    theta, coeff = theta[live], coeff[live]
-
-    if theta.size == 0:
-        out = np.zeros(pts.size)
-    else:
+    out = np.zeros(pts.size)
+    if theta.size:
         L = _log_abs_sin_half
-        D = L(pts[:, None] - theta[None, :]) - L(pts[:, None] + theta[None, :])
-        out = (D @ coeff) / np.pi
+        rows = max(1, _BLOCK_CELLS // theta.size)
+        for i in range(0, pts.size, rows):
+            blk = pts[i:i + rows, None]
+            D = L(blk - theta)
+            D -= L(blk + theta)
+            out[i:i + rows] = D @ coeff
+        out /= np.pi
     if scalar:
         return float(out[0])
     return out.reshape(arr.shape)

@@ -261,4 +261,5 @@ def test_run_config_hash_tracks_inputs():
     assert re.fullmatch(r"[0-9a-f]{12}", h0)
     assert RunConfig(**base).hash() == h0
     assert RunConfig(n=31, **base).hash() != h0
+    assert RunConfig(max_steps=1000, **base).hash() != h0
     assert RunConfig(out="elsewhere.csv", **base).hash() == h0

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from mudk.discretize import build_measure, step_l1_distance
-from mudk.distributions import Discrete, Uniform
+from mudk.distributions import Beta, Discrete, Mixture, Uniform
 from mudk.gross_map import (FourierCoefficients, evaluate_map,
                             fourier_coefficients, map_distance_bound)
+from mudk.hilbert import _BLOCK_CELLS, pole_levels
 
 
 def strip_quantile():
@@ -95,3 +96,24 @@ def test_coefficients_validate_inputs():
         FourierCoefficients(np.array([5.0]), 1.0)  # exceeds 2 * norm
     with pytest.raises(ValueError):
         fourier_coefficients(strip_quantile(), num_terms=0)
+
+
+def _dense_coefficients(sq, num_terms):
+    """Reference: sine differences over the whole (terms x breakpoints) matrix."""
+    k = np.arange(1, num_terms + 1)
+    sines = np.sin(np.pi * np.outer(k, sq.breakpoints))
+    return (np.diff(sines, axis=1) @ sq.values) * (2.0 / (np.pi * k))
+
+
+@pytest.mark.parametrize("sq", [
+    build_measure(Uniform(-1.0, 1.0), 200),
+    build_measure(Beta(2.0, 5.0).center(), 300, scheme="pdf"),
+    build_measure(Mixture([(0.5, Uniform(-1.0, 1.0)),
+                           (0.5, Discrete([(0.0, 1.0)]))]), 150),
+], ids=["uniform", "beta-pdf", "atom"])
+def test_blocked_coefficients_match_dense_oracle(sq):
+    rows = _BLOCK_CELLS // pole_levels(sq).size
+    for terms in (rows - 1, rows, rows + 1, 2 * rows + 1):
+        ref = _dense_coefficients(sq, terms)
+        got = fourier_coefficients(sq, num_terms=terms).coeffs
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

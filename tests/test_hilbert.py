@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mudk.boundary import parameter_grid
 from mudk.discretize import StepQuantile, build_measure
-from mudk.distributions import Discrete, Uniform
-from mudk.hilbert import (OracleConvergenceError, PoleError,
-                          hilbert_indicator, hilbert_pv_oracle,
-                          hilbert_step_quantile, pole_levels)
+from mudk.distributions import Beta, Discrete, Mixture, Uniform
+from mudk.hilbert import (_BLOCK_CELLS, OracleConvergenceError, PoleError,
+                          _wrap_distance, hilbert_indicator,
+                          hilbert_pv_oracle, hilbert_step_quantile,
+                          pole_levels)
 
 # independently frozen: adaptive PV quadrature agrees to ~5e-11
 INDICATOR_AT_HALF_ONE_TWO = 0.12788601940419692
@@ -149,3 +153,103 @@ def test_pv_oracle_reports_nonconvergence():
     # an impossible spread tolerance: extrapolations drift at roundoff scale
     with pytest.raises(OracleConvergenceError):
         hilbert_pv_oracle(np.sin, 0.7, spread_tol=1e-18)
+
+
+# ------------------------------------------- pole guard and blocked kernel
+
+
+def _brute_wrap_distance(u, poles):
+    diff = np.asarray(u, dtype=float)[..., None] - np.asarray(poles, dtype=float)
+    return np.min(np.abs((diff + np.pi) % (2.0 * np.pi) - np.pi), axis=-1)
+
+
+def _dense_hilbert(sq, u):
+    """Reference: the whole (points x jumps) log-sin matrix at once."""
+    theta = np.pi * sq.breakpoints[1:]
+    coeff = np.empty(theta.size)
+    coeff[:-1] = np.diff(sq.values)
+    coeff[-1] = 0.0 if sq.total_mass >= 1.0 - 1e-12 else -sq.values[-1]
+    live = coeff != 0.0
+    theta, coeff = theta[live], coeff[live]
+    def L(t):
+        return np.log(np.abs(np.sin(0.5 * t)))
+
+    D = L(u[:, None] - theta[None, :]) - L(u[:, None] + theta[None, :])
+    return (D @ coeff) / np.pi
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=40),
+       levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_wrap_distance_matches_brute_force(u, levels):
+    # the guard's pole sets are symmetric: +-pi s for levels s in [0, 1]
+    poles = np.pi * np.array(levels)
+    poles = np.concatenate((poles, -poles))
+    np.testing.assert_allclose(_wrap_distance(np.array(u), poles),
+                               _brute_wrap_distance(u, poles), rtol=0, atol=1e-15)
+
+
+def test_wrap_distance_scalar_empty_and_poleless():
+    d = _wrap_distance(0.25, [1.0, -1.0])
+    assert np.shape(d) == () and d == pytest.approx(0.75, abs=1e-15)
+    assert _wrap_distance(np.array([]), [1.0]).shape == (0,)
+    np.testing.assert_array_equal(_wrap_distance(np.array([0.1, 2.0]), []),
+                                  [np.inf, np.inf])
+    # wraps across +-pi
+    assert _wrap_distance(np.pi - 1e-3, [-np.pi + 1e-3]) == pytest.approx(2e-3)
+
+
+def test_nonfinite_angles_evaluate_to_nan_without_pole_error():
+    sq = build_measure(Uniform(-1.0, 1.0), 5)
+    u = np.array([np.nan, np.inf, -np.inf, 2.0])
+    with np.errstate(invalid="ignore"):
+        d = _wrap_distance(u, [0.4 * np.pi, -0.4 * np.pi])
+        h = hilbert_step_quantile(sq, u)
+        g = hilbert_indicator(0.5, 1.0, u)
+    for out in (d, h, g):
+        assert np.all(np.isnan(out[:3])) and np.isfinite(out[3])
+
+
+def test_step_quantile_scalar_empty_and_single_point():
+    sq = build_measure(Uniform(-1.0, 1.0), 5)
+    assert isinstance(hilbert_step_quantile(sq, 1.0), float)
+    assert hilbert_step_quantile(sq, np.array([])).shape == (0,)
+    one = hilbert_step_quantile(sq, np.array([1.0]))
+    assert one.shape == (1,) and one[0] == hilbert_step_quantile(sq, 1.0)
+    with pytest.raises(PoleError):
+        hilbert_step_quantile(sq, np.array([np.pi * 0.6]))
+
+
+def test_indicator_without_poles_at_band_ends():
+    # a = 0 and b = pi carry no pole, so u = 0 and u = pi evaluate
+    assert hilbert_indicator(0.0, 1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert np.isfinite(hilbert_indicator(1.0, np.pi, np.pi))
+    np.testing.assert_allclose(hilbert_indicator(0.0, np.pi, [0.0, np.pi]),
+                               0.0, atol=1e-14)
+    assert hilbert_indicator(0.0, np.pi, np.array([])).shape == (0,)
+    # the remaining band edge is still guarded
+    with pytest.raises(PoleError):
+        hilbert_indicator(0.0, 1.0, -1.0)
+    with pytest.raises(PoleError):
+        hilbert_indicator(1.0, np.pi, 1.0 + 1e-10)
+
+
+def test_pole_levels_skip_zero_jumps():
+    sq = StepQuantile(np.array([0.0, 0.3, 0.6, 0.9]), np.array([-1.0, -1.0, 0.0]))
+    np.testing.assert_allclose(pole_levels(sq), [0.6])
+
+
+@pytest.mark.parametrize("sq", [
+    build_measure(Uniform(-1.0, 1.0), 200),
+    build_measure(Beta(2.0, 5.0).center(), 300, scheme="pdf"),
+    build_measure(Mixture([(0.5, Uniform(-1.0, 1.0)),
+                           (0.5, Discrete([(0.0, 1.0)]))]), 150),
+], ids=["uniform", "beta-pdf", "atom"])
+def test_blocked_kernel_matches_dense_oracle(sq):
+    jumps = pole_levels(sq).size
+    rows = _BLOCK_CELLS // jumps
+    for m in (rows - 1, rows, rows + 1, 2 * rows + 1):
+        u = np.pi * parameter_grid(sq, m)
+        ref = _dense_hilbert(sq, u)
+        got = hilbert_step_quantile(sq, u)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

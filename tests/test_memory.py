@@ -1,0 +1,34 @@
+"""Peak-memory ceilings of the map layer (tracemalloc, beta(2,5) at n=2000)."""
+
+import tracemalloc
+
+import pytest
+
+from mudk.boundary import boundary_points
+from mudk.discretize import build_measure
+from mudk.distributions import Beta
+from mudk.gross_map import fourier_coefficients
+
+CEILING_MB = 32.0
+
+
+@pytest.fixture(scope="module")
+def beta_2000():
+    return build_measure(Beta(2.0, 5.0), 2000)
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_boundary_points_memory_is_bounded(beta_2000):
+    assert _peak_mb(lambda: boundary_points(beta_2000, 8192)) < CEILING_MB
+
+
+def test_fourier_coefficients_memory_is_bounded(beta_2000):
+    assert _peak_mb(lambda: fourier_coefficients(beta_2000)) < CEILING_MB
