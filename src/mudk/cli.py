@@ -175,12 +175,18 @@ class RunConfig:
             raise ConfigError(f"step must be positive, got {self.step}")
 
     def hash(self) -> str:
+        """Digest of every setting and input file content that shapes the output."""
         payload = {
             "dist": self.dist, "n": self.n, "n_list": list(self.n_list),
             "scheme": self.scheme, "points": self.points,
             "coeffs": self.coeffs, "walks": self.walks, "step": self.step,
             "seed": self.seed, "max_steps": self.max_steps,
         }
+        for key in ("boundary", "samples"):
+            path = getattr(self, key)
+            if path is not None:
+                with open(path, "rb") as fh:
+                    payload[f"{key}_sha256"] = hashlib.sha256(fh.read()).hexdigest()
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

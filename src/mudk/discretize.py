@@ -7,20 +7,22 @@ c.d.f. scheme assigns each kept grid cell its exact probability
 F(x_k) - F(x_{k-1}), while the p.d.f. scheme uses left-endpoint density
 weights (b-a)/n * f(x_{k-1}) and need not carry total mass one.
 
-The resulting quantile is a step function; `l1_distance` measures the
-L1 gap to the exact quantile in level space, and `rate_bound` evaluates
-the a priori estimate (b-a)/n plus the atom correction term, which
-vanishes for atomless laws.
+The resulting quantile is a step function.  `l1_distance` measures its
+L1 gap to the exact quantile, int_0^1 |q - q_n| du, as the equal x-space
+integral int |F - F_n| dx against the step c.d.f. F_n, and `rate_bound`
+evaluates the a priori estimate (b-a)/n plus the atom correction term,
+which vanishes for atomless laws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import simpson_adaptive as _simpson_adaptive
-from .distributions import Distribution
+from ._quad import gauss_legendre
+from .distributions import Distribution, bisect_smallest
 
 
 class UnboundedSupportError(ValueError):
@@ -116,8 +118,6 @@ def _finite_support(dist: Distribution) -> tuple[float, float]:
     if not (np.isfinite(a) and np.isfinite(b)):
         raise UnboundedSupportError(
             f"support ({a}, {b}) is unbounded; truncate the law first")
-    if not a < b:
-        raise ValueError(f"support must be a nondegenerate interval, got ({a}, {b})")
     return a, b
 
 
@@ -256,47 +256,68 @@ def build_measure(dist: Distribution, n: int, scheme: str = "cdf") -> StepQuanti
 # ------------------------------------------------------------- L1 distances
 
 
-def _level_cells(extra_levels, lo, hi):
-    """Sorted partition of (lo, hi) refined by the given levels."""
-    levels = np.unique(np.clip(np.asarray(extra_levels, dtype=float), lo, hi))
-    levels = np.concatenate(([lo], levels, [hi]))
-    levels = np.unique(levels)
-    return [(float(l), float(r)) for l, r in zip(levels[:-1], levels[1:])
-            if r - l > 1e-14]
+def _cdf_gap(F, G, cuts):
+    """Integral of |F - G| over (min(cuts), max(cuts)).
+
+    The L1 distances below all reduce to it through the identity
+    int_0^1 |q - q'| du = int |F - F'| dx (Villani, Topics in Optimal
+    Transportation, 2.2).  `cuts` must hold
+    every x where F or G jumps or loses smoothness, so that F - G changes
+    sign at most once per cell, as when G is constant there.  Each cell is
+    split at that change, found by bisection, and both sides get the
+    Gauss-Legendre cell rule.
+    """
+    cuts = np.unique(np.asarray(cuts, dtype=float))
+    lo, hi = cuts[:-1], cuts[1:]
+    # F, G are right-continuous, so their values at lo hold just inside.  A
+    # change found within tol of lo is at lo itself: the cell stays whole.
+    # Atoms match within 1e-12 (1 + |x|) (`Distribution.cdf_left`), a band
+    # this tol never resolves, so it cannot split a cell either.
+    tol = 1e-9 * (1.0 + np.abs(hi))
+    left_pos = F(lo) > G(lo)
+    split = bisect_smallest(lambda x: (F(x) > G(x)) != left_pos, lo, hi, tol=tol)
+    split = np.where(split - lo <= tol, lo, split)
+    gap = gauss_legendre(lambda x: np.abs(F(x) - G(x)),
+                         np.concatenate((lo, split)), np.concatenate((split, hi)))
+    return math.fsum(gap)
 
 
-def _cell_gap(dist, sq, l, r, tol):
-    """Integral of |q - q_n| over one level cell where q_n is constant."""
-    c = sq.eval(min(0.5 * (l + r), sq.total_mass))
-    # q is monotone, so {q <= c} is exactly the level set below F(c)
-    u_star = min(max(float(dist.cdf(c)), l), r)
-    below = c * (u_star - l) - dist.quantile_integral(l, u_star, tol=tol)
-    above = dist.quantile_integral(u_star, r, tol=tol) - c * (r - u_star)
-    return max(below, 0.0) + max(above, 0.0)
+def _step_cdf(sq: StepQuantile, top: float):
+    """C.d.f. of a step quantile: the width of the steps with value <= x,
+    capped at `top`, and `top` from the last step value on."""
+    levels = np.minimum(sq.breakpoints, top)
+    levels[-1] = top
+    return lambda x: levels[np.searchsorted(sq.values, x, side="right")]
 
 
-def _gap_on_range(dist, sq, lo, hi, tol):
-    levels = np.concatenate((sq.breakpoints, dist.quantile_breaklevels()))
-    return sum(_cell_gap(dist, sq, l, r, tol) for l, r in _level_cells(levels, lo, hi))
-
-
-def l1_distance(dist: Distribution, sq: StepQuantile, tol: float = 1e-10) -> float:
+def l1_distance(dist: Distribution, sq: StepQuantile) -> float:
     """L1 gap between the exact quantile and a step quantile over (0, 1).
 
     Levels above the step quantile's total mass (p.d.f. scheme) compare
-    against its final value.  Exact for piecewise-affine quantiles, since
-    the per-cell integrals use closed-form antiderivatives there.
+    against its final value; levels past 1 are ignored.  Needs bounded
+    support.
     """
-    return _gap_on_range(dist, sq, 0.0, 1.0, tol)
+    _finite_support(dist)
+    cuts = np.concatenate((sq.values, dist.cdf_breakpoints()))
+    return _cdf_gap(dist.cdf, _step_cdf(sq, 1.0), cuts)
 
 
-def tail_defect(dist: Distribution, sq: StepQuantile, delta: float,
-                tol: float = 1e-10) -> float:
-    """Larger of the two end-tail contributions to the L1 gap."""
+def tail_defect(dist: Distribution, sq: StepQuantile, delta: float) -> float:
+    """Larger of the two end-tail contributions to the L1 gap.
+
+    Levels (0, delta) are the x-integral of |min(F, delta) - min(F_n, delta)|,
+    levels (1 - delta, 1) the same with max(., 1 - delta).
+    """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
-    low = _gap_on_range(dist, sq, 0.0, delta, tol)
-    high = _gap_on_range(dist, sq, 1.0 - delta, 1.0, tol)
+    _finite_support(dist)
+    F, G = dist.cdf, _step_cdf(sq, 1.0)
+    cuts = np.concatenate((sq.values, dist.cdf_breakpoints(),
+                           dist.quantile([delta, 1.0 - delta])))
+    low = _cdf_gap(lambda x: np.minimum(F(x), delta),
+                   lambda x: np.minimum(G(x), delta), cuts)
+    high = _cdf_gap(lambda x: np.maximum(F(x), 1.0 - delta),
+                    lambda x: np.maximum(G(x), 1.0 - delta), cuts)
     return max(low, high)
 
 
@@ -307,31 +328,34 @@ def step_l1_distance(sq1: StepQuantile, sq2: StepQuantile) -> float:
     final value.
     """
     top = max(sq1.total_mass, sq2.total_mass)
-    levels = np.unique(np.concatenate((sq1.breakpoints, sq2.breakpoints, [top])))
-    levels = levels[(levels >= 0.0) & (levels <= top)]
-    total = 0.0
-    for l, r in zip(levels[:-1], levels[1:]):
-        if r - l <= 1e-15:
-            continue
-        mid = 0.5 * (l + r)
-        v1 = sq1.eval(min(mid, sq1.total_mass))
-        v2 = sq2.eval(min(mid, sq2.total_mass))
-        total += abs(v1 - v2) * (r - l)
-    return total
+    return _cdf_gap(_step_cdf(sq1, top), _step_cdf(sq2, top),
+                    np.concatenate((sq1.values, sq2.values)))
 
 
 def quantile_l1(dist_a: Distribution, dist_b: Distribution,
                 tol: float = 1e-10) -> float:
-    """L1 distance between two exact quantiles over (0, 1)."""
-    eps = 1e-12
-    levels = np.concatenate((dist_a.quantile_breaklevels(),
-                             dist_b.quantile_breaklevels()))
-    cells = _level_cells(levels, eps, 1.0 - eps)
+    """L1 distance between two exact quantiles over (0, 1).
 
-    def f(u):
-        return abs(float(dist_a.quantile(u)) - float(dist_b.quantile(u)))
+    Cells between the breakpoints of both laws need F_a - F_b to change
+    sign at most once each, as for a law and its truncation.  Unbounded
+    x-tails are integrated adaptively to absolute tolerance `tol`.
+    """
+    Fa, Fb = dist_a.cdf, dist_b.cdf
+    cuts = np.unique(np.concatenate((dist_a.cdf_breakpoints(),
+                                     dist_b.cdf_breakpoints())))
+    total = _cdf_gap(Fa, Fb, cuts)
+    (a1, b1), (a2, b2) = dist_a.support(), dist_b.support()
+    lo, hi = min(a1, a2), max(b1, b2)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        from scipy.integrate import quad
 
-    return sum(_simpson_adaptive(f, l, r, tol) for l, r in cells)
+        def gap(x):
+            return abs(float(Fa(x)) - float(Fb(x)))
+
+        # a finite end is a cut, so its tail is empty
+        for a, b in ((lo, cuts[0]), (cuts[-1], hi)):
+            total += quad(gap, a, b, epsabs=tol, epsrel=0.0)[0]
+    return total
 
 
 # ------------------------------------------------------------- rate bounds
@@ -365,6 +389,8 @@ class RateBound:
 def rate_bound(dist: Distribution, n: int) -> RateBound:
     """Evaluate the L1 rate bound (b-a)/n + varpi for the c.d.f. scheme."""
     a, b = _finite_support(dist)
+    if not a < b:
+        raise ValueError(f"support must be a nondegenerate interval, got ({a}, {b})")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     h = (b - a) / n

@@ -17,9 +17,9 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
-from ._quad import simpson_adaptive as _simpson_adaptive
+from ._quad import gauss_legendre, simpson_adaptive as _simpson_adaptive
 
 
 def _as_float_array(x):
@@ -58,6 +58,10 @@ def bisect_smallest(predicate, lo, hi, tol=1e-12, max_iter=200):
     return hi
 
 
+def _normal_pdf(z):
+    return np.exp(-z ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
+
+
 # ---------------------------------------------------------------- base class
 
 
@@ -65,10 +69,10 @@ class Distribution(abc.ABC):
     """A probability law on R, described through F and q.
 
     Subclasses must provide `cdf`, `support`, `mean` and `variance`;
-    everything else has generic fallbacks (bisection quantiles, adaptive
-    quadrature for quantile integrals).  `mean_shift` records the offset
-    applied by :meth:`center` so callers can undo it later; it is 0 for
-    laws that were never recentered.
+    everything else has generic fallbacks, such as the bisection
+    quantile.  `mean_shift` records the offset applied by :meth:`center`
+    so callers can undo it later; it is 0 for laws that were never
+    recentered.
     """
 
     mean_shift: float = 0.0
@@ -178,43 +182,6 @@ class Distribution(abc.ABC):
         """Restrict to [-bound, bound], lumping outside mass at 0."""
         return TruncatedDistribution(self, bound)
 
-    # ---- integration hooks used by the discretization error analysis
-
-    @property
-    def piecewise_affine_quantile(self) -> bool:
-        """True when q is affine between consecutive break levels."""
-        return False
-
-    def quantile_breaklevels(self) -> list[float]:
-        """Interior u-levels where q jumps or changes slope."""
-        cached = getattr(self, "_breaklevels_cache", None)
-        if cached is None:
-            levels = []
-            for p in self.cdf_breakpoints():
-                levels.append(float(self.cdf_left(p)))
-                levels.append(float(self.cdf(p)))
-            cached = sorted({lv for lv in levels if 1e-15 < lv < 1.0 - 1e-15})
-            self._breaklevels_cache = cached
-        return cached
-
-    def quantile_integral(self, lo: float, hi: float, tol: float = 1e-10) -> float:
-        """Integral of q over (lo, hi) in level space; equals partial mean."""
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise ValueError("integration bounds must satisfy 0 <= lo <= hi <= 1")
-        if hi - lo <= 1e-14:
-            return 0.0
-        if self.piecewise_affine_quantile:
-            # exact: q is affine between break levels, so midpoint rule per cell
-            cuts = [lv for lv in self.quantile_breaklevels() if lo < lv < hi]
-            edges = [lo] + cuts + [hi]
-            return sum((r - l) * float(self.quantile(0.5 * (l + r)))
-                       for l, r in zip(edges[:-1], edges[1:]) if r - l > 1e-15)
-        eps = 1e-12
-        a, b = max(lo, eps), min(hi, 1.0 - eps)
-        if a >= b:
-            return 0.0
-        return _simpson_adaptive(lambda u: float(self.quantile(u)), a, b, tol)
-
     def density_sup(self, lo: float, hi: float) -> float:
         """Numerical sup of the density part over (lo, hi); 0 if no density."""
         if not self.has_density or hi <= lo:
@@ -266,15 +233,6 @@ class Uniform(Distribution):
 
     def variance(self):
         return (self.b - self.a) ** 2 / 12.0
-
-    @property
-    def piecewise_affine_quantile(self):
-        return True
-
-    def quantile_integral(self, lo, hi, tol=1e-10):
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise ValueError("integration bounds must satisfy 0 <= lo <= hi <= 1")
-        return self.a * (hi - lo) + 0.5 * (self.b - self.a) * (hi * hi - lo * lo)
 
     def density_sup(self, lo, hi):
         if min(hi, self.b) <= max(lo, self.a):
@@ -355,24 +313,6 @@ class TwoPieceUniform(Distribution):
     def cdf_breakpoints(self):
         return [self.a1, self.b1, self.a2, self.b2]
 
-    @property
-    def piecewise_affine_quantile(self):
-        return True
-
-    def quantile_integral(self, lo, hi, tol=1e-10):
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise ValueError("integration bounds must satisfy 0 <= lo <= hi <= 1")
-
-        def anti(u):
-            # antiderivative of q, valid piecewise in u
-            if u <= self.w1:
-                return self.a1 * u + 0.5 * self.total * u * u
-            left = self.a1 * self.w1 + 0.5 * self.total * self.w1 ** 2
-            v = u - self.w1
-            return left + self.a2 * v + 0.5 * self.total * v * v
-
-        return anti(hi) - anti(lo)
-
 
 class Exponential(Distribution):
     """Exponential law with the given rate, supported on (0, inf)."""
@@ -413,17 +353,6 @@ class Exponential(Distribution):
     def variance(self):
         return 1.0 / self.rate ** 2
 
-    def quantile_integral(self, lo, hi, tol=1e-10):
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise ValueError("integration bounds must satisfy 0 <= lo <= hi <= 1")
-
-        def anti(u):
-            # integral of -log(1-u): (1-u) - (1-u)log(1-u), continuous at u=1
-            v = 1.0 - u
-            return -(v - special.xlogy(v, v))
-
-        return (anti(hi) - anti(lo)) / self.rate
-
 
 class Beta(Distribution):
     """Beta(alpha, beta) law on (0, 1), via the regularized incomplete beta."""
@@ -433,18 +362,22 @@ class Beta(Distribution):
         if not (alpha > 0 and beta > 0):
             raise ValueError(f"shape parameters must be positive, got ({alpha}, {beta})")
         self.alpha, self.beta = alpha, beta
-        self._frozen = stats.beta(alpha, beta)
+        self._log_norm = special.betaln(alpha, beta)
 
     def __repr__(self):
         return f"Beta({self.alpha}, {self.beta})"
 
     def cdf(self, x):
         arr, scalar = _as_float_array(x)
-        return _restore(self._frozen.cdf(arr), scalar)
+        return _restore(special.betainc(self.alpha, self.beta, np.clip(arr, 0.0, 1.0)), scalar)
 
     def pdf(self, x):
         arr, scalar = _as_float_array(x)
-        return _restore(self._frozen.pdf(arr), scalar)
+        inside = (arr >= 0.0) & (arr <= 1.0)
+        t = np.clip(arr, 0.0, 1.0)
+        log_f = (special.xlogy(self.alpha - 1.0, t) + special.xlog1py(self.beta - 1.0, -t)
+                 - self._log_norm)
+        return _restore(np.where(inside, np.exp(log_f), 0.0), scalar)
 
     @property
     def has_density(self):
@@ -452,7 +385,7 @@ class Beta(Distribution):
 
     def quantile(self, u):
         arr, scalar = _check_levels(u)
-        return _restore(self._frozen.ppf(arr), scalar)
+        return _restore(special.betaincinv(self.alpha, self.beta, arr), scalar)
 
     strict_quantile = quantile
 
@@ -470,8 +403,9 @@ class Beta(Distribution):
 class TruncatedNormal(Distribution):
     """Normal(mu, sigma) conditioned on the window (lo, hi).
 
-    The quantile has no usable closed form, so it falls back on the
-    generic bisection inverse of the c.d.f.
+    The quantile inverts the normal c.d.f. in closed form.  A window in
+    the upper tail (alpha > 0) works with upper-tail probabilities, whose
+    differences keep their precision there.
     """
 
     def __init__(self, mu: float, sigma: float, lo: float, hi: float):
@@ -483,39 +417,51 @@ class TruncatedNormal(Distribution):
         self.mu, self.sigma, self.lo, self.hi = mu, sigma, lo, hi
         self._alpha = (lo - mu) / sigma
         self._beta = (hi - mu) / sigma
-        self._mass = stats.norm.cdf(self._beta) - stats.norm.cdf(self._alpha)
+        self._mass = self._cum(self._beta) - self._cum(self._alpha)
         if self._mass <= 0:
             raise ValueError("window carries no normal mass")
 
     def __repr__(self):
         return f"TruncatedNormal({self.mu}, {self.sigma}, window=({self.lo}, {self.hi}))"
 
+    def _cum(self, z):
+        """P(Z <= z), or -P(Z > z) for a window in the upper tail."""
+        return -special.ndtr(-z) if self._alpha > 0.0 else special.ndtr(z)
+
     def cdf(self, x):
         arr, scalar = _as_float_array(x)
         z = (np.clip(arr, self.lo, self.hi) - self.mu) / self.sigma
-        out = (stats.norm.cdf(z) - stats.norm.cdf(self._alpha)) / self._mass
+        out = (self._cum(z) - self._cum(self._alpha)) / self._mass
         return _restore(np.clip(out, 0.0, 1.0), scalar)
 
     def pdf(self, x):
         arr, scalar = _as_float_array(x)
         inside = (arr >= self.lo) & (arr <= self.hi)
         z = (arr - self.mu) / self.sigma
-        out = np.where(inside, stats.norm.pdf(z) / (self.sigma * self._mass), 0.0)
+        out = np.where(inside, _normal_pdf(z) / (self.sigma * self._mass), 0.0)
         return _restore(out, scalar)
 
     @property
     def has_density(self):
         return True
 
+    def quantile(self, u):
+        arr, scalar = _check_levels(u)
+        level = self._cum(self._alpha) + arr * self._mass
+        z = -special.ndtri(-level) if self._alpha > 0.0 else special.ndtri(level)
+        return _restore(np.clip(self.mu + self.sigma * z, self.lo, self.hi), scalar)
+
+    strict_quantile = quantile
+
     def support(self):
         return (self.lo, self.hi)
 
     def mean(self):
-        pa, pb = stats.norm.pdf(self._alpha), stats.norm.pdf(self._beta)
+        pa, pb = _normal_pdf(self._alpha), _normal_pdf(self._beta)
         return self.mu + self.sigma * (pa - pb) / self._mass
 
     def variance(self):
-        pa, pb = stats.norm.pdf(self._alpha), stats.norm.pdf(self._beta)
+        pa, pb = _normal_pdf(self._alpha), _normal_pdf(self._beta)
         t1 = (self._alpha * pa - self._beta * pb) / self._mass
         t2 = (pa - pb) / self._mass
         return self.sigma ** 2 * (1.0 + t1 - t2 * t2)
@@ -579,18 +525,6 @@ class Discrete(Distribution):
 
     def variance(self):
         return float((self.xs - self.mean()) ** 2 @ self.ps)
-
-    @property
-    def piecewise_affine_quantile(self):
-        return True
-
-    def quantile_integral(self, lo, hi, tol=1e-10):
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise ValueError("integration bounds must satisfy 0 <= lo <= hi <= 1")
-        edges = np.concatenate(([0.0], self.cum))
-        left = np.clip(edges[:-1], lo, hi)
-        right = np.clip(edges[1:], lo, hi)
-        return float((right - left) @ self.xs)
 
 
 class Mixture(Distribution):
@@ -658,10 +592,6 @@ class Mixture(Distribution):
             pts.update(d.cdf_breakpoints())
         return sorted(pts)
 
-    @property
-    def piecewise_affine_quantile(self):
-        return all(d.piecewise_affine_quantile for _, d in self.components)
-
 
 class AffineDistribution(Distribution):
     """Law of scale*X + offset for a base law X, with scale > 0."""
@@ -723,16 +653,6 @@ class AffineDistribution(Distribution):
 
     def cdf_breakpoints(self):
         return [self._scale * p + self._offset for p in self.base.cdf_breakpoints()]
-
-    @property
-    def piecewise_affine_quantile(self):
-        return self.base.piecewise_affine_quantile
-
-    def quantile_breaklevels(self):
-        return self.base.quantile_breaklevels()
-
-    def quantile_integral(self, lo, hi, tol=1e-10):
-        return self._scale * self.base.quantile_integral(lo, hi, tol=tol) + self._offset * (hi - lo)
 
     def density_sup(self, lo, hi):
         return self.base.density_sup(self._pull(lo), self._pull(hi)) / self._scale
@@ -832,8 +752,14 @@ class TruncatedDistribution(Distribution):
         return (lo, hi)
 
     def mean(self):
-        # the lump at 0 contributes nothing; remaining mass keeps base values
-        return self.base.quantile_integral(self._f_lo, self._f_hi)
+        # By parts, E[X] = R - int_{-R}^{R} F dx for a law on [-R, R].  Cuts at
+        # quantiles of levels k/64 and of levels halving toward 0 and 1 leave
+        # each cell at most 1/64 of the mass, so F is resolved however narrow.
+        tail = 2.0 ** -np.arange(1, 53)
+        levels = np.concatenate((np.arange(1, 64) / 64.0, tail, 1.0 - tail))
+        cuts = np.unique(np.concatenate(([-self.bound, self.bound], self.cdf_breakpoints(),
+                                         self.quantile(levels))))
+        return self.bound - float(gauss_legendre(self.cdf, cuts[:-1], cuts[1:]).sum())
 
     def variance(self):
         eps = 1e-9
@@ -858,23 +784,6 @@ class TruncatedDistribution(Distribution):
         pts.update((-self.bound, 0.0, self.bound))
         a, b = self.support()
         return sorted(p for p in pts if a <= p <= b)
-
-    @property
-    def piecewise_affine_quantile(self):
-        return self.base.piecewise_affine_quantile
-
-    def quantile_integral(self, lo, hi, tol=1e-10):
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise ValueError("integration bounds must satisfy 0 <= lo <= hi <= 1")
-        total = 0.0
-        lo1, hi1 = lo, min(hi, self._lo_level)
-        if hi1 > lo1:
-            total += self.base.quantile_integral(lo1 + self._f_lo, hi1 + self._f_lo, tol=tol)
-        lo3, hi3 = max(lo, self._hi_level), hi
-        if hi3 > lo3:
-            total += self.base.quantile_integral(
-                lo3 + self._f_hi - 1.0, hi3 + self._f_hi - 1.0, tol=tol)
-        return total
 
     def density_sup(self, lo, hi):
         a = max(lo, -self.bound)

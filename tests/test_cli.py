@@ -1,7 +1,10 @@
 """End-to-end tests of the mudk command line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -230,6 +233,11 @@ def test_missing_boundary_file_is_io_error(tmp_path):
     assert rc == 4
 
 
+def test_missing_samples_file_is_io_error(tmp_path):
+    rc = run("check", "--dist", UNIFORM, "--samples", str(tmp_path / "nope.csv"))
+    assert rc == 4
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")
@@ -263,3 +271,27 @@ def test_run_config_hash_tracks_inputs():
     assert RunConfig(n=31, **base).hash() != h0
     assert RunConfig(max_steps=1000, **base).hash() != h0
     assert RunConfig(out="elsewhere.csv", **base).hash() == h0
+
+
+@pytest.mark.parametrize("key", ["boundary", "samples"])
+def test_run_config_hash_covers_input_file_contents(tmp_path, key):
+    base = {"dist": {"family": "uniform", "a": -1, "b": 1}}
+    path, twin = tmp_path / "input.csv", tmp_path / "twin.csv"
+    path.write_text("t,x,y\n0.0,0.0,0.0\n")
+    twin.write_text("t,x,y\n0.0,0.0,0.0\n")
+    h0 = RunConfig(**base, **{key: str(path)}).hash()
+    assert h0 != RunConfig(**base).hash()
+    # the content counts, not the path
+    assert RunConfig(**base, **{key: str(twin)}).hash() == h0
+    path.write_text("t,x,y\n0.0,0.5,0.0\n")
+    assert RunConfig(**base, **{key: str(path)}).hash() != h0
+
+
+def test_import_loads_no_scipy_stats_or_integrate():
+    """`import mudk` stays light: scipy.integrate loads only for unbounded tails."""
+    code = ("import sys, mudk; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

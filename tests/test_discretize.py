@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
 from mudk.discretize import (StepQuantile, UnboundedSupportError,
                              build_measure, build_measure_cdf,
                              build_measure_pdf, grid, l1_distance, quantile_l1,
                              rate_bound, step_l1_distance, tail_defect)
 from mudk.distributions import (Beta, Discrete, Exponential, Mixture,
-                                TwoPieceUniform, Uniform)
+                                TruncatedNormal, TwoPieceUniform, Uniform)
 
 
 def test_grid_endpoints_and_spacing():
@@ -167,3 +170,82 @@ def test_beta_discretization_converges():
     errs = [l1_distance(d, build_measure(d, n)) for n in (10, 40, 160)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.01
+
+
+# ------------------------------------------------ level-space L1 reference
+
+MIXTURE = Mixture([(0.5, Uniform(-1.0, 1.0)), (0.5, Discrete([(0.0, 1.0)]))])
+# the five reference laws, each with the quantile the oracle integrates;
+# the mixture's is written out (it is affine between its break levels)
+REFERENCE_LAWS = {
+    "uniform": (Uniform(-1.0, 1.0).center(), None),
+    "beta": (Beta(2.0, 5.0).center(), None),
+    "truncated_normal": (TruncatedNormal(0.0, 1.0, -2.0, 2.0).center(), None),
+    "truncated_exponential": (Exponential(1.0).center().truncate(3.0), None),
+    "mixture": (MIXTURE.center(),
+                lambda u: float(np.interp(u, [0.0, 0.25, 0.75, 1.0],
+                                          [-1.0, 0.0, 0.0, 1.0]))),
+}
+
+
+def level_oracle(dist, sq, lo=0.0, hi=1.0, quantile=None):
+    """Integral of |q - q_n| over the levels (lo, hi) by adaptive quadrature.
+
+    Level cells are cut at the step breakpoints and at the levels where q
+    jumps or kinks; q_n is constant on each cell, held at its final value
+    past the total mass, and q - q_n changes sign at F(c).
+    """
+    q = quantile or (lambda u: float(dist.quantile(u)))
+    kinks = [f(p) for p in dist.cdf_breakpoints() for f in (dist.cdf_left, dist.cdf)]
+    levels = np.unique(np.clip(np.concatenate((sq.breakpoints, kinks, [lo, hi])), lo, hi))
+    total = 0.0
+    for l, r in zip(levels[:-1], levels[1:]):
+        step = np.searchsorted(sq.breakpoints, 0.5 * (l + r)) - 1
+        c = sq.values[min(step, sq.num_steps - 1)]
+        split = min(max(float(dist.cdf(c)), l), r)
+        for a, b in ((l, split), (split, r)):
+            if b - a > 1e-15:
+                total += quad(lambda u: abs(q(u) - c), a, b,
+                              epsabs=1e-14, epsrel=0.0, limit=200)[0]
+    return total
+
+
+@pytest.mark.filterwarnings("ignore", category=IntegrationWarning)
+@pytest.mark.parametrize("scheme", ["cdf", "pdf"])
+@pytest.mark.parametrize("law, n", [(law, n) for law in sorted(REFERENCE_LAWS)
+                                    for n in (200, 2000)
+                                    if (law, n) != ("truncated_normal", 2000)])
+def test_l1_distance_matches_level_space_oracle(law, n, scheme):
+    dist, quantile = REFERENCE_LAWS[law]
+    sq = build_measure(dist, n, scheme)
+    assert l1_distance(dist, sq) == pytest.approx(
+        level_oracle(dist, sq, quantile=quantile), abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore", category=IntegrationWarning)
+@pytest.mark.parametrize("scheme", ["cdf", "pdf"])
+@pytest.mark.parametrize("law", sorted(REFERENCE_LAWS))
+def test_tail_defect_matches_level_space_oracle(law, scheme):
+    dist, quantile = REFERENCE_LAWS[law]
+    sq = build_measure(dist, 200, scheme)
+    for delta in (0.05, 0.25):
+        expect = max(level_oracle(dist, sq, 0.0, delta, quantile),
+                     level_oracle(dist, sq, 1.0 - delta, 1.0, quantile))
+        assert tail_defect(dist, sq, delta) == pytest.approx(expect, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-50, 50), st.floats(0.05, 1.0)),
+                min_size=1, max_size=8, unique_by=lambda a: a[0]),
+       st.lists(st.tuples(st.integers(-50, 50), st.floats(0.05, 1.0)),
+                min_size=1, max_size=8),
+       st.floats(0.5, 1.0))
+def test_l1_distance_of_discrete_law_equals_step_distance(atoms, steps, mass):
+    """For an atomic law both routes compare two step quantiles."""
+    total = sum(p for _, p in atoms)
+    dist = Discrete([(x / 10.0, p / total) for x, p in atoms])
+    own = StepQuantile(np.concatenate(([0.0], dist.cum)), dist.xs)
+    widths = np.array([w for _, w in steps])
+    sq = StepQuantile(np.concatenate(([0.0], np.cumsum(widths) * mass / widths.sum())),
+                      np.sort([x / 10.0 for x, _ in steps]))
+    assert l1_distance(dist, sq) == pytest.approx(step_l1_distance(own, sq), abs=1e-14)

@@ -24,14 +24,6 @@ def test_uniform_closed_forms():
     assert not d.atoms()
 
 
-def test_uniform_quantile_integral_is_exact():
-    d = Uniform(2.0, 5.0)
-    lo, hi = 0.2, 0.9
-    # antiderivative of q(u) = 2 + 3u
-    exact = 2.0 * (hi - lo) + 1.5 * (hi * hi - lo * lo)
-    np.testing.assert_allclose(d.quantile_integral(lo, hi), exact, rtol=1e-14)
-
-
 def test_level_validation_rejects_edges():
     d = Uniform(0.0, 1.0)
     for bad in (0.0, 1.0, -0.25, 1.5):
@@ -60,6 +52,8 @@ def test_beta_matches_scipy():
     frozen = stats.beta(2.0, 5.0)
     np.testing.assert_allclose(d.cdf(U), frozen.cdf(U), atol=1e-12)
     np.testing.assert_allclose(d.quantile(U), frozen.ppf(U), atol=1e-12)
+    x = np.linspace(-0.5, 1.5, 401)
+    np.testing.assert_allclose(d.pdf(x), frozen.pdf(x), rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(d.mean(), 2.0 / 7.0, rtol=1e-12)
 
 
@@ -77,6 +71,19 @@ def test_truncated_normal_quantile_inverts_cdf():
     d = TruncatedNormal(0.5, 2.0, -3.0, 4.0)
     q = d.quantile(U)
     np.testing.assert_allclose(d.cdf(q), U, atol=1e-10)
+
+
+@pytest.mark.parametrize("lo, hi", [(-2.0, 2.0), (3.0, 6.0), (8.0, 10.0)])
+def test_truncated_normal_closed_form_quantile_matches_bisection(lo, hi):
+    """(3, 6) and (8, 10) lie in the upper tail, where the mirrored form is used."""
+    from scipy import stats
+    d = TruncatedNormal(0.0, 1.0, lo, hi)
+    ref = stats.truncnorm(lo, hi)
+    x = np.linspace(lo, hi, 41)
+    np.testing.assert_allclose(d.cdf(x), ref.cdf(x), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(d.quantile(U), Distribution.quantile(d, U),
+                               rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(d.quantile(U), ref.ppf(U), rtol=0.0, atol=1e-10)
 
 
 def test_two_piece_uniform_gap():
@@ -180,6 +187,27 @@ def test_truncation_window_keeps_interior_mass_in_place():
     lo, hi = d.support()
     assert lo == -1.0 and hi == 1.0
     assert d.mean() == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("base, bound", [
+    (Exponential(1.0), 3.0),
+    (Uniform(-10.0, -2.0), 5.0),                    # support ends inside the window
+    (Beta(2.0, 5.0).center(), 0.1),
+    (TruncatedNormal(0.3, 0.01, -5.0, 5.0), 4.0),   # mass in a narrow band
+    (Mixture([(0.5, Uniform(-1.0, 1.0)), (0.5, Discrete([(0.3, 1.0)]))]), 0.5),
+])
+def test_truncated_mean_is_the_window_partial_mean(base, bound):
+    """The origin atom adds nothing: the mean is E[X; -R <= X <= R]."""
+    from scipy.integrate import quad
+    inside = sum(loc * mass for loc, mass in base.atoms() if abs(loc) <= bound)
+    a, b = base.support()
+    lo, hi = max(a, -bound), min(b, bound)
+    if base.has_density:
+        # the median tells quad where a narrow band of mass sits
+        marks = [x for x in (*base.cdf_breakpoints(), base.quantile(0.5)) if lo < x < hi]
+        inside += quad(lambda x: x * base.pdf(x), lo, hi, points=marks,
+                       epsabs=1e-14, limit=200)[0]
+    assert base.truncate(bound).mean() == pytest.approx(inside, abs=1e-12)
 
 
 def test_truncation_with_negative_support_uses_lower_branch():
