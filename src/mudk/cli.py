@@ -27,7 +27,11 @@ and bound table over an n list), map (power series coefficients),
 simulate (exit samples plus summary JSON; needs --boundary from a
 previous build), check (KS statistic of an existing sample file
 against the configured law; needs --samples).  Exit codes: 0 success,
-2 configuration problem, 3 numerical failure, 4 I/O failure.
+2 configuration problem, 3 numerical failure (including a boundary
+that does not enclose the origin), 4 I/O failure (a missing or
+unreadable file, or a --boundary/--samples file that is malformed: a
+wrong header, a cell that is not a number, or rows that do not form a
+valid boundary).
 """
 
 from __future__ import annotations
@@ -56,6 +60,18 @@ from .verify_mc import TopologyError, ks_distance, simulate_exit
 
 class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
+
+
+class InputFileError(Exception):
+    """An input file exists but cannot be parsed."""
+
+
+def _read_input(loader, path):
+    """loader(path), with a malformed file reported under its name."""
+    try:
+        return loader(path)
+    except ValueError as exc:
+        raise InputFileError(f"{path}: {exc}") from exc
 
 
 def _require(fields: dict, family: str, *names):
@@ -346,7 +362,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
                           "written by the build command")
     out = cfg.out or "samples.csv"
     dist = build_distribution(cfg.dist)
-    bp = load_csv(cfg.boundary)
+    bp = _read_input(load_csv, cfg.boundary)
     result = simulate_exit(bp, walks=cfg.walks, step=cfg.step, seed=cfg.seed,
                            max_steps=cfg.max_steps)
     rows = [(str(w), _float_csv_cell(x))
@@ -398,7 +414,7 @@ def cmd_check(cfg: RunConfig) -> None:
     if not cfg.samples:
         raise ConfigError("check needs --samples pointing at a samples CSV")
     dist = build_distribution(cfg.dist)
-    samples = load_samples_csv(cfg.samples)
+    samples = _read_input(load_samples_csv, cfg.samples)
     if not samples.size:
         raise ConfigError(f"no samples found in {cfg.samples}")
     report = {
@@ -480,7 +496,7 @@ def main(argv=None) -> int:
     except (PoleError, OracleConvergenceError, TopologyError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, InputFileError) as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -10,6 +10,9 @@ operator that folds unbounded tails into an atom at the origin.
 Quantiles follow the left-continuous convention throughout; the strict
 variant q+(u) = inf{x : F(x) > u} is exposed separately because the two
 disagree exactly on flat stretches of F.
+
+Only Beta and TruncatedNormal need scipy; their methods import
+`scipy.special` where they call it, so the other laws never load scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-from scipy import special
 
 from ._quad import gauss_legendre, simpson_adaptive as _simpson_adaptive
 
@@ -362,16 +364,19 @@ class Beta(Distribution):
         if not (alpha > 0 and beta > 0):
             raise ValueError(f"shape parameters must be positive, got ({alpha}, {beta})")
         self.alpha, self.beta = alpha, beta
+        from scipy import special
         self._log_norm = special.betaln(alpha, beta)
 
     def __repr__(self):
         return f"Beta({self.alpha}, {self.beta})"
 
     def cdf(self, x):
+        from scipy import special
         arr, scalar = _as_float_array(x)
         return _restore(special.betainc(self.alpha, self.beta, np.clip(arr, 0.0, 1.0)), scalar)
 
     def pdf(self, x):
+        from scipy import special
         arr, scalar = _as_float_array(x)
         inside = (arr >= 0.0) & (arr <= 1.0)
         t = np.clip(arr, 0.0, 1.0)
@@ -384,6 +389,7 @@ class Beta(Distribution):
         return True
 
     def quantile(self, u):
+        from scipy import special
         arr, scalar = _check_levels(u)
         return _restore(special.betaincinv(self.alpha, self.beta, arr), scalar)
 
@@ -426,6 +432,7 @@ class TruncatedNormal(Distribution):
 
     def _cum(self, z):
         """P(Z <= z), or -P(Z > z) for a window in the upper tail."""
+        from scipy import special
         return -special.ndtr(-z) if self._alpha > 0.0 else special.ndtr(z)
 
     def cdf(self, x):
@@ -446,6 +453,7 @@ class TruncatedNormal(Distribution):
         return True
 
     def quantile(self, u):
+        from scipy import special
         arr, scalar = _check_levels(u)
         level = self._cum(self._alpha) + arr * self._mass
         z = -special.ndtri(-level) if self._alpha > 0.0 else special.ndtri(level)

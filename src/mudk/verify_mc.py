@@ -18,7 +18,6 @@ unbounded; the polyline merely renders them at finite depth.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +70,18 @@ def _lower_chain(bp: BoundaryPolyline):
 def _walls(xs, ys):
     """Group the chain by exact x value: wall locations and rendered depths."""
     locs, start = np.unique(xs, return_index=True)
-    deeps = np.empty(locs.size)
-    bounds = np.append(start, xs.size)
-    for i in range(locs.size):
-        deeps[i] = -np.min(ys[bounds[i]:bounds[i + 1]])
-    return locs, deeps
+    return locs, -np.minimum.reduceat(ys, start)
+
+
+def _nearest_wall(locs, px: float) -> int:
+    """Index of the wall nearest to px, first on ties, as argmin would pick."""
+    j = int(np.searchsorted(locs, px))
+    if j == locs.size or (j > 0 and abs(locs[j - 1] - px) <= abs(locs[j] - px)):
+        j -= 1
+        # walls closer than an ulp of px round to the same distance
+        while j > 0 and abs(locs[j - 1] - px) == abs(locs[j] - px):
+            j -= 1
+    return j
 
 
 def point_in_domain(bp: BoundaryPolyline, point) -> bool:
@@ -96,7 +102,7 @@ def point_in_domain(bp: BoundaryPolyline, point) -> bool:
 
     if px < locs[0] - tol or px > locs[-1] + tol:
         return False
-    i = int(np.argmin(np.abs(locs - px)))
+    i = _nearest_wall(locs, px)
     if abs(locs[i] - px) <= tol:
         return abs(py) <= deeps[i] + tol
     return locs[0] < px < locs[-1]
@@ -148,7 +154,7 @@ def simulate_exit(bp: BoundaryPolyline, walks: int, step: float, seed: int,
     xs, ys = _lower_chain(bp)
     x_lo, x_hi = float(xs[0]), float(xs[-1])
     if not (x_lo < 0.0 < x_hi) or not (-np.interp(0.0, xs, ys) > 0.0):
-        raise ValueError("origin is not inside the domain")
+        raise TopologyError("origin is not inside the domain")
 
     sqrt_step = float(np.sqrt(step))
     tasks = [(w, seed, sqrt_step, max_steps, xs, ys, x_lo, x_hi)
@@ -157,6 +163,7 @@ def simulate_exit(bp: BoundaryPolyline, walks: int, step: float, seed: int,
     if n_workers == 1:
         results = [_run_walk(t) for t in tasks]
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_run_walk, tasks, chunksize=64))
     results.sort(key=lambda r: r[0])

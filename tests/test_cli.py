@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mudk.boundary import svg_point_count
+from mudk.boundary import export_csv, load_csv, scale_domain, svg_point_count
 from mudk.cli import (ConfigError, RunConfig, build_distribution,
                       load_samples_csv, main)
 from mudk.discretize import UnboundedSupportError
@@ -238,6 +238,57 @@ def test_missing_samples_file_is_io_error(tmp_path):
     assert rc == 4
 
 
+def _built_files(tmp_path):
+    """A boundary from build and a samples file from simulate on it."""
+    boundary, samples = tmp_path / "b.csv", tmp_path / "s.csv"
+    assert run("build", "--dist", UNIFORM, "--n", "4", "--points", "16",
+               "--out", str(boundary)) == 0
+    assert run("simulate", "--dist", UNIFORM, "--boundary", str(boundary),
+               "--walks", "4", "--step", "1e-2", "--out", str(samples)) == 0
+    return boundary, samples
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+@pytest.mark.parametrize("defect", ["header", "number"])
+def test_malformed_input_file_is_io_error(tmp_path, capsys, command, defect):
+    boundary, samples = _built_files(tmp_path)
+    path, flag = ((boundary, "--boundary") if command == "simulate"
+                  else (samples, "--samples"))
+    lines = path.read_text().splitlines()
+    if defect == "header":
+        lines[1] = "foo,bar"
+    else:
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",zero"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = run(command, "--dist", UNIFORM, flag, str(path),
+             "--walks", "4", "--out", str(tmp_path / "out.csv"))
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure:")
+    assert str(path) in err
+
+
+def test_rejected_boundary_rows_are_io_error(tmp_path, capsys):
+    boundary, _ = _built_files(tmp_path)
+    lines = boundary.read_text().splitlines()
+    boundary.write_text("\n".join(lines[:-1]) + "\n")  # odd row count
+    rc = run("simulate", "--dist", UNIFORM, "--boundary", str(boundary),
+             "--walks", "4", "--out", str(tmp_path / "out.csv"))
+    assert rc == 4
+    assert str(boundary) in capsys.readouterr().err
+
+
+def test_boundary_off_the_origin_is_numerical_failure(tmp_path, capsys):
+    boundary, _ = _built_files(tmp_path)
+    shifted = scale_domain(load_csv(boundary), 1.0, 5.0)
+    export_csv(shifted, boundary)
+    rc = run("simulate", "--dist", UNIFORM, "--boundary", str(boundary),
+             "--walks", "4", "--out", str(tmp_path / "out.csv"))
+    assert rc == 3
+    assert "origin" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")
@@ -295,3 +346,46 @@ def test_import_loads_no_scipy_stats_or_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+def _subprocess_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+
+def test_scipy_loads_only_for_a_law_that_needs_it(tmp_path):
+    """numpy-only laws never load scipy; Beta loads scipy.special on first use."""
+    code = f"""
+import sys
+import mudk, mudk.cli
+
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy.")
+                  or m == "concurrent.futures")
+
+assert heavy() == [], heavy()
+rc = mudk.cli.main(["rates", "--dist", {UNIFORM!r}, "--n", "10",
+                    "--out", {str(tmp_path / "r.csv")!r}])
+assert rc == 0 and heavy() == [], heavy()
+value = mudk.Beta(2, 5).cdf(0.3)
+assert "scipy.special" in sys.modules
+from scipy import special
+assert value == special.betainc(2, 5, 0.3), value
+"""
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=_subprocess_env())
+
+
+def test_python_m_mudk_runs_the_cli(tmp_path):
+    version = subprocess.run([sys.executable, "-m", "mudk", "--version"],
+                             capture_output=True, text=True,
+                             env=_subprocess_env())
+    assert version.returncode == 0
+    assert "mu-domain-kit 0.1.0" in version.stdout
+    via_m, direct = tmp_path / "m.csv", tmp_path / "d.csv"
+    args = ["rates", "--dist", UNIFORM, "--n-list", "10,20"]
+    proc = subprocess.run([sys.executable, "-m", "mudk", *args,
+                           "--out", str(via_m)], env=_subprocess_env())
+    assert proc.returncode == 0
+    assert main([*args, "--out", str(direct)]) == 0
+    assert via_m.read_bytes() == direct.read_bytes()

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mudk.boundary import BoundaryPolyline, boundary_points
 from mudk.discretize import build_measure
 from mudk.distributions import Discrete, Mixture, Uniform
-from mudk.verify_mc import (ExitSampleSet, TopologyError, ks_distance,
+from mudk.verify_mc import (ExitSampleSet, TopologyError, _lower_chain,
+                            _nearest_wall, _walls, ks_distance,
                             point_in_domain, simulate_exit)
 
 
@@ -58,6 +61,87 @@ def test_extreme_wall_caps(uniform_bp):
     right = uniform_bp.x.max()
     assert point_in_domain(uniform_bp, (right, 0.0))
     assert not point_in_domain(uniform_bp, (right, 2.0 * np.abs(uniform_bp.y).max()))
+
+
+def _walls_by_loop(xs, ys):
+    """Oracle for _walls: one Python min per wall."""
+    locs, start = np.unique(xs, return_index=True)
+    deeps = np.empty(locs.size)
+    bounds = np.append(start, xs.size)
+    for i in range(locs.size):
+        deeps[i] = -np.min(ys[bounds[i]:bounds[i + 1]])
+    return locs, deeps
+
+
+def _point_in_domain_by_argmin(bp, point):
+    """Oracle for point_in_domain: the nearest wall by an O(W) argmin."""
+    px, py = float(point[0]), float(point[1])
+    locs, deeps = _walls_by_loop(*_lower_chain(bp))
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(bp.points[:, 1:]))))
+    if px < locs[0] - tol or px > locs[-1] + tol:
+        return False
+    i = int(np.argmin(np.abs(locs - px)))
+    if abs(locs[i] - px) <= tol:
+        return abs(py) <= deeps[i] + tol
+    return locs[0] < px < locs[-1]
+
+
+@pytest.fixture(scope="module")
+def membership_domains(uniform_bp):
+    two_piece = Mixture([(0.5, Uniform(-1.0, -0.5)), (0.5, Uniform(0.5, 1.0))])
+    atoms = Discrete([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
+    return [uniform_bp,
+            boundary_points(build_measure(two_piece, 30), 256),
+            boundary_points(build_measure(atoms, 3), 256),
+            box_polyline(1.0, 1.0)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_membership_matches_argmin_oracle(membership_domains, data):
+    bp = data.draw(st.sampled_from(membership_domains), label="domain")
+    xs, ys = _lower_chain(bp)
+    locs, deeps = _walls(xs, ys)
+    ref_locs, ref_deeps = _walls_by_loop(xs, ys)
+    assert np.array_equal(locs, ref_locs)
+    assert np.array_equal(deeps, ref_deeps)
+
+    i = data.draw(st.integers(0, locs.size - 1), label="wall")
+    nxt = locs[min(i + 1, locs.size - 1)]
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(bp.points[:, 1:]))))
+    px = data.draw(st.one_of(
+        st.sampled_from([locs[i], 0.5 * (locs[i] + nxt),
+                         np.nextafter(locs[i], -np.inf),
+                         np.nextafter(locs[i], np.inf),
+                         locs[i] - tol, locs[i] + tol,
+                         locs[i] - 2.0 * tol, locs[i] + 2.0 * tol]),
+        st.floats(locs[0] - 0.1, locs[-1] + 0.1)), label="x")
+    depth = deeps[i]
+    py = data.draw(st.one_of(
+        st.sampled_from([0.0, depth, -depth, depth + tol, depth + 2.0 * tol]),
+        st.floats(-2.0 * depth - 1.0, 2.0 * depth + 1.0)), label="y")
+    assert point_in_domain(bp, (px, py)) == _point_in_domain_by_argmin(bp, (px, py))
+
+
+@settings(max_examples=300, deadline=None)
+@given(locs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12, unique=True),
+       data=st.data())
+def test_nearest_wall_picks_the_argmin_index(locs, data):
+    locs = np.sort(np.array(locs))
+    i = data.draw(st.integers(0, locs.size - 1))
+    nxt = locs[min(i + 1, locs.size - 1)]
+    px = data.draw(st.one_of(
+        st.sampled_from([locs[i], 0.5 * (locs[i] + nxt),
+                         np.nextafter(locs[i], -np.inf),
+                         np.nextafter(locs[i], np.inf)]),
+        st.floats(-2e3, 2e3)))
+    assert _nearest_wall(locs, px) == int(np.argmin(np.abs(locs - px)))
+
+
+def test_nearest_wall_ties_below_an_ulp_keep_the_first():
+    # 0 - 0.3 and 1e-17 - 0.3 round to the same distance
+    locs = np.array([-1.0, 0.0, 1e-17, 1.0])
+    assert _nearest_wall(locs, 0.3) == int(np.argmin(np.abs(locs - 0.3))) == 1
 
 
 def test_topology_rejects_non_monotone_chain():
@@ -136,7 +220,7 @@ def test_origin_outside_raises():
         [0.75, 3.0, -1.0],
     ])
     shifted = BoundaryPolyline(points=pts)
-    with pytest.raises(ValueError, match="origin"):
+    with pytest.raises(TopologyError, match="origin"):
         simulate_exit(shifted, walks=4, step=1e-3, seed=0)
 
 
