@@ -500,7 +500,3 @@ def main(argv=None) -> int:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

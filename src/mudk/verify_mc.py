@@ -73,17 +73,6 @@ def _walls(xs, ys):
     return locs, -np.minimum.reduceat(ys, start)
 
 
-def _nearest_wall(locs, px: float) -> int:
-    """Index of the wall nearest to px, first on ties, as argmin would pick."""
-    j = int(np.searchsorted(locs, px))
-    if j == locs.size or (j > 0 and abs(locs[j - 1] - px) <= abs(locs[j] - px)):
-        j -= 1
-        # walls closer than an ulp of px round to the same distance
-        while j > 0 and abs(locs[j - 1] - px) == abs(locs[j] - px):
-            j -= 1
-    return j
-
-
 def point_in_domain(bp: BoundaryPolyline, point) -> bool:
     """Membership in the domain rendered by the polyline.
 
@@ -102,7 +91,7 @@ def point_in_domain(bp: BoundaryPolyline, point) -> bool:
 
     if px < locs[0] - tol or px > locs[-1] + tol:
         return False
-    i = _nearest_wall(locs, px)
+    i = int(np.argmin(np.abs(locs - px)))
     if abs(locs[i] - px) <= tol:
         return abs(py) <= deeps[i] + tol
     return locs[0] < px < locs[-1]

@@ -348,10 +348,6 @@ def test_import_loads_no_scipy_stats_or_integrate():
     assert out.strip() == "[]"
 
 
-def _subprocess_env():
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-
-
 def test_scipy_loads_only_for_a_law_that_needs_it(tmp_path):
     """numpy-only laws never load scipy; Beta loads scipy.special on first use."""
     code = f"""
@@ -372,20 +368,21 @@ assert "scipy.special" in sys.modules
 from scipy import special
 assert value == special.betainc(2, 5, 0.3), value
 """
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env=_subprocess_env())
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_python_m_mudk_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     version = subprocess.run([sys.executable, "-m", "mudk", "--version"],
                              capture_output=True, text=True,
-                             env=_subprocess_env())
+                             env=env)
     assert version.returncode == 0
     assert "mu-domain-kit 0.1.0" in version.stdout
     via_m, direct = tmp_path / "m.csv", tmp_path / "d.csv"
     args = ["rates", "--dist", UNIFORM, "--n-list", "10,20"]
     proc = subprocess.run([sys.executable, "-m", "mudk", *args,
-                           "--out", str(via_m)], env=_subprocess_env())
+                           "--out", str(via_m)], env=env)
     assert proc.returncode == 0
     assert main([*args, "--out", str(direct)]) == 0
     assert via_m.read_bytes() == direct.read_bytes()

@@ -9,8 +9,7 @@ from mudk.boundary import BoundaryPolyline, boundary_points
 from mudk.discretize import build_measure
 from mudk.distributions import Discrete, Mixture, Uniform
 from mudk.verify_mc import (ExitSampleSet, TopologyError, _lower_chain,
-                            _nearest_wall, _walls, ks_distance,
-                            point_in_domain, simulate_exit)
+                            _walls, ks_distance, point_in_domain, simulate_exit)
 
 
 def box_polyline(half_width, depth):
@@ -74,7 +73,7 @@ def _walls_by_loop(xs, ys):
 
 
 def _point_in_domain_by_argmin(bp, point):
-    """Oracle for point_in_domain: the nearest wall by an O(W) argmin."""
+    """Oracle for point_in_domain: the same rule on the walls of the loop."""
     px, py = float(point[0]), float(point[1])
     locs, deeps = _walls_by_loop(*_lower_chain(bp))
     tol = 1e-12 * (1.0 + float(np.max(np.abs(bp.points[:, 1:]))))
@@ -121,27 +120,6 @@ def test_membership_matches_argmin_oracle(membership_domains, data):
         st.sampled_from([0.0, depth, -depth, depth + tol, depth + 2.0 * tol]),
         st.floats(-2.0 * depth - 1.0, 2.0 * depth + 1.0)), label="y")
     assert point_in_domain(bp, (px, py)) == _point_in_domain_by_argmin(bp, (px, py))
-
-
-@settings(max_examples=300, deadline=None)
-@given(locs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12, unique=True),
-       data=st.data())
-def test_nearest_wall_picks_the_argmin_index(locs, data):
-    locs = np.sort(np.array(locs))
-    i = data.draw(st.integers(0, locs.size - 1))
-    nxt = locs[min(i + 1, locs.size - 1)]
-    px = data.draw(st.one_of(
-        st.sampled_from([locs[i], 0.5 * (locs[i] + nxt),
-                         np.nextafter(locs[i], -np.inf),
-                         np.nextafter(locs[i], np.inf)]),
-        st.floats(-2e3, 2e3)))
-    assert _nearest_wall(locs, px) == int(np.argmin(np.abs(locs - px)))
-
-
-def test_nearest_wall_ties_below_an_ulp_keep_the_first():
-    # 0 - 0.3 and 1e-17 - 0.3 round to the same distance
-    locs = np.array([-1.0, 0.0, 1e-17, 1.0])
-    assert _nearest_wall(locs, 0.3) == int(np.argmin(np.abs(locs - 0.3))) == 1
 
 
 def test_topology_rejects_non_monotone_chain():
