@@ -1,8 +1,9 @@
 """Sample Brownian exits from a built domain and compare with the target.
 
-Builds the Uni(-1, 1) domain, runs Euler walks from the origin until
-they leave, and prints a histogram of the exit abscissas (which should
-be flat) together with the KS statistic against the target law.
+Builds the Uni(-1, 1) domain, runs walk-on-spheres walks from the
+origin until they reach a tooth of the comb, and prints a histogram of
+the exit abscissas (which should be flat) together with the KS
+statistic against the target law.
 
 Usage:
     python demos/exit_sampling.py [--walks N] [--step H] [--seed S]

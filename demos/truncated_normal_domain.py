@@ -27,7 +27,6 @@ def main(out_dir="demo_output"):
     sq = build_measure(target, 150)
     bp = boundary_points(sq, num_points=2048)
     print(f"domain x range: ({bp.x.min():+.4f}, {bp.x.max():+.4f})")
-    print(f"cap depth of the atom spike: {bp.cap_depth:.4f}")
 
     fc = fourier_coefficients(sq)
     print("\nleading coefficients (odd indices; even ones are near zero "

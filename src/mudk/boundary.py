@@ -26,14 +26,10 @@ class BoundaryPolyline:
 
     `transform` records the cumulative affine map (alpha, beta) applied
     through `scale_domain` relative to the originally traced polyline.
-    `cap_depth` is the smallest rendered depth among atom spikes (scaled
-    along with the geometry); exits beyond it are artifacts of rendering
-    the infinitely deep spikes at finite resolution.
     """
 
     points: np.ndarray
     transform: tuple[float, float] = (1.0, 0.0)
-    cap_depth: float | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -135,19 +131,7 @@ def boundary_points(sq: StepQuantile, num_points: int = 2048) -> BoundaryPolylin
     pts[num_points:, 0] = t
     pts[num_points:, 1] = x
     pts[num_points:, 2] = y
-
-    cap = None
-    flagged = np.flatnonzero(sq.atom_steps)
-    if flagged.size:
-        depths = []
-        for j in flagged:
-            lo, hi = sq.breakpoints[j], sq.breakpoints[j + 1]
-            mask = (t > lo) & (t <= hi)
-            if np.any(mask):
-                depths.append(float(np.max(np.abs(y[mask]))))
-        if depths:
-            cap = (1.0 - 1e-9) * min(depths)
-    return BoundaryPolyline(points=pts, cap_depth=cap)
+    return BoundaryPolyline(points=pts)
 
 
 def scale_domain(bp: BoundaryPolyline, alpha: float, beta: float) -> BoundaryPolyline:
@@ -167,9 +151,7 @@ def scale_domain(bp: BoundaryPolyline, alpha: float, beta: float) -> BoundaryPol
         pts = pts[::-1]
         pts[:, 0] = -pts[:, 0]
     a0, b0 = bp.transform
-    cap = None if bp.cap_depth is None else abs(alpha) * bp.cap_depth
-    return BoundaryPolyline(points=pts, transform=(alpha * a0, alpha * b0 + beta),
-                            cap_depth=cap)
+    return BoundaryPolyline(points=pts, transform=(alpha * a0, alpha * b0 + beta))
 
 
 def normalize_support(dist: Distribution) -> tuple[Distribution, float, float]:

@@ -457,12 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output file path")
     common.add_argument("--svg", help="also render the boundary to this SVG")
     common.add_argument("--walks", type=int, help="number of walks")
-    common.add_argument("--step", type=float, help="Euler time step")
+    common.add_argument("--step", type=float,
+                        help="walk-on-spheres shell width (default 1e-4)")
     common.add_argument("--seed", type=int, help="base RNG seed")
     common.add_argument("--boundary", help="boundary CSV for simulate")
     common.add_argument("--samples", help="samples CSV for check")
     common.add_argument("--max-steps", dest="max_steps", type=int,
-                        help="per-walk step budget (default 1e7)")
+                        help="per-walk sweep budget (default 1e7)")
 
     parser = argparse.ArgumentParser(
         prog="mudk",

@@ -1,31 +1,26 @@
 """Monte Carlo verification of the embedding property.
 
-Planar Brownian motion started at the origin is stepped with the Euler
-scheme until it leaves the rendered domain; the real parts of the exit
-points are then compared against the target law with the two-sided
-Kolmogorov-Smirnov statistic.  Walks are independent with their own
-counter-based random stream keyed by (seed, walk index), so results are
-bit-identical regardless of how many workers run them.
-
-Membership tests come in two flavors.  The simulator uses the mirror
-symmetry of the domain: a point is inside when |y| stays below the
-interpolated magnitude of the lower boundary chain at its x.  The
-public `point_in_domain` instead answers for the underlying comb domain
-of the step quantile, whose spikes at the step values are genuinely
-unbounded; the polyline merely renders them at finite depth.
+The domain of a step quantile with values v_1 < ... < v_W is a comb: the
+strip v_1 < x < v_W minus the teeth {x = v_j, |y| >= d_j}.  The sampler
+reads it off the polyline (walls at the distinct x of the lower chain,
+d_j the wall's closest rendered approach to the axis, d = 0 at the outer
+walls) and runs walk on spheres (Muller 1956) from the origin, all walks
+in numpy lockstep, until each walk is within `step` of a tooth; it exits
+at that tooth's abscissa.  The exits are compared against the target law
+with the two-sided Kolmogorov-Smirnov statistic.  Angles are a
+counter-based hash of (seed, walk, sweep), so a walk's exit does not
+depend on how many walks run.  `point_in_domain` keeps its own rule: a
+point on a wall line is inside up to that wall's deepest rendered point.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import BoundaryPolyline
 from .distributions import Distribution
-
-_CHUNK = 4096
 
 
 class TopologyError(ValueError):
@@ -67,10 +62,13 @@ def _lower_chain(bp: BoundaryPolyline):
     return xs, np.minimum(ys, 0.0)
 
 
-def _walls(xs, ys):
-    """Group the chain by exact x value: wall locations and rendered depths."""
+def _walls(xs, ys, reduce=np.minimum):
+    """Group the chain by exact x value: wall locations and rendered depths.
+
+    With `np.maximum` the depth is the closest approach to the axis.
+    """
     locs, start = np.unique(xs, return_index=True)
-    return locs, -np.minimum.reduceat(ys, start)
+    return locs, -reduce.reduceat(ys, start)
 
 
 def point_in_domain(bp: BoundaryPolyline, point) -> bool:
@@ -97,42 +95,64 @@ def point_in_domain(bp: BoundaryPolyline, point) -> bool:
     return locs[0] < px < locs[-1]
 
 
-def _resolve_workers(workers, walks):
-    cap = os.environ.get("MUDK_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    if workers is None:
-        workers = limit
-    return max(1, min(workers, limit, walks))
+def _nearest_tooth(locs, tips, x, y):
+    """Distance from each (x, y) to the nearest tooth, and that tooth's index.
+
+    Tooth j is the pair of rays {x = locs[j], |y| >= tips[j]}.  From the
+    two walls around x (sorted search) the scan moves outward one wall
+    per pass, on the points whose horizontal gap to that wall is still
+    below their best distance.
+    """
+    best = np.full(x.size, np.inf)
+    near = np.zeros(x.size, dtype=int)
+    right = np.searchsorted(locs, x)
+    for move, j in ((-1, right - 1), (1, right)):
+        scan = np.arange(x.size)
+        while scan.size:
+            clipped = np.clip(j, 0, locs.size - 1)
+            gap = locs[clipped] - x[scan]
+            keep = (clipped == j) & (np.abs(gap) < best[scan])
+            scan, j, gap = scan[keep], j[keep], gap[keep]
+            d = np.hypot(gap, np.maximum(tips[j] - np.abs(y[scan]), 0.0))
+            better = d < best[scan]
+            best[scan[better]] = d[better]
+            near[scan[better]] = j[better]
+            j = j + move
+    return best, near
 
 
-def _run_walk(args):
-    walk, seed, sqrt_step, max_steps, xs, ys, x_lo, x_hi = args
-    rng = np.random.Generator(np.random.Philox(key=(int(seed) << 64) + walk))
-    zx = zy = 0.0
-    remaining = max_steps
-    while remaining > 0:
-        n = min(_CHUNK, remaining)
-        g = rng.standard_normal((n, 2))
-        path_x = zx + np.cumsum(g[:, 0]) * sqrt_step
-        path_y = zy + np.cumsum(g[:, 1]) * sqrt_step
-        inside = ((path_x > x_lo) & (path_x < x_hi)
-                  & (np.abs(path_y) < -np.interp(path_x, xs, ys)))
-        if not inside.all():
-            k = int(np.argmin(inside))
-            return walk, float(path_x[k]), float(path_y[k])
-        zx, zy = float(path_x[-1]), float(path_y[-1])
-        remaining -= n
-    return walk, None, None
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z):
+    """SplitMix64 output function; a bijection of uint64 arrays."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def _angles(seed, walk_ids, sweep):
+    """Uniform angles in [0, 2 pi) as a pure function of (seed, walk, sweep).
+
+    Walk w runs its own SplitMix64 stream, seeded by hashing (seed, w),
+    and a sweep takes that stream's output at its counter.  Only uint64
+    arrays take part: they wrap silently where numpy scalars would warn.
+    """
+    key = _mix64(np.full(1, seed % 2 ** 64, dtype=np.uint64))
+    stream = _mix64(key + walk_ids.astype(np.uint64) * _GAMMA)
+    bits = _mix64(stream + (sweep + 1) * _GAMMA % 2 ** 64)
+    return (bits >> 11).astype(float) * (2.0 * np.pi / 2 ** 53)
 
 
 def simulate_exit(bp: BoundaryPolyline, walks: int, step: float, seed: int,
-                  max_steps: int = 10_000_000, workers: int | None = None) -> ExitSampleSet:
-    """Run independent Euler walks from the origin until exit.
+                  max_steps: int = 10_000_000) -> ExitSampleSet:
+    """Walk on spheres from the origin until each walk reaches a tooth.
 
-    Walks that consume `max_steps` without leaving, or whose exit depth
-    reaches the rendered cap of an atom spike, are counted as truncated
-    and excluded from the sample.  The per-walk streams make the result
-    independent of `workers`.
+    Each sweep moves every live walk to a uniform point on the largest
+    circle around it that avoids all teeth; a walk that lands within
+    `step` (the shell width) of a tooth exits at that tooth's abscissa.
+    Walks still inside after `max_steps` sweeps are counted as truncated
+    and excluded from the sample.
     """
     if walks < 1:
         raise ValueError(f"walks must be >= 1, got {walks}")
@@ -140,45 +160,42 @@ def simulate_exit(bp: BoundaryPolyline, walks: int, step: float, seed: int,
         raise ValueError(f"step must be positive, got {step}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    xs, ys = _lower_chain(bp)
-    x_lo, x_hi = float(xs[0]), float(xs[-1])
-    if not (x_lo < 0.0 < x_hi) or not (-np.interp(0.0, xs, ys) > 0.0):
+    locs, tips = _walls(*_lower_chain(bp), reduce=np.maximum)
+    tips[[0, -1]] = 0.0
+    origin = _nearest_tooth(locs, tips, np.zeros(1), np.zeros(1))[0]
+    if not (locs[0] < 0.0 < locs[-1] and origin[0] > 0.0):
         raise TopologyError("origin is not inside the domain")
 
-    sqrt_step = float(np.sqrt(step))
-    tasks = [(w, seed, sqrt_step, max_steps, xs, ys, x_lo, x_hi)
-             for w in range(walks)]
-    n_workers = _resolve_workers(workers, walks)
-    if n_workers == 1:
-        results = [_run_walk(t) for t in tasks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_run_walk, tasks, chunksize=64))
-    results.sort(key=lambda r: r[0])
-
-    ids, exits = [], []
-    truncated = 0
-    for walk, ex, ey in results:
-        if ex is None:
-            truncated += 1
-            continue
-        if bp.cap_depth is not None and abs(ey) >= bp.cap_depth:
-            truncated += 1
-            continue
-        ids.append(walk)
-        exits.append(ex)
-    return ExitSampleSet(samples=np.array(exits), walk_ids=np.array(ids, dtype=int),
-                         seed=seed, step=step, walks=walks,
-                         truncated_walks=truncated)
+    exits, ids = np.full(walks, np.nan), np.arange(walks)
+    x, y, r = np.zeros(walks), np.zeros(walks), np.repeat(origin, walks)
+    for sweep in range(max_steps):
+        theta = _angles(seed, ids, sweep)
+        x += r * np.cos(theta)
+        y += r * np.sin(theta)
+        r, near = _nearest_tooth(locs, tips, x, y)
+        exits[ids[r < step]] = locs[near[r < step]]
+        live = r >= step
+        ids, x, y, r = ids[live], x[live], y[live], r[live]
+        if not ids.size:
+            break
+    exited = np.flatnonzero(~np.isnan(exits))
+    return ExitSampleSet(samples=exits[exited], walk_ids=exited, seed=seed,
+                         step=step, walks=walks,
+                         truncated_walks=walks - exited.size)
 
 
 def ks_distance(samples, dist: Distribution) -> float:
-    """Two-sided Kolmogorov-Smirnov statistic of samples against dist."""
+    """Two-sided Kolmogorov-Smirnov statistic of samples against dist.
+
+    The empirical c.d.f. is compared with F on the right of each sample
+    and with the left limit F(x-) below it, so a law with atoms is
+    measured correctly: samples that match its atoms score 0.
+    """
     arr = np.sort(np.asarray(samples, dtype=float))
     m = arr.size
     if m == 0:
         raise ValueError("need at least one sample")
     f = np.asarray(dist.cdf(arr), dtype=float)
+    f_left = np.asarray(dist.cdf_left(arr), dtype=float)
     i = np.arange(1, m + 1)
-    return float(max(np.max(i / m - f), np.max(f - (i - 1) / m)))
+    return float(max(np.max(i / m - f), np.max(f_left - (i - 1) / m)))

@@ -7,7 +7,7 @@ from mudk.boundary import (BoundaryPolyline, boundary_points, export_csv,
                            export_svg, load_csv, normalize_support,
                            parameter_grid, scale_domain, svg_point_count)
 from mudk.discretize import build_measure
-from mudk.distributions import Beta, Discrete, Exponential, Mixture, Uniform
+from mudk.distributions import Beta, Discrete, Mixture, Uniform
 from mudk.hilbert import pole_levels
 
 
@@ -54,15 +54,6 @@ def test_boundary_rejects_submass_quantile():
     sq = build_measure(Beta(2.0, 1.0), 10, scheme="pdf")  # mass 0.9
     with pytest.raises(ValueError, match="total mass"):
         boundary_points(sq, num_points=32)
-
-
-def test_cap_depth_only_with_atoms():
-    atomless = boundary_points(build_measure(Uniform(-1.0, 1.0), 20), 256)
-    assert atomless.cap_depth is None
-    lumped = boundary_points(
-        build_measure(Exponential(1.0).truncate(4.0).center(), 50), 512)
-    assert lumped.cap_depth is not None
-    assert 0.0 < lumped.cap_depth <= np.abs(lumped.y).max() + 1e-12
 
 
 def test_scale_domain_matches_direct_build():

@@ -1,4 +1,7 @@
-"""Peak-memory ceilings of the map layer (tracemalloc, beta(2,5) at n=2000)."""
+"""Peak-memory ceilings of the map layer and the exit sampler.
+
+tracemalloc peaks, beta(2,5) at n=2000.
+"""
 
 import tracemalloc
 
@@ -8,8 +11,10 @@ from mudk.boundary import boundary_points
 from mudk.discretize import build_measure
 from mudk.distributions import Beta
 from mudk.gross_map import fourier_coefficients
+from mudk.verify_mc import simulate_exit
 
 CEILING_MB = 32.0
+SAMPLER_CEILING_MB = 4.0
 
 
 @pytest.fixture(scope="module")
@@ -32,3 +37,9 @@ def test_boundary_points_memory_is_bounded(beta_2000):
 
 def test_fourier_coefficients_memory_is_bounded(beta_2000):
     assert _peak_mb(lambda: fourier_coefficients(beta_2000)) < CEILING_MB
+
+
+def test_simulate_exit_memory_is_bounded():
+    bp = boundary_points(build_measure(Beta(2.0, 5.0).center(), 2000), 2048)
+    peak = _peak_mb(lambda: simulate_exit(bp, walks=4000, step=1e-4, seed=0))
+    assert peak < SAMPLER_CEILING_MB

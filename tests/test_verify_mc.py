@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mudk.boundary import BoundaryPolyline, boundary_points
+from mudk.boundary import (BoundaryPolyline, boundary_points,
+                           normalize_support, scale_domain)
 from mudk.discretize import build_measure
-from mudk.distributions import Discrete, Mixture, Uniform
+from mudk.distributions import Beta, Discrete, Exponential, Mixture, Uniform
 from mudk.verify_mc import (ExitSampleSet, TopologyError, _lower_chain,
                             _walls, ks_distance, point_in_domain, simulate_exit)
 
@@ -149,8 +150,10 @@ def test_topology_rejects_chain_above_axis():
 # ---------------------------------------------------------------- simulation
 
 def test_huge_box_truncates_every_walk():
+    # two sweeps cannot bring a walk from the middle of a 100-wide strip
+    # into the 1e-4 shell
     res = simulate_exit(box_polyline(50.0, 50.0), walks=16, step=1e-4,
-                        seed=1, max_steps=1000)
+                        seed=1, max_steps=2)
     assert res.truncated_walks == 16
     assert res.samples.size == 0
     assert res.truncation_warning
@@ -160,7 +163,7 @@ def test_small_box_exits_on_boundary():
     res = simulate_exit(box_polyline(1.0, 1.0), walks=200, step=1e-3, seed=3)
     assert res.truncated_walks == 0
     assert res.samples.size == 200
-    # every exit sits within an Euler overshoot of the rectangle
+    # every exit sits on a side of the rectangle, well inside the slack
     slack = 10.0 * np.sqrt(1e-3)
     assert np.all(np.abs(res.samples) <= 1.0 + slack)
 
@@ -174,20 +177,38 @@ def test_same_seed_reproduces_exactly(uniform_bp):
     assert not np.array_equal(a.samples, c.samples)
 
 
-def test_worker_count_does_not_change_samples(uniform_bp):
-    runs = [simulate_exit(uniform_bp, walks=96, step=1e-3, seed=5, workers=w)
-            for w in (1, 2, 8)]
-    for other in runs[1:]:
-        assert np.array_equal(runs[0].samples, other.samples)
-        assert runs[0].truncated_walks == other.truncated_walks
+def test_batch_size_does_not_change_samples(uniform_bp):
+    small = simulate_exit(uniform_bp, walks=64, step=1e-3, seed=5)
+    large = simulate_exit(uniform_bp, walks=200, step=1e-3, seed=5)
+    assert small.truncated_walks == 0 and large.truncated_walks == 0
+    assert np.array_equal(small.walk_ids, large.walk_ids[:64])
+    assert np.array_equal(small.samples, large.samples[:64])
 
 
-def test_thread_env_cap_respected(uniform_bp, monkeypatch):
-    monkeypatch.setenv("MUDK_THREADS", "1")
-    res = simulate_exit(uniform_bp, walks=32, step=1e-3, seed=5, workers=8)
-    monkeypatch.delenv("MUDK_THREADS")
-    free = simulate_exit(uniform_bp, walks=32, step=1e-3, seed=5, workers=8)
-    assert np.array_equal(res.samples, free.samples)
+def test_exits_are_wall_abscissas(uniform_bp):
+    res = simulate_exit(uniform_bp, walks=300, step=1e-3, seed=2)
+    assert res.samples.size == 300
+    assert np.all(np.isin(res.samples, np.unique(uniform_bp.x)))
+
+
+def _centered_domain(dist, n, points):
+    """Domain and step law of dist as the build command makes them."""
+    norm, width, _ = normalize_support(dist)
+    sq = build_measure(norm, n)
+    shift = -width * sq.mean()
+    locs, index = np.unique(width * sq.values + shift, return_inverse=True)
+    masses = np.zeros(locs.size)
+    np.add.at(masses, index, sq.widths())
+    q_n = Discrete(zip(locs.tolist(), masses.tolist()))
+    return scale_domain(boundary_points(sq, points), width, shift), q_n
+
+
+def test_atom_law_exits_follow_the_step_law():
+    """Truncated exponential: an atom at the origin from the clipped tail."""
+    bp, q_n = _centered_domain(Exponential(1.0).center().truncate(3.0), 200, 2048)
+    res = simulate_exit(bp, walks=4000, step=1e-4, seed=3)
+    assert res.truncated_walks == 0
+    assert ks_distance(res.samples, q_n) < 0.05
 
 
 def test_origin_outside_raises():
@@ -253,7 +274,26 @@ def test_ks_of_single_point():
 def test_ks_of_matched_atoms():
     dist = Discrete([(0.0, 0.25), (1.0, 0.25), (2.0, 0.25), (3.0, 0.25)])
     d = ks_distance([0.0, 1.0, 2.0, 3.0], dist)
-    assert d == pytest.approx(0.25)
+    assert d == 0.0
+
+
+def _ks_right_limits_only(samples, dist):
+    """The KS formula that compares F, not F(x-), below each sample."""
+    arr = np.sort(np.asarray(samples, dtype=float))
+    m = arr.size
+    f = np.asarray(dist.cdf(arr), dtype=float)
+    i = np.arange(1, m + 1)
+    return float(max(np.max(i / m - f), np.max(f - (i - 1) / m)))
+
+
+@pytest.mark.parametrize("dist", [Uniform(-1.0, 1.0), Beta(2.0, 5.0).center()],
+                         ids=["uniform", "beta"])
+def test_ks_of_atomless_law_is_unchanged(dist):
+    rng = np.random.default_rng(4)
+    lo, hi = dist.support()
+    samples = rng.uniform(lo, hi, size=400)
+    samples = np.concatenate([samples, samples[:100]])  # with ties
+    assert ks_distance(samples, dist) == _ks_right_limits_only(samples, dist)
 
 
 def test_ks_requires_samples():
