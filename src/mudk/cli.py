@@ -17,10 +17,10 @@ parameters, and two optional processing keys::
     {"family": "discrete", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}
     {"family": "mixture", "components": [{"weight": 0.5, "dist": {...}}, ...]}
 
-``center`` (default true) shifts the law to mean zero before anything
-else; ``truncate`` (a positive real, applied after centering) replaces
-the mass outside [-R, R] by an atom at the origin, which is the only
-way to handle unbounded supports.
+``center`` (default true) shifts the law to mean zero, before and again
+after ``truncate`` (a positive real), which replaces the mass outside
+[-R, R] by an atom at the origin and so moves the mean; truncation is
+the only way to handle unbounded supports.
 
 Subcommands: build (boundary CSV and optional SVG), rates (l1 error
 and bound table over an n list), map (power series coefficients),
@@ -133,11 +133,12 @@ def _parse_family(fields: dict) -> Distribution:
 
 
 def build_distribution(fields: dict) -> Distribution:
-    """Working law of a run: parsed family, centered, then truncated."""
+    """Working law of a run: parsed family, centered, truncated, recentered."""
     if not isinstance(fields, dict):
         raise ConfigError("distribution must be a JSON object")
     dist = _parse_family(fields)
-    if fields.get("center", True):
+    center = fields.get("center", True)
+    if center:
         dist = dist.center()
     if "truncate" in fields:
         radius = fields["truncate"]
@@ -146,6 +147,8 @@ def build_distribution(fields: dict) -> Distribution:
             raise ConfigError(f'"truncate" must be a positive real, '
                               f"got {radius!r}")
         dist = dist.truncate(float(radius))
+        if center:
+            dist = dist.center()
     lo, hi = dist.support()
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConfigError(
@@ -444,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("config", nargs="?", default=None,
                         help="JSON config file; flags override its entries")
     common.add_argument("--dist", help="distribution: JSON file path or inline "
-                        "JSON object")
+                        "JSON object; centered before and after any truncation")
     common.add_argument("--n", type=int, help="number of discretization cells")
     common.add_argument("--n-list", dest="n_list",
                         help="comma separated n values for the rates table")

@@ -17,7 +17,7 @@ which vanishes for atomless laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,28 +37,21 @@ _LEVEL_TOL = 1e-9           # tiling consistency tolerance in level space
 class StepQuantile:
     """Piecewise-constant quantile of a finitely supported measure.
 
-    `breakpoints` holds the m+1 cumulative levels 0 = s_0 <= ... <= s_m,
-    `values` the m step values (non-decreasing), and `atom_steps` flags
-    the steps that reproduce an original atom of the target (their width
-    equals the atom mass exactly).  s_m is 1 for the c.d.f. scheme but
-    may differ under the p.d.f. scheme.
+    `breakpoints` holds the m+1 cumulative levels 0 = s_0 <= ... <= s_m
+    and `values` the m step values (non-decreasing).  s_m is 1 for the
+    c.d.f. scheme but may differ under the p.d.f. scheme.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
-    atom_steps: np.ndarray = field(default=None)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
         vals = np.asarray(self.values, dtype=float)
-        flags = (np.zeros(vals.size, dtype=bool) if self.atom_steps is None
-                 else np.asarray(self.atom_steps, dtype=bool))
         if bp.ndim != 1 or vals.ndim != 1 or bp.size != vals.size + 1:
             raise ValueError("need m+1 breakpoints for m step values")
         if vals.size == 0:
             raise ValueError("at least one step is required")
-        if flags.size != vals.size:
-            raise ValueError("atom_steps must align with values")
         if abs(bp[0]) > _LEVEL_TOL:
             raise ValueError(f"first breakpoint must be 0, got {bp[0]}")
         if np.any(np.diff(bp) <= 0):
@@ -67,11 +60,10 @@ class StepQuantile:
             raise ValueError("step values must be non-decreasing")
         bp = bp.copy()
         bp[0] = 0.0
-        for arr in (bp, vals, flags):
+        for arr in (bp, vals):
             arr.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "atom_steps", flags)
 
     @property
     def num_steps(self) -> int:
@@ -192,18 +184,17 @@ def build_measure_cdf(dist: Distribution, n: int) -> StepQuantile:
         tiled.append([tiled[-1][1], 1.0, tiled[-1][2], False])
 
     bps = [0.0]
-    vals, flags = [], []
-    for lo, hi, val, is_atom in tiled:
+    vals = []
+    for lo, hi, val, _ in tiled:
         if abs(lo - bps[-1]) > _LEVEL_TOL:
             raise ValueError("internal error: level tiling is not contiguous")
         bps.append(hi)
         vals.append(val)
-        flags.append(is_atom)
     total = bps[-1]
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"internal error: total mass {total} != 1")
     bps[-1] = 1.0
-    return StepQuantile(np.array(bps), np.array(vals), np.array(flags))
+    return StepQuantile(np.array(bps), np.array(vals))
 
 
 def build_measure_pdf(dist: Distribution, n: int) -> StepQuantile:
@@ -222,7 +213,7 @@ def build_measure_pdf(dist: Distribution, n: int) -> StepQuantile:
     atol = 1e-12 * max(1.0, b - a)
     atoms, node_hits = _atom_layout(dist, xs, atol)
 
-    events = [(loc, mass, loc, True) for loc, mass in atoms if mass > _WIDTH_FLOOR]
+    events = [(loc, mass) for loc, mass in atoms if mass > _WIDTH_FLOOR]
     f = np.asarray(dist.pdf(xs), dtype=float)
     for k in range(1, n + 1):
         if node_hits[k - 1] or node_hits[k]:
@@ -232,16 +223,15 @@ def build_measure_pdf(dist: Distribution, n: int) -> StepQuantile:
         w = h * float(f[k - 1])
         if w <= _WIDTH_FLOOR:
             continue
-        events.append((float(xs[k]), w, float(xs[k]), False))
+        events.append((float(xs[k]), w))
     if not events:
         raise ValueError("discretization produced no mass; check the target law")
     events.sort(key=lambda ev: ev[0])
 
-    widths = np.array([w for _, w, _, _ in events])
+    widths = np.array([w for _, w in events])
     bps = np.concatenate(([0.0], np.cumsum(widths)))
-    vals = np.array([v for _, _, v, _ in events])
-    flags = np.array([fl for _, _, _, fl in events])
-    return StepQuantile(bps, vals, flags)
+    vals = np.array([v for v, _ in events])
+    return StepQuantile(bps, vals)
 
 
 def build_measure(dist: Distribution, n: int, scheme: str = "cdf") -> StepQuantile:

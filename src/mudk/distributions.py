@@ -72,12 +72,8 @@ class Distribution(abc.ABC):
 
     Subclasses must provide `cdf`, `support`, `mean` and `variance`;
     everything else has generic fallbacks, such as the bisection
-    quantile.  `mean_shift` records the offset applied by :meth:`center`
-    so callers can undo it later; it is 0 for laws that were never
-    recentered.
+    quantile.
     """
-
-    mean_shift: float = 0.0
 
     # ---- required interface
 
@@ -176,9 +172,8 @@ class Distribution(abc.ABC):
         return AffineDistribution(self, float(factor), 0.0)
 
     def center(self) -> "Distribution":
-        """Shift so the mean is 0, recording the offset in `mean_shift`."""
-        m = self.mean()
-        return AffineDistribution(self, 1.0, -m, mean_shift=-m)
+        """Shift so the mean is 0."""
+        return AffineDistribution(self, 1.0, -self.mean())
 
     def truncate(self, bound: float) -> "Distribution":
         """Restrict to [-bound, bound], lumping outside mass at 0."""
@@ -604,14 +599,13 @@ class Mixture(Distribution):
 class AffineDistribution(Distribution):
     """Law of scale*X + offset for a base law X, with scale > 0."""
 
-    def __init__(self, base: Distribution, scale: float, offset: float, mean_shift: float = 0.0):
+    def __init__(self, base: Distribution, scale: float, offset: float):
         scale, offset = float(scale), float(offset)
         if not (np.isfinite(scale) and scale > 0):
             raise ValueError(f"scale must be positive and finite, got {scale}")
         self.base = base
         self._scale = scale
         self._offset = offset
-        self.mean_shift = float(mean_shift)
 
     def __repr__(self):
         return f"AffineDistribution({self.base!r}, scale={self._scale}, offset={self._offset})"

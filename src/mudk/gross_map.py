@@ -13,6 +13,7 @@ closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,15 @@ class FourierCoefficients:
 def fourier_coefficients(sq: StepQuantile, num_terms: int | None = None) -> FourierCoefficients:
     """Cosine coefficients of the step quantile's even circle extension.
 
-    Summed over the live jumps (s_j, c_j) of the step quantile (see
-    `hilbert.pole_levels`) in the telescoped form
-    a_k = -(2/(k pi)) sum_j c_j sin(k pi s_j).  The sum runs in blocks of
-    k, each temporary holding at most _BLOCK_CELLS float64 cells, so
-    memory is O(terms + jumps).  `num_terms` defaults to
-    max(256, 8 * number of steps).
+    a_k = -(2/(k pi)) sum_j c_j sin(k t_j) over the live jumps (s_j, c_j),
+    t_j = pi s_j (see `hilbert.pole_levels`), by angle addition: with
+    k = k0 + r for B = ceil(K/R) starts k0 and R = isqrt(K) offsets r,
+    sin(k t) = sin(k0 t) cos(r t) + cos(k0 t) sin(r t), so each chunk of
+    jumps costs two GEMMs into one B x R array and O(sqrt(K)) sines per
+    jump instead of K.  sin(k0 t) is evaluated directly, not by
+    recurrence, so rounding does not build up with k.  Operands hold at
+    most _BLOCK_CELLS float64 cells: memory is O(terms + jumps).
+    `num_terms` defaults to max(256, 8 * number of steps).
     """
     if num_terms is None:
         num_terms = max(256, 8 * sq.num_steps)
@@ -69,12 +73,16 @@ def fourier_coefficients(sq: StepQuantile, num_terms: int | None = None) -> Four
         raise ValueError(f"num_terms must be >= 1, got {num_terms}")
     levels, jumps = _jumps(sq)
     k = np.arange(1, num_terms + 1)
-    coeffs = np.zeros(num_terms)
-    if levels.size:
-        rows = max(1, _BLOCK_CELLS // levels.size)
-        for i in range(0, num_terms, rows):
-            coeffs[i:i + rows] = np.sin(np.pi * np.outer(k[i:i + rows], levels)) @ jumps
-        coeffs *= -2.0 / (np.pi * k)
+    R = math.isqrt(num_terms)
+    sums = np.zeros((-(-num_terms // R), R))
+    chunk = max(1, _BLOCK_CELLS // max(sums.shape))
+    for j in range(0, levels.size, chunk):
+        s, c = levels[j:j + chunk], jumps[j:j + chunk]
+        start = np.pi * np.multiply.outer(k[::R], s)
+        off = np.pi * np.multiply.outer(s, np.arange(R))
+        sums += (c * np.sin(start)) @ np.cos(off)
+        sums += (c * np.cos(start)) @ np.sin(off)
+    coeffs = sums.ravel()[:num_terms] * (-2.0 / (np.pi * k))
     return FourierCoefficients(coeffs=coeffs, source_l1_norm=sq.l1_norm())
 
 

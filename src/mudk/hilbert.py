@@ -21,8 +21,8 @@ from .discretize import StepQuantile
 
 POLE_RADIUS = 1e-9
 
-# float64 cells per temporary of a blocked kernel sum (2 MB)
-_BLOCK_CELLS = 2 ** 18
+# float64 cells per buffer of a blocked kernel sum (256 KB, fits in L2)
+_BLOCK_CELLS = 2 ** 15
 
 
 class PoleError(ValueError):
@@ -33,8 +33,10 @@ class OracleConvergenceError(RuntimeError):
     """The principal-value quadrature failed to extrapolate consistently."""
 
 
-def _log_abs_sin_half(t):
-    return np.log(np.abs(np.sin(0.5 * t)))
+def _log_abs_sin_half(t, out=None):
+    """log|sin(t/2)|; with `out`, computed in place there."""
+    half = np.multiply(t, 0.5, out=out)
+    return np.log(np.abs(np.sin(half, out=out), out=out), out=out)
 
 
 def _wrap_distance(u, poles):
@@ -125,8 +127,10 @@ def hilbert_step_quantile(sq: StepQuantile, u):
     Sums over the live jumps (s_j, c_j) of the step quantile,
     H(u) = sum_j c_j D(u, pi s_j) / pi with
     D(u, t) = log|sin((u-t)/2)| - log|sin((u+t)/2)|, one log pair per
-    jump.  The sum runs in blocks of points, each temporary holding at
-    most _BLOCK_CELLS float64 cells, so memory is O(points + jumps).
+    jump.  The sum runs in blocks of points through two (rows x jumps)
+    buffers of at most _BLOCK_CELLS float64 cells, allocated once: each
+    block's log|sin| chain runs in place and its matrix-vector product
+    is written straight into the result.  Memory is O(points + jumps).
     """
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
@@ -138,13 +142,14 @@ def hilbert_step_quantile(sq: StepQuantile, u):
 
     out = np.zeros(pts.size)
     if theta.size:
-        L = _log_abs_sin_half
-        rows = max(1, _BLOCK_CELLS // theta.size)
+        rows = max(1, min(pts.size, _BLOCK_CELLS // theta.size))
+        buf = np.empty((2, rows, theta.size))
         for i in range(0, pts.size, rows):
             blk = pts[i:i + rows, None]
-            D = L(blk - theta)
-            D -= L(blk + theta)
-            out[i:i + rows] = D @ coeff
+            D, P = buf[:, :blk.shape[0]]
+            _log_abs_sin_half(np.subtract(blk, theta, out=D), out=D)
+            D -= _log_abs_sin_half(np.add(blk, theta, out=P), out=P)
+            np.dot(D, coeff, out=out[i:i + rows])
         out /= np.pi
     if scalar:
         return float(out[0])

@@ -210,6 +210,20 @@ def test_truncated_exponential_builds(tmp_path):
     assert rc == 0
 
 
+def test_truncated_exponential_embeds_its_target(tmp_path):
+    """Recentred after truncation, the working law is the law the domain embeds."""
+    dist = '{"family": "exponential", "rate": 1, "truncate": 3}'
+    boundary, samples = tmp_path / "b.csv", tmp_path / "s.csv"
+    assert run("build", "--dist", dist, "--n", "200", "--points", "2048",
+               "--out", str(boundary)) == 0
+    assert run("simulate", "--dist", dist, "--n", "200", "--boundary",
+               str(boundary), "--walks", "4000", "--step", "1e-4",
+               "--seed", "3", "--out", str(samples)) == 0
+    summary = json.loads((tmp_path / "s.summary.json").read_text())
+    assert summary["truncated"] == 0
+    assert summary["ks"] < 0.05
+
+
 def test_zero_walks_is_config_error(tmp_path):
     boundary = tmp_path / "b.csv"
     assert run("build", "--dist", UNIFORM, "--n", "4", "--points", "16",
@@ -304,6 +318,11 @@ def test_build_distribution_center_default():
     raw = build_distribution({"family": "uniform", "a": 0, "b": 2,
                               "center": False})
     assert raw.mean() == pytest.approx(1.0)
+    # truncation moves the mean; only a centered law is recentred after it
+    fields = {"family": "exponential", "rate": 1.0, "truncate": 3.0}
+    assert build_distribution(fields).mean() == pytest.approx(0.0, abs=1e-12)
+    raw = build_distribution({**fields, "center": False})
+    assert raw.mean() == pytest.approx(1.0 - 4.0 * np.exp(-3.0), abs=1e-12)
 
 
 def test_build_distribution_rejects_bad_truncate():

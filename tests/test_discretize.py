@@ -99,14 +99,11 @@ def test_unbounded_support_is_rejected():
 
 def test_step_quantile_validation():
     with pytest.raises(ValueError):
-        StepQuantile(np.array([0.1, 0.5, 1.0]), np.array([0.0, 1.0]),
-                     np.zeros(2, dtype=bool))
+        StepQuantile(np.array([0.1, 0.5, 1.0]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        StepQuantile(np.array([0.0, 0.5, 0.4]), np.array([0.0, 1.0]),
-                     np.zeros(2, dtype=bool))
+        StepQuantile(np.array([0.0, 0.5, 0.4]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        StepQuantile(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.0]),
-                     np.zeros(2, dtype=bool))
+        StepQuantile(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.0]))
 
 
 def test_step_quantile_eval_left_continuity():
@@ -119,19 +116,15 @@ def test_step_quantile_eval_left_continuity():
 
 
 def test_step_l1_distance_small_case():
-    a = StepQuantile(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0]),
-                     np.zeros(2, dtype=bool))
-    b = StepQuantile(np.array([0.0, 1.0]), np.array([0.5]),
-                     np.zeros(1, dtype=bool))
+    a = StepQuantile(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0]))
+    b = StepQuantile(np.array([0.0, 1.0]), np.array([0.5]))
     assert step_l1_distance(a, b) == pytest.approx(0.5, abs=1e-12)
     assert step_l1_distance(a, a) == 0.0
 
 
 def test_step_l1_distance_extends_shorter_mass():
-    a = StepQuantile(np.array([0.0, 1.0]), np.array([2.0]),
-                     np.zeros(1, dtype=bool))
-    b = StepQuantile(np.array([0.0, 0.5]), np.array([1.0]),
-                     np.zeros(1, dtype=bool))
+    a = StepQuantile(np.array([0.0, 1.0]), np.array([2.0]))
+    b = StepQuantile(np.array([0.0, 0.5]), np.array([1.0]))
     # b is held at its final value 1.0 on (0.5, 1.0)
     assert step_l1_distance(a, b) == pytest.approx(1.0, abs=1e-12)
 

@@ -7,7 +7,7 @@ from mudk.discretize import build_measure, step_l1_distance
 from mudk.distributions import Beta, Discrete, Mixture, Uniform
 from mudk.gross_map import (FourierCoefficients, evaluate_map,
                             fourier_coefficients, map_distance_bound)
-from mudk.hilbert import _BLOCK_CELLS, pole_levels
+from mudk.hilbert import _BLOCK_CELLS
 
 
 def strip_quantile():
@@ -99,21 +99,56 @@ def test_coefficients_validate_inputs():
 
 
 def _dense_coefficients(sq, num_terms):
-    """Reference: sine differences over the whole (terms x breakpoints) matrix."""
-    k = np.arange(1, num_terms + 1)
-    sines = np.sin(np.pi * np.outer(k, sq.breakpoints))
-    return (np.diff(sines, axis=1) @ sq.values) * (2.0 / (np.pi * k))
+    """Reference: sine differences over the (terms x breakpoints) matrix.
+
+    Built 1024 rows of k at a time, so the n=2000 case stays small.
+    """
+    out = np.empty(num_terms)
+    for i in range(0, num_terms, 1024):
+        k = np.arange(i + 1, min(i + 1024, num_terms) + 1)
+        sines = np.sin(np.pi * np.outer(k, sq.breakpoints))
+        out[i:i + k.size] = (np.diff(sines, axis=1) @ sq.values) * (2.0 / (np.pi * k))
+    return out
 
 
-@pytest.mark.parametrize("sq", [
-    build_measure(Uniform(-1.0, 1.0), 200),
-    build_measure(Beta(2.0, 5.0).center(), 300, scheme="pdf"),
-    build_measure(Mixture([(0.5, Uniform(-1.0, 1.0)),
-                           (0.5, Discrete([(0.0, 1.0)]))]), 150),
-], ids=["uniform", "beta-pdf", "atom"])
+def _oracle_gap(sq, terms):
+    """Largest |a_k - oracle| relative to the largest |oracle a_k|."""
+    ref = _dense_coefficients(sq, terms)
+    got = fourier_coefficients(sq, num_terms=terms).coeffs
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+# K terms are summed as B = ceil(K/R) block starts times R = isqrt(K)
+# offsets, so R*R terms tile the layout exactly and R*R +- 1 sit on
+# either side of that edge; 1009 is prime.
+_R = 40
+EDGE_TERMS = (1, _R * _R - 1, _R * _R, _R * _R + 1, 1009)
+# At R*R terms a jump chunk holds _BLOCK_CELLS // _R jumps; a uniform
+# law on this many cells has one jump more, so it takes two chunks.
+BEYOND_CHUNK = _BLOCK_CELLS // _R + 2
+
+LAWS = {
+    "uniform": build_measure(Uniform(-1.0, 1.0), 200),
+    "beta-pdf": build_measure(Beta(2.0, 5.0).center(), 300, scheme="pdf"),
+    "atom": build_measure(Mixture([(0.5, Uniform(-1.0, 1.0)),
+                                   (0.5, Discrete([(0.0, 1.0)]))]), 150),
+}
+
+
+@pytest.mark.parametrize("sq", LAWS.values(), ids=LAWS.keys())
 def test_blocked_coefficients_match_dense_oracle(sq):
-    rows = _BLOCK_CELLS // pole_levels(sq).size
-    for terms in (rows - 1, rows, rows + 1, 2 * rows + 1):
-        ref = _dense_coefficients(sq, terms)
-        got = fourier_coefficients(sq, num_terms=terms).coeffs
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for terms in (_R * _R - 1, _R * _R, _R * _R + 1, 2 * _R * _R + 1):
+        assert _oracle_gap(sq, terms) <= 1e-13
+
+
+@pytest.mark.parametrize("terms", EDGE_TERMS)
+@pytest.mark.parametrize("sq", [
+    *LAWS.values(), build_measure(Uniform(-1.0, 1.0), BEYOND_CHUNK),
+], ids=[*LAWS.keys(), "two-chunks"])
+def test_angle_addition_matches_dense_oracle(sq, terms):
+    assert _oracle_gap(sq, terms) <= 1e-14
+
+
+def test_default_terms_match_dense_oracle_at_n2000():
+    sq = build_measure(Beta(2.0, 5.0), 2000)
+    assert _oracle_gap(sq, fourier_coefficients(sq).order) <= 1e-14

@@ -72,8 +72,7 @@ def test_pole_levels_of_uniform_steps():
 
 
 def test_pole_levels_include_submass_edge():
-    sub = StepQuantile(np.array([0.0, 0.4, 0.8]), np.array([1.0, 2.0]),
-                       np.zeros(2, dtype=bool))
+    sub = StepQuantile(np.array([0.0, 0.4, 0.8]), np.array([1.0, 2.0]))
     np.testing.assert_allclose(pole_levels(sub), [0.4, 0.8])
 
 
@@ -98,7 +97,7 @@ def test_step_quantile_is_odd_and_scales_linearly():
     u = np.linspace(0.11, 2.9, 23)
     h = hilbert_step_quantile(sq, u)
     np.testing.assert_allclose(hilbert_step_quantile(sq, -u), -h, atol=1e-13)
-    doubled = StepQuantile(sq.breakpoints, 2.0 * sq.values, sq.atom_steps)
+    doubled = StepQuantile(sq.breakpoints, 2.0 * sq.values)
     np.testing.assert_allclose(hilbert_step_quantile(doubled, u), 2.0 * h,
                                rtol=1e-12)
 

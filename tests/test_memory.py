@@ -1,6 +1,7 @@
 """Peak-memory ceilings of the map layer and the exit sampler.
 
-tracemalloc peaks, beta(2,5) at n=2000.
+tracemalloc peaks, beta(2,5) at n=2000: the blocked kernels hold a few
+cache-sized buffers, so none of them may reach 4 MB.
 """
 
 import tracemalloc
@@ -13,8 +14,7 @@ from mudk.distributions import Beta
 from mudk.gross_map import fourier_coefficients
 from mudk.verify_mc import simulate_exit
 
-CEILING_MB = 32.0
-SAMPLER_CEILING_MB = 4.0
+CEILING_MB = 4.0
 
 
 @pytest.fixture(scope="module")
@@ -42,4 +42,4 @@ def test_fourier_coefficients_memory_is_bounded(beta_2000):
 def test_simulate_exit_memory_is_bounded():
     bp = boundary_points(build_measure(Beta(2.0, 5.0).center(), 2000), 2048)
     peak = _peak_mb(lambda: simulate_exit(bp, walks=4000, step=1e-4, seed=0))
-    assert peak < SAMPLER_CEILING_MB
+    assert peak < CEILING_MB
