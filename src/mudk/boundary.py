@@ -22,14 +22,9 @@ from .hilbert import hilbert_step_quantile, pole_levels
 
 @dataclass(frozen=True)
 class BoundaryPolyline:
-    """Sampled boundary as rows (t, x, y), ascending in t.
-
-    `transform` records the cumulative affine map (alpha, beta) applied
-    through `scale_domain` relative to the originally traced polyline.
-    """
+    """Sampled boundary as rows (t, x, y), ascending in t."""
 
     points: np.ndarray
-    transform: tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -150,8 +145,7 @@ def scale_domain(bp: BoundaryPolyline, alpha: float, beta: float) -> BoundaryPol
         # mirror in t to keep rows sorted and symmetric
         pts = pts[::-1]
         pts[:, 0] = -pts[:, 0]
-    a0, b0 = bp.transform
-    return BoundaryPolyline(points=pts, transform=(alpha * a0, alpha * b0 + beta))
+    return BoundaryPolyline(points=pts)
 
 
 def normalize_support(dist: Distribution) -> tuple[Distribution, float, float]:

@@ -192,6 +192,8 @@ class RunConfig:
             raise ConfigError(f"walks must be >= 1, got {self.walks}")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ConfigError(f"step must be positive, got {self.step}")
+        if self.max_steps < 1:
+            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
 
     def hash(self) -> str:
         """Digest of every setting and input file content that shapes the output."""
@@ -254,16 +256,16 @@ def merge_config(file_cfg: dict, args: argparse.Namespace) -> RunConfig:
 
 def _as_int(value, key) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or int(value) != value:
+            or isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
 def _as_int_tuple(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        value = [part for part in value.split(",") if part.strip()]
     try:
-        return tuple(int(part) for part in value)
+        if isinstance(value, str):
+            value = [int(part) for part in value.split(",") if part.strip()]
+        return tuple(_as_int(part, "n_list") for part in value)
     except (TypeError, ValueError):
         raise ConfigError(f"n_list must be a list of integers, got {value!r}")
 

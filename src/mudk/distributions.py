@@ -7,10 +7,6 @@ zoo (uniform, beta, exponential, truncated normal, two-piece uniform,
 discrete, mixtures), affine reparametrizations, and the truncation
 operator that folds unbounded tails into an atom at the origin.
 
-Quantiles follow the left-continuous convention throughout; the strict
-variant q+(u) = inf{x : F(x) > u} is exposed separately because the two
-disagree exactly on flat stretches of F.
-
 Only Beta and TruncatedNormal need scipy; their methods import
 `scipy.special` where they call it, so the other laws never load scipy.
 """
@@ -21,7 +17,7 @@ import abc
 
 import numpy as np
 
-from ._quad import gauss_legendre, simpson_adaptive as _simpson_adaptive
+from ._quad import gauss_legendre
 
 
 def _as_float_array(x):
@@ -70,7 +66,7 @@ def _normal_pdf(z):
 class Distribution(abc.ABC):
     """A probability law on R, described through F and q.
 
-    Subclasses must provide `cdf`, `support`, `mean` and `variance`;
+    Subclasses must provide `cdf`, `support` and `mean`;
     everything else has generic fallbacks, such as the bisection
     quantile.
     """
@@ -87,10 +83,6 @@ class Distribution(abc.ABC):
 
     @abc.abstractmethod
     def mean(self) -> float:
-        ...
-
-    @abc.abstractmethod
-    def variance(self) -> float:
         ...
 
     # ---- generic structure
@@ -131,21 +123,13 @@ class Distribution(abc.ABC):
     def quantile(self, u):
         """Left-continuous generalized inverse q(u) = inf{x : F(x) >= u}."""
         arr, scalar = _check_levels(u)
-        return _restore(self._quantile_bisect(arr, strict=False), scalar)
+        return _restore(self._quantile_bisect(arr), scalar)
 
-    def strict_quantile(self, u):
-        """Strict inverse q+(u) = inf{x : F(x) > u}."""
-        arr, scalar = _check_levels(u)
-        return _restore(self._quantile_bisect(arr, strict=True), scalar)
-
-    def _quantile_bisect(self, u, strict):
+    def _quantile_bisect(self, u):
         a, b = self.support()
         lo = np.full(u.shape, a - 1e-9 if np.isfinite(a) else -1.0)
         hi = np.full(u.shape, b if np.isfinite(b) else 1.0)
-        if strict:
-            pred = lambda x: np.asarray(self.cdf(x)) > u
-        else:
-            pred = lambda x: np.asarray(self.cdf(x)) >= u
+        pred = lambda x: np.asarray(self.cdf(x)) >= u
         # expand open-ended brackets until they straddle the target level
         for _ in range(200):
             bad_lo = ~np.isfinite(a) & (np.asarray(self.cdf(lo)) >= u)
@@ -156,20 +140,7 @@ class Distribution(abc.ABC):
             hi = np.where(bad_hi, 2.0 * hi + 1.0, hi)
         return bisect_smallest(pred, lo, hi)
 
-    def sample(self, uniforms):
-        """Inverse-transform sampling: map iid U(0,1) draws through q."""
-        arr, _ = _check_levels(np.atleast_1d(np.asarray(uniforms, dtype=float)))
-        if arr.size == 0:
-            return np.empty(0)
-        return np.asarray(self.quantile(arr), dtype=float)
-
     # ---- transforms
-
-    def shift(self, offset: float) -> "Distribution":
-        return AffineDistribution(self, 1.0, float(offset))
-
-    def scale(self, factor: float) -> "Distribution":
-        return AffineDistribution(self, float(factor), 0.0)
 
     def center(self) -> "Distribution":
         """Shift so the mean is 0."""
@@ -220,16 +191,11 @@ class Uniform(Distribution):
         arr, scalar = _check_levels(u)
         return _restore(self.a + arr * (self.b - self.a), scalar)
 
-    strict_quantile = quantile
-
     def support(self):
         return (self.a, self.b)
 
     def mean(self):
         return 0.5 * (self.a + self.b)
-
-    def variance(self):
-        return (self.b - self.a) ** 2 / 12.0
 
     def density_sup(self, lo, hi):
         if min(hi, self.b) <= max(lo, self.a):
@@ -288,24 +254,11 @@ class TwoPieceUniform(Distribution):
                        self.a2 + (arr - self.w1) * self.total)
         return _restore(out, scalar)
 
-    def strict_quantile(self, u):
-        arr, scalar = _check_levels(u)
-        out = np.where(arr < self.w1,
-                       self.a1 + arr * self.total,
-                       self.a2 + (arr - self.w1) * self.total)
-        return _restore(out, scalar)
-
     def support(self):
         return (self.a1, self.b2)
 
     def mean(self):
         return (self.len1 * (self.a1 + self.b1) + self.len2 * (self.a2 + self.b2)) / (2.0 * self.total)
-
-    def variance(self):
-        # E[X^2] per piece: (a^2 + ab + b^2)/3 weighted by piece mass
-        m2 = (self.len1 * (self.a1 ** 2 + self.a1 * self.b1 + self.b1 ** 2)
-              + self.len2 * (self.a2 ** 2 + self.a2 * self.b2 + self.b2 ** 2)) / (3.0 * self.total)
-        return m2 - self.mean() ** 2
 
     def cdf_breakpoints(self):
         return [self.a1, self.b1, self.a2, self.b2]
@@ -339,16 +292,12 @@ class Exponential(Distribution):
         arr, scalar = _check_levels(u)
         return _restore(-np.log1p(-arr) / self.rate, scalar)
 
-    strict_quantile = quantile
-
     def support(self):
         return (0.0, np.inf)
 
     def mean(self):
         return 1.0 / self.rate
 
-    def variance(self):
-        return 1.0 / self.rate ** 2
 
 
 class Beta(Distribution):
@@ -388,17 +337,12 @@ class Beta(Distribution):
         arr, scalar = _check_levels(u)
         return _restore(special.betaincinv(self.alpha, self.beta, arr), scalar)
 
-    strict_quantile = quantile
-
     def support(self):
         return (0.0, 1.0)
 
     def mean(self):
         return self.alpha / (self.alpha + self.beta)
 
-    def variance(self):
-        s = self.alpha + self.beta
-        return self.alpha * self.beta / (s * s * (s + 1.0))
 
 
 class TruncatedNormal(Distribution):
@@ -454,8 +398,6 @@ class TruncatedNormal(Distribution):
         z = -special.ndtri(-level) if self._alpha > 0.0 else special.ndtri(level)
         return _restore(np.clip(self.mu + self.sigma * z, self.lo, self.hi), scalar)
 
-    strict_quantile = quantile
-
     def support(self):
         return (self.lo, self.hi)
 
@@ -463,11 +405,6 @@ class TruncatedNormal(Distribution):
         pa, pb = _normal_pdf(self._alpha), _normal_pdf(self._beta)
         return self.mu + self.sigma * (pa - pb) / self._mass
 
-    def variance(self):
-        pa, pb = _normal_pdf(self._alpha), _normal_pdf(self._beta)
-        t1 = (self._alpha * pa - self._beta * pb) / self._mass
-        t2 = (pa - pb) / self._mass
-        return self.sigma ** 2 * (1.0 + t1 - t2 * t2)
 
 
 class Discrete(Distribution):
@@ -513,10 +450,6 @@ class Discrete(Distribution):
         arr, scalar = _check_levels(u)
         return _restore(self.xs[np.searchsorted(self.cum, arr, side="left")], scalar)
 
-    def strict_quantile(self, u):
-        arr, scalar = _check_levels(u)
-        return _restore(self.xs[np.searchsorted(self.cum, arr, side="right")], scalar)
-
     def atoms(self):
         return list(zip(self.xs.tolist(), self.ps.tolist()))
 
@@ -526,8 +459,6 @@ class Discrete(Distribution):
     def mean(self):
         return float(self.xs @ self.ps)
 
-    def variance(self):
-        return float((self.xs - self.mean()) ** 2 @ self.ps)
 
 
 class Mixture(Distribution):
@@ -584,11 +515,6 @@ class Mixture(Distribution):
     def mean(self):
         return sum(w * d.mean() for w, d in self.components)
 
-    def variance(self):
-        m = self.mean()
-        second = sum(w * (d.variance() + d.mean() ** 2) for w, d in self.components)
-        return second - m * m
-
     def cdf_breakpoints(self):
         pts: set[float] = set()
         for _, d in self.components:
@@ -635,11 +561,6 @@ class AffineDistribution(Distribution):
         out = self._scale * np.asarray(self.base.quantile(arr), dtype=float) + self._offset
         return _restore(out, scalar)
 
-    def strict_quantile(self, u):
-        arr, scalar = _check_levels(u)
-        out = self._scale * np.asarray(self.base.strict_quantile(arr), dtype=float) + self._offset
-        return _restore(out, scalar)
-
     def atoms(self):
         return [(self._scale * loc + self._offset, mass) for loc, mass in self.base.atoms()]
 
@@ -649,9 +570,6 @@ class AffineDistribution(Distribution):
 
     def mean(self):
         return self._scale * self.base.mean() + self._offset
-
-    def variance(self):
-        return self._scale ** 2 * self.base.variance()
 
     def cdf_breakpoints(self):
         return [self._scale * p + self._offset for p in self.base.cdf_breakpoints()]
@@ -723,18 +641,6 @@ class TruncatedDistribution(Distribution):
             out[above] = np.asarray(self.base.quantile(flat[above] + self._f_hi - 1.0), dtype=float)
         return float(out[0]) if scalar else out.reshape(arr.shape)
 
-    def strict_quantile(self, u):
-        arr, scalar = _check_levels(u)
-        flat = np.atleast_1d(arr)
-        below = flat < self._lo_level
-        above = flat >= self._hi_level
-        out = np.zeros_like(flat)
-        if np.any(below):
-            out[below] = np.asarray(self.base.strict_quantile(flat[below] + self._f_lo), dtype=float)
-        if np.any(above):
-            out[above] = np.asarray(self.base.strict_quantile(flat[above] + self._f_hi - 1.0), dtype=float)
-        return float(out[0]) if scalar else out.reshape(arr.shape)
-
     def atoms(self):
         out = []
         for loc, mass in self.base.atoms():
@@ -762,13 +668,6 @@ class TruncatedDistribution(Distribution):
         cuts = np.unique(np.concatenate(([-self.bound, self.bound], self.cdf_breakpoints(),
                                          self.quantile(levels))))
         return self.bound - float(gauss_legendre(self.cdf, cuts[:-1], cuts[1:]).sum())
-
-    def variance(self):
-        eps = 1e-9
-        m = self.mean()
-        second = _simpson_adaptive(
-            lambda u: float(self.quantile(u)) ** 2, eps, 1.0 - eps, 1e-10)
-        return second - m * m
 
     @property
     def has_density(self):

@@ -1,16 +1,18 @@
 """Monte Carlo verification of the embedding property.
 
 The domain of a step quantile with values v_1 < ... < v_W is a comb: the
-strip v_1 < x < v_W minus the teeth {x = v_j, |y| >= d_j}.  The sampler
-reads it off the polyline (walls at the distinct x of the lower chain,
+strip v_1 < x < v_W minus the teeth {x = v_j, |y| >= d_j}.  `_comb` reads
+it off the polyline once (walls at the distinct x of the lower chain,
 d_j the wall's closest rendered approach to the axis, d = 0 at the outer
-walls) and runs walk on spheres (Muller 1956) from the origin, all walks
-in numpy lockstep, until each walk is within `step` of a tooth; it exits
-at that tooth's abscissa.  The exits are compared against the target law
-with the two-sided Kolmogorov-Smirnov statistic.  Angles are a
-counter-based hash of (seed, walk, sweep), so a walk's exit does not
-depend on how many walks run.  `point_in_domain` keeps its own rule: a
-point on a wall line is inside up to that wall's deepest rendered point.
+walls), and both membership and sampling use it.  `point_in_domain`
+counts a point as inside when it lies strictly between the outer walls
+and farther than a round-off tolerance from every tooth.  The sampler
+runs walk on spheres (Muller 1956) from the origin, all walks in numpy
+lockstep, until each walk is within `step` of a tooth; it exits at that
+tooth's abscissa.  The exits are compared against the target law with
+the two-sided Kolmogorov-Smirnov statistic.  Angles are a counter-based
+hash of (seed, walk, sweep), so a walk's exit does not depend on how
+many walks run.
 """
 
 from __future__ import annotations
@@ -62,37 +64,36 @@ def _lower_chain(bp: BoundaryPolyline):
     return xs, np.minimum(ys, 0.0)
 
 
-def _walls(xs, ys, reduce=np.minimum):
-    """Group the chain by exact x value: wall locations and rendered depths.
+def _comb(bp: BoundaryPolyline):
+    """Wall locations and tooth tips of the comb read off the polyline.
 
-    With `np.maximum` the depth is the closest approach to the axis.
+    The walls are the distinct x of the lower chain; a tip is the wall's
+    closest rendered approach to the axis, and the outer walls have tip 0.
     """
+    xs, ys = _lower_chain(bp)
     locs, start = np.unique(xs, return_index=True)
-    return locs, -reduce.reduceat(ys, start)
+    tips = -np.maximum.reduceat(ys, start)
+    tips[[0, -1]] = 0.0
+    return locs, tips
 
 
 def point_in_domain(bp: BoundaryPolyline, point) -> bool:
-    """Membership in the domain rendered by the polyline.
+    """Membership in the comb that `simulate_exit` samples.
 
-    The domain of a step quantile is a vertical slab with slit teeth
-    along the lines x = v at the step values v; between teeth it is
-    vertically unbounded, which is what makes gap distributions contain
-    a full vertical strip.  A point strictly between the extreme walls
-    is therefore inside unless it sits on a wall line beyond the
-    rendered extent of that wall.  Points within 1e-12 (relative to the
-    domain scale) of the rendered boundary count as inside.
+    The domain of a step quantile is the strip between the outer walls
+    minus the teeth {x = v, |y| >= tip} at the step values v; between
+    teeth it is vertically unbounded, which is what makes gap
+    distributions contain a full vertical strip.  A point strictly
+    between the outer walls, with finite y, is inside when it is
+    farther than 1e-12 (relative to the domain scale) from every tooth.
     """
     px, py = float(point[0]), float(point[1])
-    xs, ys = _lower_chain(bp)
-    locs, deeps = _walls(xs, ys)
+    locs, tips = _comb(bp)
     tol = 1e-12 * (1.0 + float(np.max(np.abs(bp.points[:, 1:]))))
-
-    if px < locs[0] - tol or px > locs[-1] + tol:
+    if not (locs[0] < px < locs[-1] and np.isfinite(py)):
         return False
-    i = int(np.argmin(np.abs(locs - px)))
-    if abs(locs[i] - px) <= tol:
-        return abs(py) <= deeps[i] + tol
-    return locs[0] < px < locs[-1]
+    dist = _nearest_tooth(locs, tips, np.array([px]), np.array([py]))[0]
+    return bool(dist[0] > tol)
 
 
 def _nearest_tooth(locs, tips, x, y):
@@ -160,11 +161,10 @@ def simulate_exit(bp: BoundaryPolyline, walks: int, step: float, seed: int,
         raise ValueError(f"step must be positive, got {step}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    locs, tips = _walls(*_lower_chain(bp), reduce=np.maximum)
-    tips[[0, -1]] = 0.0
-    origin = _nearest_tooth(locs, tips, np.zeros(1), np.zeros(1))[0]
-    if not (locs[0] < 0.0 < locs[-1] and origin[0] > 0.0):
+    if not point_in_domain(bp, (0.0, 0.0)):
         raise TopologyError("origin is not inside the domain")
+    locs, tips = _comb(bp)
+    origin = _nearest_tooth(locs, tips, np.zeros(1), np.zeros(1))[0]
 
     exits, ids = np.full(walks, np.nan), np.arange(walks)
     x, y, r = np.zeros(walks), np.zeros(walks), np.repeat(origin, walks)

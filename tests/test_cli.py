@@ -233,6 +233,32 @@ def test_zero_walks_is_config_error(tmp_path):
     assert rc == 2
 
 
+def test_zero_max_steps_is_config_error(tmp_path, capsys):
+    boundary = tmp_path / "b.csv"
+    assert run("build", "--dist", UNIFORM, "--n", "4", "--points", "16",
+               "--out", str(boundary)) == 0
+    rc = run("simulate", "--dist", UNIFORM, "--boundary", str(boundary),
+             "--max-steps", "0", "--out", str(tmp_path / "s.csv"))
+    assert rc == 2
+    assert "max_steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n_list", [[2.5, 4], [True, 4], [float("inf"), 4], "2.5,4", "true,4"],
+    ids=["file-float", "file-bool", "file-inf", "flag-float", "flag-bool"])
+def test_non_integer_n_list_entry_is_config_error(tmp_path, n_list):
+    """Entries are not truncated: 2.5 is not 2, true is not 1, inf is no int."""
+    out = tmp_path / "r.csv"
+    if isinstance(n_list, str):
+        rc = run("rates", "--dist", UNIFORM, "--n-list", n_list, "--out", str(out))
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"dist": json.loads(UNIFORM), "n_list": n_list}))
+        rc = run("rates", str(cfg), "--out", str(out))
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_pdf_scheme_without_density_is_config_error(tmp_path):
     rc = run("rates", "--dist",
              '{"family": "discrete", "atoms": [[-1, 0.5], [1, 0.5]]}',

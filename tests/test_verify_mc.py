@@ -9,8 +9,9 @@ from mudk.boundary import (BoundaryPolyline, boundary_points,
                            normalize_support, scale_domain)
 from mudk.discretize import build_measure
 from mudk.distributions import Beta, Discrete, Exponential, Mixture, Uniform
-from mudk.verify_mc import (ExitSampleSet, TopologyError, _lower_chain,
-                            _walls, ks_distance, point_in_domain, simulate_exit)
+from mudk.verify_mc import (ExitSampleSet, TopologyError, _comb, _lower_chain,
+                            _nearest_tooth, ks_distance, point_in_domain,
+                            simulate_exit)
 
 
 def box_polyline(half_width, depth):
@@ -37,6 +38,8 @@ def test_origin_inside(uniform_bp):
 
 def test_far_right_outside(uniform_bp):
     assert not point_in_domain(uniform_bp, (uniform_bp.x.max() + 1.0, 0.0))
+    assert not point_in_domain(uniform_bp, (np.nan, 0.0))
+    assert not point_in_domain(uniform_bp, (0.0, np.nan))
 
 
 def test_gap_contains_full_vertical_strip():
@@ -50,40 +53,35 @@ def test_gap_contains_full_vertical_strip():
 def test_wall_membership_depends_on_depth(uniform_bp):
     walls = np.unique(uniform_bp.x)
     wall = walls[len(walls) // 2]  # an interior step value
-    on_wall = uniform_bp.x == wall
-    deep = np.abs(uniform_bp.y[on_wall]).max()
-    assert point_in_domain(uniform_bp, (wall, 0.5 * deep))
-    assert point_in_domain(uniform_bp, (wall, -0.999 * deep))
+    on_wall = np.abs(uniform_bp.y[uniform_bp.x == wall])
+    tip, deep = on_wall.min(), on_wall.max()
+    for sign in (1.0, -1.0):
+        # the slit starts at the tooth's tip, not at its deepest rendered point
+        assert point_in_domain(uniform_bp, (wall, sign * 0.999 * tip))
+        assert not point_in_domain(uniform_bp, (wall, sign * tip))
+        assert not point_in_domain(uniform_bp, (wall, sign * 0.999 * deep))
     assert not point_in_domain(uniform_bp, (wall, 2.0 * np.abs(uniform_bp.y).max()))
 
 
 def test_extreme_wall_caps(uniform_bp):
     right = uniform_bp.x.max()
-    assert point_in_domain(uniform_bp, (right, 0.0))
+    assert not point_in_domain(uniform_bp, (right, 0.0))
+    assert point_in_domain(uniform_bp, (right - 1e-6, 0.0))
     assert not point_in_domain(uniform_bp, (right, 2.0 * np.abs(uniform_bp.y).max()))
 
 
-def _walls_by_loop(xs, ys):
-    """Oracle for _walls: one Python min per wall."""
-    locs, start = np.unique(xs, return_index=True)
-    deeps = np.empty(locs.size)
-    bounds = np.append(start, xs.size)
-    for i in range(locs.size):
-        deeps[i] = -np.min(ys[bounds[i]:bounds[i + 1]])
-    return locs, deeps
+def _comb_by_loop(bp):
+    """Oracle for _comb: one Python max per wall, outer walls open to the axis."""
+    xs, ys = _lower_chain(bp)
+    locs = np.unique(xs)
+    tips = np.array([-np.max(ys[xs == v]) for v in locs])
+    tips[[0, -1]] = 0.0
+    return locs, tips
 
 
-def _point_in_domain_by_argmin(bp, point):
-    """Oracle for point_in_domain: the same rule on the walls of the loop."""
-    px, py = float(point[0]), float(point[1])
-    locs, deeps = _walls_by_loop(*_lower_chain(bp))
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(bp.points[:, 1:]))))
-    if px < locs[0] - tol or px > locs[-1] + tol:
-        return False
-    i = int(np.argmin(np.abs(locs - px)))
-    if abs(locs[i] - px) <= tol:
-        return abs(py) <= deeps[i] + tol
-    return locs[0] < px < locs[-1]
+def _tooth_distances(locs, tips, px, py):
+    """Distance from (px, py) to every tooth {x = locs[j], |y| >= tips[j]}."""
+    return np.hypot(px - locs, np.maximum(tips - abs(py), 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -98,29 +96,37 @@ def membership_domains(uniform_bp):
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
-def test_membership_matches_argmin_oracle(membership_domains, data):
+def test_membership_matches_brute_force_comb(membership_domains, data):
     bp = data.draw(st.sampled_from(membership_domains), label="domain")
-    xs, ys = _lower_chain(bp)
-    locs, deeps = _walls(xs, ys)
-    ref_locs, ref_deeps = _walls_by_loop(xs, ys)
+    locs, tips = _comb(bp)
+    ref_locs, ref_tips = _comb_by_loop(bp)
     assert np.array_equal(locs, ref_locs)
-    assert np.array_equal(deeps, ref_deeps)
+    assert np.array_equal(tips, ref_tips)
 
     i = data.draw(st.integers(0, locs.size - 1), label="wall")
     nxt = locs[min(i + 1, locs.size - 1)]
     tol = 1e-12 * (1.0 + float(np.max(np.abs(bp.points[:, 1:]))))
     px = data.draw(st.one_of(
-        st.sampled_from([locs[i], 0.5 * (locs[i] + nxt),
+        st.sampled_from([locs[i], locs[0], locs[-1], 0.5 * (locs[i] + nxt),
                          np.nextafter(locs[i], -np.inf),
                          np.nextafter(locs[i], np.inf),
                          locs[i] - tol, locs[i] + tol,
-                         locs[i] - 2.0 * tol, locs[i] + 2.0 * tol]),
+                         locs[i] - 2.0 * tol, locs[i] + 2.0 * tol, np.nan]),
         st.floats(locs[0] - 0.1, locs[-1] + 0.1)), label="x")
-    depth = deeps[i]
+    tip = tips[i]
     py = data.draw(st.one_of(
-        st.sampled_from([0.0, depth, -depth, depth + tol, depth + 2.0 * tol]),
-        st.floats(-2.0 * depth - 1.0, 2.0 * depth + 1.0)), label="y")
-    assert point_in_domain(bp, (px, py)) == _point_in_domain_by_argmin(bp, (px, py))
+        st.sampled_from([0.0, tip, -tip, np.nextafter(tip, -np.inf),
+                         np.nextafter(tip, np.inf), tip - tol, tip + tol,
+                         tip - 2.0 * tol, tip + 2.0 * tol, np.nan]),
+        st.floats(-2.0 * tip - 1.0, 2.0 * tip + 1.0)), label="y")
+
+    ref = _tooth_distances(locs, tips, px, py)
+    if not np.isnan(px + py):
+        best, near = _nearest_tooth(locs, tips, np.array([px]), np.array([py]))
+        assert best[0] == ref.min()
+        assert ref[near[0]] == best[0]
+    inside = bool(locs[0] < px < locs[-1] and ref.min() > tol)
+    assert point_in_domain(bp, (px, py)) == inside
 
 
 def test_topology_rejects_non_monotone_chain():
