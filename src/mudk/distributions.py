@@ -7,13 +7,16 @@ zoo (uniform, beta, exponential, truncated normal, two-piece uniform,
 discrete, mixtures), affine reparametrizations, and the truncation
 operator that folds unbounded tails into an atom at the origin.
 
-Only Beta and TruncatedNormal need scipy; their methods import
-`scipy.special` where they call it, so the other laws never load scipy.
+The special functions behind Beta and TruncatedNormal (the regularized
+incomplete beta function and its inverse, the normal c.d.f. and
+quantile) are computed here from numpy and `math`, so no law loads
+scipy.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
@@ -32,7 +35,13 @@ def _restore(a, scalar):
 def _check_levels(u):
     """Validate quantile levels: every u must lie strictly inside (0,1)."""
     arr, scalar = _as_float_array(u)
-    if arr.size and (np.any(arr <= 0.0) or np.any(arr >= 1.0)):
+    if scalar:
+        low, high = float(arr), float(arr)     # quadrature calls one level at a time
+    elif arr.size:
+        low, high = arr.min(), arr.max()
+    else:
+        return arr, scalar
+    if low <= 0.0 or high >= 1.0:
         raise ValueError("quantile level must lie strictly inside (0, 1)")
     return arr, scalar
 
@@ -58,6 +67,301 @@ def bisect_smallest(predicate, lo, hi, tol=1e-12, max_iter=200):
 
 def _normal_pdf(z):
     return np.exp(-z ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
+
+
+# ---------------------------------------------------------------- special functions
+#
+# The incomplete beta function and the normal c.d.f., with their inverses.
+# The beta c.d.f. comes twice: on floats, because quadrature asks for one
+# point at a time and pays per call, and on numpy arrays.
+
+_TINY = 1e-300                  # Lentz's stand-in for a zero denominator
+_EPS = 2.0 ** -53               # half an ulp of 1
+_CF_TOL = 8.0 * _EPS            # a continued-fraction update this close to 1 ends it
+_CF_MAX = 100_000               # ~sqrt(max(a, b)) terms are needed
+_INV_TOL = 1e-9                 # Halley's next step would be below 1e-27
+_INV_MAX = 100
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _xlog(c, log, t):
+    """c * log(t), with 0 * log(t) = 0 also where log(t) = -inf."""
+    if c == 0.0:
+        return np.zeros_like(t)
+    with np.errstate(divide="ignore"):
+        return c * log(t)
+
+
+def _stirling_delta(s):
+    """lgamma(s) - ((s - 1/2) ln s - s + ln sqrt(2 pi)), for s > 0."""
+    if s < 10.0:
+        return math.lgamma(s) - ((s - 0.5) * math.log(s) - s + _LN_SQRT_2PI)
+    t = 1.0 / (s * s)
+    return (1.0 / 12.0 + t * (-1.0 / 360.0 + t * (1.0 / 1260.0 + t * (
+        -1.0 / 1680.0 + t * (1.0 / 1188.0 + t * (-691.0 / 360360.0 + t / 156.0)))))) / s
+
+
+def _beta_log_front0(a, b):
+    """ln(x0^a y0^b / B(a, b)) at the mean x0 = a/(a+b), y0 = 1 - x0.
+
+    Stirling's series cancels the large terms of ln B(a, b) by hand, so
+    the front factor below keeps full precision for shapes in the hundreds.
+    """
+    s = a + b
+    return (0.5 * math.log(a * b / (2.0 * math.pi * s))
+            - _stirling_delta(a) - _stirling_delta(b) + _stirling_delta(s))
+
+
+class _BetaSide:
+    """I_x(a, b) for 0 < x <= (a+1)/(a+b+2), by its continued fraction.
+
+    Up to that edge the fraction converges, the slower the larger x, so
+    the term count that Lentz's method needs at the edge serves every x;
+    the fraction is then summed from its last term back.  Beyond the edge
+    I_x(a, b) is 1 - I_{1-x}(b, a), on the side with the shapes swapped.
+    """
+
+    def __init__(self, a, b, log_front0):
+        self.a, self.b, self.log_front0 = a, b, log_front0
+        self.edge = (a + 1.0) / (a + b + 2.0)
+        # the partial numerators are k_j x; Lentz's method at the edge
+        # stops when an update is within a few ulp of 1
+        s, x = a + b, self.edge
+        terms = [-s / (a + 1.0)]
+        c, d = 1.0, 1.0 / _nonzero1(1.0 + terms[0] * x)
+        for m in range(1, _CF_MAX):
+            m2 = a + 2.0 * m
+            for k in (m * (b - m) / ((m2 - 1.0) * m2), -(a + m) * (s + m) / (m2 * (m2 + 1.0))):
+                terms.append(k)
+                d = 1.0 / _nonzero1(1.0 + k * x * d)
+                c = _nonzero1(1.0 + k * x / c)
+            if abs(d * c - 1.0) <= _CF_TOL:
+                break
+        self.terms = terms[::-1]
+
+    def _log_front(self, x, y, log1p_at):
+        """ln(x^a y^b / B(a, b)) with y = 1 - x, from its value at the mean.
+
+        With x = x0 (1 + e) and y = y0 (1 + f), a e + b f = 0, so the
+        exponent is a (ln(1+e) - e) + b (ln(1+f) - f): near the mean only
+        these small remainders meet (TOMS 708's BRCOMP).
+        """
+        a, b = self.a, self.b
+        s = a + b
+        lam = a - s * x if a <= b else s * y - b
+        e, f = -lam / a, lam / b
+        return self.log_front0 + a * (log1p_at(e, x, s / a) - e) + b * (log1p_at(f, y, s / b) - f)
+
+    def value1(self, x, y):
+        """(I_x(a, b), x^a y^b / B(a, b)) for floats x and y = 1 - x."""
+        front = math.exp(self._log_front(x, y, _log1p_at1))
+        t = 1.0
+        for k in self.terms:
+            # a zero denominator makes the next one 1, as with numpy's inf
+            t = 1.0 + k * x / t if t else math.inf
+        return front / (self.a * t), front
+
+    def value(self, x, y):
+        """I_x(a, b) for arrays x and y = 1 - x."""
+        with np.errstate(all="ignore"):
+            front = np.exp(self._log_front(x, y, _log1p_at))
+            t = 1.0
+            for k in self.terms:
+                t = 1.0 + (k * x) / t
+            return front / (self.a * t)
+
+
+def _nonzero1(v):
+    return v if abs(v) > _TINY else _TINY
+
+
+def _log1p_at1(e, x, scale):
+    """ln(1 + e) for floats, where 1 + e = scale * x: near e = -1 from x itself."""
+    return math.log1p(e) if e > -0.6 else math.log(scale * x)
+
+
+def _log1p_at(e, x, scale):
+    """`_log1p_at1` on arrays."""
+    out = np.log1p(e)
+    far = e <= -0.6
+    if far.any():
+        out[far] = np.log(scale * x[far])
+    return out
+
+
+def _ibeta1(sides, x):
+    """(I_x(a, b), x^a (1-x)^b / B(a, b)) for a float x.
+
+    `sides` is the `_BetaSide` pair of (a, b) and (b, a).
+    """
+    if not 0.0 < x < 1.0:
+        return (float(x >= 1.0) if x == x else x), 0.0
+    lower, upper = sides
+    if x > lower.edge:
+        tail, front = upper.value1(1.0 - x, x)
+        return 1.0 - tail, front
+    return lower.value1(x, 1.0 - x)
+
+
+def _ibeta(sides, x):
+    """I_x(a, b) for an array x."""
+    lower, upper = sides
+    flip = x > lower.edge
+    value = np.where(np.isnan(x), x, flip)      # 0 at and below x = 0, 1 at and above x = 1
+    below = np.flatnonzero(~flip & (x > 0.0))
+    above = np.flatnonzero(flip & (x < 1.0))
+    if below.size:
+        t = x[below]
+        value[below] = lower.value(t, 1.0 - t)
+    if above.size:
+        t = x[above]
+        value[above] = 1.0 - upper.value(1.0 - t, t)
+    return value
+
+
+def _ibeta_guess(a, b, p):
+    """Start of the inverse at level p (Numerical Recipes' invbetai)."""
+    if a >= 1.0 and b >= 1.0:
+        t = math.sqrt(-2.0 * math.log(p))
+        z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+        al = (z * z - 3.0) / 6.0
+        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+        w = (z * math.sqrt(al + h) / h
+             - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h)))
+        # a / (a + b exp(2w)), written to overflow for neither sign of w
+        e = math.exp(-2.0 * abs(w))
+        x = a * e / (a * e + b) if w > 0.0 else a / (a + b * e)
+        if x > 0.01:
+            return x
+        # deep in the lower tail, x^a / (a B(a, b)) <= p bounds x from below
+        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        return math.exp((math.log(p) + math.log(a) + log_beta) / a)
+    s = a + b
+    t = (a / s) ** a / a
+    w = t + (b / s) ** b / b
+    if p < t / w:       # the power law of one edge or of the other
+        return (a * w * p) ** (1.0 / a)
+    return 1.0 - (b * w * (1.0 - p)) ** (1.0 / b)
+
+
+def _ibeta_inv(sides, p, p_flip):
+    """The x with I_x(a, b) = p, for a float 0 < p < 1.
+
+    p_flip is I_x(a, b) at the edge of `sides[0]`; a level above it is
+    solved as I_{1-x}(b, a) = 1 - p, so the unknown stays on the side
+    where the c.d.f. is summed directly.
+    """
+    if p > p_flip:
+        return 1.0 - _ibeta_root(sides[::-1], 1.0 - p)
+    return _ibeta_root(sides, p)
+
+
+def _ibeta_root(sides, p):
+    """Halley's iteration for `_ibeta_inv`, bracketed: a step that leaves
+    the bracket or does not halve the last one becomes a bisection."""
+    a, b = sides[0].a, sides[0].b
+    x = min(max(_ibeta_guess(a, b, p), _TINY), 1.0 - _EPS)
+    lo, hi, last = 0.0, 1.0, 1.0
+    for _ in range(_INV_MAX):
+        value, front = _ibeta1(sides, x)
+        r = value - p
+        if r == 0.0:
+            return x
+        if r < 0.0:
+            lo = x
+        else:
+            hi = x
+        x_new = math.nan
+        if front > 0.0:
+            # Halley's step, its second-order term capped
+            y = 1.0 - x
+            t = r / front * x * y
+            step = t / (1.0 - 0.5 * min(1.0, t * ((a - 1.0) / x - (b - 1.0) / y)))
+            if abs(step) <= _INV_TOL * x:
+                return x - step
+            if abs(step) <= 0.5 * last:
+                x_new = x - step
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        last = abs(x_new - x)
+        x = x_new
+    return x
+
+
+def _erfc(t):
+    return np.fromiter(map(math.erfc, t.ravel().tolist()), float, t.size).reshape(t.shape)
+
+
+def _two_square(v):
+    """(hi, lo) with v*v = hi + lo exactly (Dekker's product)."""
+    hi = v * v
+    c = 134217729.0 * v                         # 2^27 + 1 splits v in halves
+    vh = c - (c - v)
+    vl = v - vh
+    return hi, ((vh * vh - hi) + 2.0 * vh * vl) + vl * vl
+
+
+def _ndtr(z):
+    """Standard normal c.d.f. of an array, to a few ulp for every z.
+
+    The lower tail is erfc(t)/2 at t = |z|/sqrt(2).  t is rounded, and
+    erfc(t) ~ exp(-t^2) turns that rounding into a relative error of
+    2 t^2 ulp (1e-13 at z = -37); the factor exp(t^2 - z^2/2), from exact
+    squares, takes it out.  Past |z| = 40 the tail is 0 in doubles.
+    """
+    a = np.minimum(np.abs(z), 40.0)
+    t = a * _SQRT_HALF
+    t2, t2_lo = _two_square(t)
+    z2, z2_lo = _two_square(a)
+    tail = 0.5 * _erfc(t) * np.exp((t2 - 0.5 * z2) + (t2_lo - 0.5 * z2_lo))
+    return np.where(z < 0.0, tail, 1.0 - tail)
+
+
+# Wichura's AS 241 (PPND16): rational approximations of the normal quantile
+# on the centre |p - 1/2| <= 0.425, then in r = sqrt(-ln min(p, 1-p)) up to
+# r = 5 and beyond; relative error about 1e-16.
+_AS241 = (
+    ((3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+      1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+      3.3430575583588128105e4, 2.5090809287301226727e3),
+     (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+      2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
+      5.2264952788528545610e3)),
+    ((1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+      3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+      2.27238449892691845833e-2, 7.74545014278341407640e-4),
+     (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+      1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+      1.05075007164441684324e-9)),
+    ((6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+      2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+      2.71155556874348757815e-5, 2.01033439929228813265e-7),
+     (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+      7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+      2.04426310338993978564e-15)),
+)
+
+
+def _rational(coeffs, x):
+    num, den = coeffs
+    p = q = 0.0
+    for cn, cd in zip(reversed(num), reversed(den)):
+        p = p * x + cn
+        q = q * x + cd
+    return p / q
+
+
+def _ndtri(p):
+    """Standard normal quantile of an array 0 < p < 1 (AS 241)."""
+    q = p - 0.5
+    central = np.abs(q) <= 0.425
+    z = q * _rational(_AS241[0], 0.180625 - q * q)
+    if not central.all():
+        r = np.sqrt(-np.log(np.where(central, 0.5, np.minimum(p, 1.0 - p))))
+        tail = np.where(r <= 5.0, _rational(_AS241[1], r - 1.6), _rational(_AS241[2], r - 5.0))
+        z = np.where(central, z, np.copysign(tail, q))
+    return z
 
 
 # ---------------------------------------------------------------- base class
@@ -305,26 +609,30 @@ class Beta(Distribution):
 
     def __init__(self, alpha: float, beta: float):
         alpha, beta = float(alpha), float(beta)
-        if not (alpha > 0 and beta > 0):
-            raise ValueError(f"shape parameters must be positive, got ({alpha}, {beta})")
+        for name, value in (("alpha", alpha), ("beta", beta)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"shape {name} must be positive and finite, got {value}")
         self.alpha, self.beta = alpha, beta
-        from scipy import special
-        self._log_norm = special.betaln(alpha, beta)
+        self._log_norm = math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
+        log_front0 = _beta_log_front0(alpha, beta)
+        self._sides = (_BetaSide(alpha, beta, log_front0), _BetaSide(beta, alpha, log_front0))
+        edge = self._sides[0].edge
+        self._flip_level = self._sides[0].value1(edge, 1.0 - edge)[0]
 
     def __repr__(self):
         return f"Beta({self.alpha}, {self.beta})"
 
     def cdf(self, x):
-        from scipy import special
         arr, scalar = _as_float_array(x)
-        return _restore(special.betainc(self.alpha, self.beta, np.clip(arr, 0.0, 1.0)), scalar)
+        if scalar:
+            return _ibeta1(self._sides, float(arr))[0]
+        return _ibeta(self._sides, arr)
 
     def pdf(self, x):
-        from scipy import special
         arr, scalar = _as_float_array(x)
         inside = (arr >= 0.0) & (arr <= 1.0)
         t = np.clip(arr, 0.0, 1.0)
-        log_f = (special.xlogy(self.alpha - 1.0, t) + special.xlog1py(self.beta - 1.0, -t)
+        log_f = (_xlog(self.alpha - 1.0, np.log, t) + _xlog(self.beta - 1.0, np.log1p, -t)
                  - self._log_norm)
         return _restore(np.where(inside, np.exp(log_f), 0.0), scalar)
 
@@ -333,9 +641,10 @@ class Beta(Distribution):
         return True
 
     def quantile(self, u):
-        from scipy import special
+        # one level at a time: the pipeline asks for a few hundred at most
         arr, scalar = _check_levels(u)
-        return _restore(special.betaincinv(self.alpha, self.beta, arr), scalar)
+        out = [_ibeta_inv(self._sides, level, self._flip_level) for level in arr.ravel().tolist()]
+        return out[0] if scalar else np.array(out).reshape(arr.shape)
 
     def support(self):
         return (0.0, 1.0)
@@ -355,14 +664,17 @@ class TruncatedNormal(Distribution):
 
     def __init__(self, mu: float, sigma: float, lo: float, hi: float):
         mu, sigma, lo, hi = (float(v) for v in (mu, sigma, lo, hi))
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        if not math.isfinite(mu):
+            raise ValueError(f"mu must be finite, got {mu}")
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"window must be finite with lo < hi, got ({lo}, {hi})")
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
         self.mu, self.sigma, self.lo, self.hi = mu, sigma, lo, hi
         self._alpha = (lo - mu) / sigma
         self._beta = (hi - mu) / sigma
-        self._mass = self._cum(self._beta) - self._cum(self._alpha)
+        self._cum_lo = float(self._cum(self._alpha))
+        self._mass = float(self._cum(self._beta)) - self._cum_lo
         if self._mass <= 0:
             raise ValueError("window carries no normal mass")
 
@@ -371,13 +683,12 @@ class TruncatedNormal(Distribution):
 
     def _cum(self, z):
         """P(Z <= z), or -P(Z > z) for a window in the upper tail."""
-        from scipy import special
-        return -special.ndtr(-z) if self._alpha > 0.0 else special.ndtr(z)
+        return -_ndtr(-z) if self._alpha > 0.0 else _ndtr(z)
 
     def cdf(self, x):
         arr, scalar = _as_float_array(x)
         z = (np.clip(arr, self.lo, self.hi) - self.mu) / self.sigma
-        out = (self._cum(z) - self._cum(self._alpha)) / self._mass
+        out = (self._cum(z) - self._cum_lo) / self._mass
         return _restore(np.clip(out, 0.0, 1.0), scalar)
 
     def pdf(self, x):
@@ -392,10 +703,9 @@ class TruncatedNormal(Distribution):
         return True
 
     def quantile(self, u):
-        from scipy import special
         arr, scalar = _check_levels(u)
-        level = self._cum(self._alpha) + arr * self._mass
-        z = -special.ndtri(-level) if self._alpha > 0.0 else special.ndtri(level)
+        level = self._cum_lo + arr * self._mass
+        z = -_ndtri(-level) if self._alpha > 0.0 else _ndtri(level)
         return _restore(np.clip(self.mu + self.sigma * z, self.lo, self.hi), scalar)
 
     def support(self):

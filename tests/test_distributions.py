@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from mudk.distributions import (AffineDistribution, Beta, Discrete,
                                 Distribution, Exponential, Mixture,
                                 TruncatedDistribution, TruncatedNormal,
-                                TwoPieceUniform, Uniform, bisect_smallest)
+                                TwoPieceUniform, Uniform, _ndtr, _ndtri,
+                                bisect_smallest)
 
 U = np.linspace(0.01, 0.99, 49)
 
@@ -51,6 +52,91 @@ def test_beta_matches_scipy():
     x = np.linspace(-0.5, 1.5, 401)
     np.testing.assert_allclose(d.pdf(x), frozen.pdf(x), rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(d.mean(), 2.0 / 7.0, rtol=1e-12)
+
+
+SHAPES = [0.3, 0.5, 1.0, 2.0, 5.0, 30.0, 300.0]
+
+
+def _betainc_reference(a, b, x):
+    """scipy's I_x(a, b), taken as 1 - I_{1-x}(b, a) above x = 1/2.
+
+    1 - x is exact there; scipy's direct form is off by 2.7e-13 at
+    a = b = 1/2, x = 1 - 1e-8.
+    """
+    from scipy import special
+    return np.where(x > 0.5, 1.0 - special.betainc(b, a, 1.0 - x), special.betainc(a, b, x))
+
+
+@pytest.mark.parametrize("a", SHAPES)
+def test_beta_cdf_matches_scipy_across_shapes(a):
+    x = np.concatenate(([0.0, 1e-300, 1e-10, 1.0 - 1e-10, 1.0],
+                        np.linspace(0.01, 0.99, 99), np.geomspace(1e-8, 0.5, 30),
+                        1.0 - np.geomspace(1e-8, 0.5, 30)))
+    for b in SHAPES:
+        d = Beta(a, b)
+        ref = _betainc_reference(a, b, x)
+        np.testing.assert_allclose(d.cdf(x), ref, rtol=0.0, atol=1e-14, err_msg=f"b={b}")
+        floats = [d.cdf(float(t)) for t in x]
+        np.testing.assert_allclose(floats, ref, rtol=0.0, atol=1e-14, err_msg=f"b={b}")
+
+
+def _assert_inverts_cdf(d, q, u):
+    """F(q(u)) = u to 1e-14, plus the step of F across one ulp of q."""
+    q = np.asarray(q)
+    slack = 1e-14 + d.pdf(q) * np.spacing(q)
+    miss = np.abs(d.cdf(q) - u) - slack
+    assert np.all(miss <= 0.0), (u[np.argmax(miss)], np.max(miss))
+
+
+@pytest.mark.parametrize("a", SHAPES)
+def test_beta_quantile_matches_scipy_and_inverts_cdf(a):
+    from scipy import special
+    u = np.concatenate((np.linspace(0.001, 0.999, 149), np.geomspace(1e-100, 0.5, 40)))
+    for b in SHAPES:
+        d = Beta(a, b)
+        ref = np.where(u > 0.5, 1.0 - special.betaincinv(b, a, 1.0 - u),
+                       special.betaincinv(a, b, u))
+        q = d.quantile(u)
+        q_floats = [d.quantile(float(t)) for t in u]
+        for got in (q, q_floats):
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12, err_msg=f"b={b}")
+            _assert_inverts_cdf(d, got, u)
+
+
+def _ndtr_reference(z):
+    """Phi(z) from scipy's erfcx, exact for z on a 1/1024 grid (z^2 is exact)."""
+    from scipy import special
+    a = np.abs(z)
+    tail = 0.5 * special.erfcx(a * np.sqrt(0.5)) * np.exp(-0.5 * a * a)
+    return np.where(z <= 0.0, tail, 1.0 - tail)
+
+
+def test_normal_cdf_matches_erfcx_reference():
+    """Down to z = -37 (p = 6e-300); below, p is subnormal and holds fewer digits."""
+    z = np.arange(-38 * 1024, 38 * 1024 + 1) / 1024.0
+    np.testing.assert_allclose(_ndtr(z), _ndtr_reference(z), rtol=1e-15, atol=1e-315)
+
+
+def test_normal_quantile_matches_scipy():
+    from scipy import special
+    p = np.concatenate((np.geomspace(1e-300, 0.5, 2000), np.linspace(0.001, 0.999, 999),
+                        1.0 - np.geomspace(1e-16, 0.5, 500)))
+    np.testing.assert_allclose(_ndtri(p), special.ndtri(p), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-2.0, 2.0), (3.0, 6.0), (8.0, 10.0)])
+def test_truncated_normal_matches_erfcx_reference(lo, hi):
+    """(3, 6) and (8, 10) lie in the upper tail, where the mirrored form is used."""
+    d = TruncatedNormal(0.0, 1.0, lo, hi)
+    x = lo + (hi - lo) * np.arange(65) / 64.0      # on a grid where x^2 is exact
+    if lo > 0.0:
+        upper = _ndtr_reference(-x)
+        ref = (upper[0] - upper) / (upper[0] - upper[-1])
+    else:
+        lower = _ndtr_reference(x)
+        ref = (lower - lower[0]) / (lower[-1] - lower[0])
+    np.testing.assert_allclose(d.cdf(x), ref, rtol=1e-14, atol=1e-16)
+    _assert_inverts_cdf(d, d.quantile(U), U)
 
 
 def test_truncated_normal_moments():
