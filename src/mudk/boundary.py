@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import float_cell, read_csv, write_csv
 from .discretize import StepQuantile
 from .distributions import AffineDistribution, Distribution
 from .hilbert import hilbert_step_quantile, pole_levels
@@ -167,29 +168,13 @@ def normalize_support(dist: Distribution) -> tuple[Distribution, float, float]:
 
 def export_csv(bp: BoundaryPolyline, path, header_comment: str | None = None) -> None:
     """Write rows t,x,y at full float precision with LF line endings."""
-    with open(path, "w", newline="\n") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("t,x,y\n")
-        for t, x, y in bp.points:
-            fh.write(f"{float(t)!r},{float(x)!r},{float(y)!r}\n")
+    write_csv(path, header_comment, ("t", "x", "y"),
+              (map(float_cell, row) for row in bp.points))
 
 
 def load_csv(path) -> BoundaryPolyline:
     """Read a polyline written by export_csv (comment lines ignored)."""
-    rows = []
-    with open(path) as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line
-                if header.replace(" ", "") != "t,x,y":
-                    raise ValueError(f"unexpected header {header!r}, need 't,x,y'")
-                continue
-            rows.append([float(v) for v in line.split(",")])
+    rows = [[float(v) for v in row] for row in read_csv(path, ("t", "x", "y"))]
     pts = np.array(rows, dtype=float) if rows else np.empty((0, 3))
     return BoundaryPolyline(points=pts)
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from ._csvio import float_cell, read_csv, write_csv
 from .boundary import (boundary_points, export_csv, export_svg, load_csv,
                        normalize_support, scale_domain)
 from .discretize import (UnboundedSupportError, build_measure, l1_distance,
@@ -284,18 +285,6 @@ def _load_json_arg(text: str, what: str) -> dict:
         raise ConfigError(f"invalid JSON in {what} file {text!r}: {exc}")
 
 
-def _float_csv_cell(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_rows(path, header_comment, column_names, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# {header_comment}\n")
-        fh.write(",".join(column_names) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def _measure(dist, n, scheme):
     """build_measure with scheme mismatches reported as config errors."""
     try:
@@ -341,9 +330,9 @@ def cmd_rates(cfg: RunConfig) -> None:
         sq = _measure(dist, n, cfg.scheme)
         l1 = l1_distance(dist, sq)
         rb = rate_bound(dist, n)
-        rows.append((str(n), _float_csv_cell(l1), _float_csv_cell(rb.bound),
-                     _float_csv_cell(rb.varpi)))
-    _write_rows(out, cfg.header(), ("n", "l1", "bound", "varpi"), rows)
+        rows.append((str(n), float_cell(l1), float_cell(rb.bound),
+                     float_cell(rb.varpi)))
+    write_csv(out, cfg.header(), ("n", "l1", "bound", "varpi"), rows)
 
 
 def cmd_map(cfg: RunConfig) -> None:
@@ -351,9 +340,9 @@ def cmd_map(cfg: RunConfig) -> None:
     dist = build_distribution(cfg.dist)
     sq = _measure(dist, cfg.n, cfg.scheme)
     fc = fourier_coefficients(sq, num_terms=cfg.coeffs)
-    rows = [(str(k), _float_csv_cell(a))
+    rows = [(str(k), float_cell(a))
             for k, a in enumerate(fc.coeffs, start=1)]
-    _write_rows(out, cfg.header(), ("k", "a_k"), rows)
+    write_csv(out, cfg.header(), ("k", "a_k"), rows)
 
 
 def _summary_path(out: str) -> str:
@@ -370,9 +359,9 @@ def cmd_simulate(cfg: RunConfig) -> None:
     bp = _read_input(load_csv, cfg.boundary)
     result = simulate_exit(bp, walks=cfg.walks, step=cfg.step, seed=cfg.seed,
                            max_steps=cfg.max_steps)
-    rows = [(str(w), _float_csv_cell(x))
+    rows = [(str(w), float_cell(x))
             for w, x in zip(result.walk_ids, result.samples)]
-    _write_rows(out, cfg.header(), ("walk", "x_exit"), rows)
+    write_csv(out, cfg.header(), ("walk", "x_exit"), rows)
     if result.samples.size:
         summary = {
             "walks": cfg.walks,
@@ -397,22 +386,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
 
 def load_samples_csv(path) -> np.ndarray:
     """Exit abscissas from a samples.csv written by the simulate command."""
-    values = []
-    with open(path) as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line
-                if header.replace(" ", "") != "walk,x_exit":
-                    raise ValueError(f"unexpected header {header!r}, "
-                                     "need 'walk,x_exit'")
-                continue
-            _, x = line.split(",")
-            values.append(float(x))
-    return np.array(values)
+    return np.array([float(x) for _, x in read_csv(path, ("walk", "x_exit"))])
 
 
 def cmd_check(cfg: RunConfig) -> None:

@@ -2,10 +2,13 @@
 
 The continuous target on a bounded support (a, b) is replaced by a
 finitely supported measure sitting on grid points x_k = a + (b-a)k/n
-and on the original atom locations.  Two schemes are provided: the
-c.d.f. scheme assigns each kept grid cell its exact probability
-F(x_k) - F(x_{k-1}), while the p.d.f. scheme uses left-endpoint density
-weights (b-a)/n * f(x_{k-1}) and need not carry total mass one.
+and on the original atom locations.  A cell is kept when neither end
+is on an atom.  Two schemes are provided: the c.d.f. scheme assigns each
+kept grid cell its exact probability F(x_k) - F(x_{k-1}) and gives a
+dropped cell to the atom it touches, so no mass moves by more than one
+cell width h and sup_u |q(u) - q_n(u)| <= h; the p.d.f. scheme uses
+left-endpoint density weights (b-a)/n * f(x_{k-1}) for the kept cells
+and need not carry total mass one.
 
 The resulting quantile is a step function.  `l1_distance` measures its
 L1 gap to the exact quantile, int_0^1 |q - q_n| du, as the equal x-space
@@ -30,7 +33,8 @@ class UnboundedSupportError(ValueError):
 
 
 _WIDTH_FLOOR = 1e-15        # level widths below this are unrepresentable
-_LEVEL_TOL = 1e-9           # tiling consistency tolerance in level space
+_LEVEL_TOL = 1e-9           # level slack: of s_0, and of dropped-cell pieces
+                            # (one this thin merges into the next step)
 
 
 @dataclass(frozen=True)
@@ -113,88 +117,72 @@ def _finite_support(dist: Distribution) -> tuple[float, float]:
     return a, b
 
 
-def _atom_layout(dist, xs, atol):
-    """Atom list plus flags marking grid nodes that collide with atoms."""
-    atoms = dist.atoms()
-    node_hits = np.zeros(xs.size, dtype=bool)
-    if atoms:
-        locs = np.array([loc for loc, _ in atoms])
-        node_hits = np.min(np.abs(xs[:, None] - locs[None, :]), axis=1) <= atol
-    return atoms, node_hits
+def _cells(dist: Distribution, n: int):
+    """Grid of n cells over the support, the atoms, and where they meet.
+
+    Returns the n+1 nodes, the (location, mass) rows of the atoms, the
+    mask of nodes within 1e-12 max(1, b-a) of an atom and the mask of
+    kept cells, those with neither end on an atom.  Atoms closer together
+    than the 1e-12 (1 + |x|) within which `Distribution.cdf_left` matches
+    them share their left limits, so they are rejected.
+    """
+    a, b = _finite_support(dist)
+    xs = grid(a, b, n)
+    atoms = np.array(dist.atoms(), dtype=float).reshape(-1, 2)
+    locs = atoms[:, 0]
+    near = np.diff(locs) <= 1e-12 * (1.0 + np.maximum(np.abs(locs[:-1]), np.abs(locs[1:])))
+    if np.any(near):
+        lo, hi = locs[np.argmax(near):][:2].tolist()
+        raise ValueError(f"atoms at {lo!r} and {hi!r} are closer than "
+                         "1e-12 (1 + |x|), the tolerance within which atoms are "
+                         "matched; merge them into one")
+    atol = 1e-12 * max(1.0, b - a)
+    on_node = np.zeros(n + 1, dtype=bool)
+    right = np.clip(np.searchsorted(xs, locs), 1, n)
+    for node in (right - 1, right):     # the nodes on either side of each atom
+        on_node[node[np.abs(xs[node] - locs) <= atol]] = True
+    return xs, atoms, on_node, ~(on_node[:-1] | on_node[1:])
 
 
 def build_measure_cdf(dist: Distribution, n: int) -> StepQuantile:
     """Step quantile of the c.d.f.-scheme discretization.
 
-    Kept cells (both endpoints off the atom set) receive their exact mass
-    F(x_k) - F(x_{k-1}) at the right endpoint x_k; atoms keep their exact
-    mass at their exact location.  Cells touching an atom are dropped and
-    the level range they covered is reassigned to the neighboring atom
-    value, so the output still carries total mass one.
+    Each kept cell (both ends off the atoms) puts its mass F(x_k) - F(x_{k-1})
+    at its right end x_k, and each atom keeps its exact mass at its exact
+    location.  The cuts are the grid nodes off the atoms and the atoms;
+    the piece ending at cut c holds the levels (F(previous cut), F(c-)]
+    and takes the value c if its cell is kept or c is an atom.  Otherwise
+    it takes the atom at its left end: a dropped cell goes to the atom it
+    touches.  So no mass moves by more than one cell width h, and
+    sup_u |q(u) - q_n(u)| <= h.  The total mass is one.
     """
-    a, b = _finite_support(dist)
-    xs = grid(a, b, n)
-    atol = 1e-12 * max(1.0, b - a)
-    atoms, node_hits = _atom_layout(dist, xs, atol)
+    xs, atoms, on_node, kept = _cells(dist, n)
+    locs = atoms[:, 0]
+    nodes = np.flatnonzero(~on_node)
+    F = np.asarray(dist.cdf(xs), dtype=float)[nodes]
+    x = np.concatenate((xs[nodes], locs))
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    is_atom = order >= nodes.size
+    # the cell (x_{k-1}, x_k] a cut closes, as k
+    cell = np.concatenate((nodes, np.searchsorted(xs, locs)))[order]
+    in_kept = kept[np.clip(cell, 1, n) - 1]
+    left = np.concatenate((F, np.asarray(dist.cdf_left(locs), dtype=float)))[order]
+    right = np.concatenate((F, np.asarray(dist.cdf(locs), dtype=float)))[order]
+    value = np.where(in_kept | is_atom, x, np.concatenate((x[:1], x[:-1])))
 
-    # each entry: [lo_level, hi_level, value, is_atom]
-    intervals = [[float(dist.cdf_left(loc)), float(dist.cdf(loc)), loc, True]
-                 for loc, _ in atoms]
-    intervals = [iv for iv in intervals if iv[1] - iv[0] > _WIDTH_FLOOR]
-
-    F = np.asarray(dist.cdf(xs), dtype=float)
-    for k in range(1, n + 1):
-        if node_hits[k - 1] or node_hits[k]:
-            continue
-        lo, hi = float(F[k - 1]), float(F[k])
-        if hi - lo <= _WIDTH_FLOOR:
-            continue
-        inner = [loc for loc, _ in atoms if xs[k - 1] < loc < xs[k]]
-        if not inner:
-            intervals.append([lo, hi, float(xs[k]), False])
-            continue
-        # off-grid atoms inside a kept cell: split its mass around them
-        cur = lo
-        for loc in inner:
-            fl = float(dist.cdf_left(loc))
-            if fl - cur > _WIDTH_FLOOR:
-                intervals.append([cur, fl, loc, False])
-            cur = float(dist.cdf(loc))
-        if hi - cur > _WIDTH_FLOOR:
-            intervals.append([cur, hi, float(xs[k]), False])
-
-    if not intervals:
+    # each cut gives the piece before it and the atom at it (empty off atoms);
+    # a piece no wider than its floor merges into the next step
+    levels = np.column_stack((left, right)).ravel()
+    values = np.column_stack((value, x)).ravel()
+    floor = np.column_stack((np.where(in_kept, _WIDTH_FLOOR, _LEVEL_TOL),
+                             np.full(x.size, _WIDTH_FLOOR))).ravel()
+    keep = np.diff(levels, prepend=0.0) > floor
+    if not np.any(keep):
         raise ValueError("discretization produced no mass; check the target law")
-    intervals.sort(key=lambda iv: (iv[0], iv[1]))
-
-    # fill level gaps left by dropped cells, snapping to the adjacent atom value
-    tiled = []
-    if intervals[0][0] > _LEVEL_TOL:
-        tiled.append([0.0, intervals[0][0], intervals[0][2], False])
-    for iv in intervals:
-        if tiled:
-            gap = iv[0] - tiled[-1][1]
-            if gap < -_LEVEL_TOL:
-                raise ValueError("internal error: overlapping level intervals")
-            if gap > _LEVEL_TOL:
-                val = iv[2] if iv[3] else (tiled[-1][2] if tiled[-1][3] else iv[2])
-                tiled.append([tiled[-1][1], iv[0], val, False])
-        tiled.append(iv)
-    if tiled[-1][1] < 1.0 - _LEVEL_TOL:
-        tiled.append([tiled[-1][1], 1.0, tiled[-1][2], False])
-
-    bps = [0.0]
-    vals = []
-    for lo, hi, val, _ in tiled:
-        if abs(lo - bps[-1]) > _LEVEL_TOL:
-            raise ValueError("internal error: level tiling is not contiguous")
-        bps.append(hi)
-        vals.append(val)
-    total = bps[-1]
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"internal error: total mass {total} != 1")
+    bps = np.concatenate(([0.0], levels[keep]))
     bps[-1] = 1.0
-    return StepQuantile(np.array(bps), np.array(vals))
+    return StepQuantile(bps, values[keep])
 
 
 def build_measure_pdf(dist: Distribution, n: int) -> StepQuantile:
@@ -207,31 +195,18 @@ def build_measure_pdf(dist: Distribution, n: int) -> StepQuantile:
     """
     if not dist.has_density:
         raise ValueError("the p.d.f. scheme requires a target with a density")
-    a, b = _finite_support(dist)
-    xs = grid(a, b, n)
-    h = (b - a) / n
-    atol = 1e-12 * max(1.0, b - a)
-    atoms, node_hits = _atom_layout(dist, xs, atol)
-
-    events = [(loc, mass) for loc, mass in atoms if mass > _WIDTH_FLOOR]
-    f = np.asarray(dist.pdf(xs), dtype=float)
-    for k in range(1, n + 1):
-        if node_hits[k - 1] or node_hits[k]:
-            continue
-        if not np.isfinite(f[k - 1]):
-            raise ValueError(f"density is not finite at grid node {xs[k - 1]}")
-        w = h * float(f[k - 1])
-        if w <= _WIDTH_FLOOR:
-            continue
-        events.append((float(xs[k]), w))
-    if not events:
+    xs, atoms, _, kept = _cells(dist, n)
+    f = np.asarray(dist.pdf(xs), dtype=float)[:-1][kept]
+    if not np.all(np.isfinite(f)):
+        bad = xs[:-1][kept][np.argmin(np.isfinite(f))]
+        raise ValueError(f"density is not finite at grid node {bad}")
+    values = np.concatenate((atoms[:, 0], xs[1:][kept]))
+    widths = np.concatenate((atoms[:, 1], (xs[-1] - xs[0]) / n * f))
+    order = np.argsort(values, kind="stable")
+    order = order[widths[order] > _WIDTH_FLOOR]
+    if not order.size:
         raise ValueError("discretization produced no mass; check the target law")
-    events.sort(key=lambda ev: ev[0])
-
-    widths = np.array([w for _, w in events])
-    bps = np.concatenate(([0.0], np.cumsum(widths)))
-    vals = np.array([v for v, _ in events])
-    return StepQuantile(bps, vals)
+    return StepQuantile(np.concatenate(([0.0], np.cumsum(widths[order]))), values[order])
 
 
 def build_measure(dist: Distribution, n: int, scheme: str = "cdf") -> StepQuantile:
@@ -357,9 +332,10 @@ class RateBound:
 
     `varpi` is the atom correction: for each atom it charges the mass the
     grid can displace within one cell on either side, weighted by the
-    displaced location.  It is exactly 0 for atomless laws, recovering
-    the clean (b-a)/n rate.  When the law has a bounded density the
-    refined coefficients give the sharper alpha/n + beta/n^2 form.
+    distance of the displaced location from the origin, so it is never
+    negative.  It is exactly 0 for atomless laws, recovering the clean
+    (b-a)/n rate.  When the law has a bounded density the refined
+    coefficients give the sharper alpha/n + beta/n^2 form.
     """
 
     n: int
@@ -392,9 +368,9 @@ def rate_bound(dist: Distribution, n: int) -> RateBound:
         prev_edge = atoms[i - 1][0] if i > 0 else a
         next_edge = atoms[i + 1][0] if i + 1 < len(atoms) else b
         if loc > prev_edge + atol:
-            varpi += loc * (float(dist.cdf_left(loc)) - float(dist.cdf(loc - h)))
+            varpi += abs(loc) * (float(dist.cdf_left(loc)) - float(dist.cdf(loc - h)))
         if loc < next_edge - atol:
-            varpi += (loc + h) * (float(dist.cdf(loc + h)) - float(dist.cdf(loc)))
+            varpi += abs(loc + h) * (float(dist.cdf(loc + h)) - float(dist.cdf(loc)))
 
     alpha = beta = None
     if dist.has_density:

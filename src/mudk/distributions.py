@@ -1,11 +1,13 @@
 """Target distributions and their quantile machinery.
 
-Every construction downstream consumes a centered probability law on the
-real line through two functions only: the c.d.f. F and the generalized
-inverse q(u) = inf{x : F(x) >= u}.  This module supplies a small family
-zoo (uniform, beta, exponential, truncated normal, two-piece uniform,
-discrete, mixtures), affine reparametrizations, and the truncation
-operator that folds unbounded tails into an atom at the origin.
+The pipeline reads a centered probability law on the real line through
+its c.d.f. F, its left limits F(x-) (which differ from F at the atoms)
+and, in the p.d.f. scheme, its density f.  The generalized inverse
+q(u) = inf{x : F(x) >= u} is provided too.  This module supplies a
+small family zoo (uniform, beta, exponential, truncated normal,
+two-piece uniform, discrete, mixtures), affine reparametrizations, and
+the truncation operator that folds unbounded tails into an atom at the
+origin.
 
 The special functions behind Beta and TruncatedNormal (the regularized
 incomplete beta function and its inverse, the normal c.d.f. and

@@ -211,6 +211,22 @@ def test_non_finite_parameter_is_config_error(tmp_path, capsys, dist, name):
     assert f"{name} must be" in err and "finite" in err
 
 
+@pytest.mark.parametrize("scheme", ["cdf", "pdf"])
+def test_atoms_closer_than_match_tolerance_are_config_error(tmp_path, capsys, scheme):
+    """Both locations are named, not an internal error about level intervals."""
+    dist = json.dumps({"family": "mixture", "center": False, "components": [
+        {"weight": 0.5, "dist": {"family": "uniform", "a": -1, "b": 1}},
+        {"weight": 0.5, "dist": {"family": "discrete",
+                                 "atoms": [[0.25, 0.5], [0.2500000000001, 0.5]]}}]})
+    out = tmp_path / "r.csv"
+    rc = run("rates", "--n", "8", "--scheme", scheme, "--dist", dist, "--out", str(out))
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "atoms at 0.25 and 0.2500000000001 are closer than" in err
+    assert "internal error" not in err
+
+
 def test_unbounded_support_is_config_error(tmp_path, capsys):
     rc = run("build", "--dist", '{"family": "exponential", "rate": 1.0}',
              "--out", str(tmp_path / "b.csv"))

@@ -10,8 +10,9 @@ from mudk.discretize import (StepQuantile, UnboundedSupportError,
                              build_measure, build_measure_cdf,
                              build_measure_pdf, grid, l1_distance, quantile_l1,
                              rate_bound, step_l1_distance, tail_defect)
-from mudk.distributions import (Beta, Discrete, Exponential, Mixture,
-                                TruncatedNormal, TwoPieceUniform, Uniform)
+from mudk.distributions import (AffineDistribution, Beta, Discrete,
+                                Exponential, Mixture, TruncatedNormal,
+                                TwoPieceUniform, Uniform)
 
 
 def test_grid_endpoints_and_spacing():
@@ -242,3 +243,89 @@ def test_l1_distance_of_discrete_law_equals_step_distance(atoms, steps, mass):
     sq = StepQuantile(np.concatenate(([0.0], np.cumsum(widths) * mass / widths.sum())),
                       np.sort([x / 10.0 for x, _ in steps]))
     assert l1_distance(dist, sq) == pytest.approx(step_l1_distance(own, sq), abs=1e-14)
+
+
+# ------------------------------------------------ atoms in the c.d.f. scheme
+
+
+@st.composite
+def atom_laws(draw):
+    """Uniform or two-piece uniform plus up to four atoms, and n <= 33.
+
+    Each atom sits on a grid node, within 1e-13 of one, inside a cell or
+    at a support edge; atoms closer than 1e-9 to an earlier one are left
+    out.
+    """
+    n = draw(st.integers(1, 33))
+    a = draw(st.floats(-2.0, 0.0))
+    if draw(st.booleans()):
+        b = a + draw(st.floats(0.5, 3.0))
+        base = Uniform(a, b)
+    else:
+        w1, gap, w2 = (draw(st.floats(0.1, 1.0)) for _ in range(3))
+        b = a + w1 + gap + w2
+        base = TwoPieceUniform(a, a + w1, a + w1 + gap, b)
+    h = (b - a) / n
+    locs = []
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, n))
+        place = draw(st.sampled_from(["node", "near", "inner", "edge"]))
+        if place == "node":
+            x = a + h * k
+        elif place == "near":
+            x = a + h * k + draw(st.sampled_from([-1e-13, 1e-13]))
+        elif place == "inner":
+            x = a + h * (min(k, n - 1) + draw(st.floats(0.05, 0.95)))
+        else:
+            x = draw(st.sampled_from([a, b]))
+        x = min(max(x, a), b)
+        if all(abs(x - y) > 1e-9 for y in locs):
+            locs.append(x)
+    if not locs:
+        return base, n, b - a
+    masses = [draw(st.floats(0.1, 1.0)) for _ in locs]
+    atoms = Discrete([(x, m / sum(masses)) for x, m in zip(locs, masses)])
+    w = draw(st.floats(0.1, 0.8))
+    return Mixture([(1.0 - w, base), (w, atoms)]), n, b - a
+
+
+@settings(max_examples=200, deadline=None)
+@given(atom_laws())
+def test_cdf_scheme_moves_no_mass_past_one_cell(law):
+    """A dropped cell goes to the atom it touches: sup |q - q_n| <= h."""
+    dist, n, width = law
+    h = width / n
+    sq = build_measure_cdf(dist, n)
+    u = np.arange(1, 4000) / 4000.0
+    assert np.max(np.abs(dist.quantile(u) - sq.eval(u))) <= h + 1e-9
+    for loc, mass in dist.atoms():
+        levels = np.linspace(float(dist.cdf_left(loc)), float(dist.cdf(loc)), 5)[1:]
+        np.testing.assert_array_equal(sq.eval(levels), loc)
+    assert l1_distance(dist, sq) <= h + 1e-12
+
+
+def test_cells_between_two_atoms_split_between_them():
+    """Each of the two cells between atoms at -0.2 and 0.2 goes to its own atom.
+
+    A dropped run given whole to the right atom moves the mass of (-0.2, 0]
+    by 2h, for L1 0.072 instead of 0.06.
+    """
+    dist = Mixture([(0.6, Uniform(-1.0, 1.0)),
+                    (0.4, Discrete([(-0.2, 0.5), (0.2, 0.5)]))])
+    sq = build_measure_cdf(dist, 10)
+    assert sq.eval(0.47) == -0.2          # level of x = -0.1, inside (-0.2, 0]
+    assert sq.eval(0.53) == 0.2           # level of x = 0.1, inside (0, 0.2]
+    u = np.arange(1, 4000) / 4000.0
+    assert np.max(np.abs(dist.quantile(u) - sq.eval(u))) == pytest.approx(0.2, abs=1e-9)
+    assert l1_distance(dist, sq) == pytest.approx(0.06, abs=1e-12)
+
+
+@pytest.mark.parametrize("offset", [-2.0, 0.0, 2.0])
+@pytest.mark.parametrize("n", [4, 9])
+def test_rate_bound_holds_for_atoms_left_of_the_origin(offset, n):
+    """varpi weights displaced mass by |location|, so it is never negative."""
+    dist = AffineDistribution(
+        Mixture([(0.5, Discrete([(-0.4, 1.0)])), (0.5, Uniform(-1.0, 1.0))]), 1.0, offset)
+    rb = rate_bound(dist, n)
+    assert rb.varpi >= 0.0
+    assert l1_distance(dist, build_measure(dist, n)) <= rb.bound + 1e-12
