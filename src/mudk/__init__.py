@@ -19,7 +19,6 @@ from .distributions import (
     Mixture,
     TruncatedDistribution,
     TruncatedNormal,
-    TwoPieceUniform,
     Uniform,
 )
 from .discretize import (
@@ -76,7 +75,6 @@ __all__ = [
     "Mixture",
     "TruncatedDistribution",
     "TruncatedNormal",
-    "TwoPieceUniform",
     "Uniform",
     "RateBound",
     "StepQuantile",

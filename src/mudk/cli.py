@@ -41,7 +41,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,8 +52,7 @@ from .boundary import (boundary_points, export_csv, export_svg, load_csv,
 from .discretize import (UnboundedSupportError, build_measure, l1_distance,
                          rate_bound)
 from .distributions import (Beta, Discrete, Distribution, Exponential,
-                            Mixture, TruncatedNormal, TwoPieceUniform,
-                            Uniform)
+                            Mixture, TruncatedNormal, Uniform)
 from .gross_map import fourier_coefficients
 from .hilbert import OracleConvergenceError, PoleError
 from .verify_mc import TopologyError, ks_distance, simulate_exit
@@ -98,7 +97,13 @@ def _parse_family(fields: dict) -> Distribution:
             return Uniform(a, b)
         if family == "two-piece-uniform":
             a1, b1, a2, b2 = _require(fields, family, "a1", "b1", "a2", "b2")
-            return TwoPieceUniform(a1, b1, a2, b2)
+            if not a1 < b1 <= a2 < b2:
+                raise ConfigError("two-piece-uniform pieces must satisfy "
+                                  f"a1 < b1 <= a2 < b2, got {[a1, b1, a2, b2]}")
+            # uniform on the union: each piece weighted by its length
+            total = (b1 - a1) + (b2 - a2)
+            return Mixture([((b1 - a1) / total, Uniform(a1, b1)),
+                            ((b2 - a2) / total, Uniform(a2, b2))])
         if family == "beta":
             alpha, beta = _require(fields, family, "alpha", "beta")
             return Beta(alpha, beta)
@@ -198,12 +203,8 @@ class RunConfig:
 
     def hash(self) -> str:
         """Digest of every setting and input file content that shapes the output."""
-        payload = {
-            "dist": self.dist, "n": self.n, "n_list": list(self.n_list),
-            "scheme": self.scheme, "points": self.points,
-            "coeffs": self.coeffs, "walks": self.walks, "step": self.step,
-            "seed": self.seed, "max_steps": self.max_steps,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name not in _PATH_FIELDS}
         for key in ("boundary", "samples"):
             path = getattr(self, key)
             if path is not None:
@@ -216,8 +217,8 @@ class RunConfig:
         return f"mu-domain-kit v{__version__}, config hash {self.hash()}"
 
 
-_INT_KEYS = ("n", "points", "coeffs", "walks", "seed", "max_steps")
-_STR_KEYS = ("scheme", "out", "svg", "boundary", "samples")
+# where the outputs go and which files come in: not hashed as names
+_PATH_FIELDS = ("out", "svg", "boundary", "samples")
 
 
 def merge_config(file_cfg: dict, args: argparse.Namespace) -> RunConfig:
@@ -225,33 +226,19 @@ def merge_config(file_cfg: dict, args: argparse.Namespace) -> RunConfig:
     if not isinstance(file_cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     merged: dict = dict(file_cfg)
-    unknown = set(merged) - {"dist", "n", "n_list", "scheme", "points",
-                             "coeffs", "out", "svg", "walks", "step", "seed",
-                             "boundary", "samples", "max_steps"}
+    unknown = set(merged) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    for key in ("dist", "n_list", "step", *_INT_KEYS, *_STR_KEYS):
-        value = getattr(args, key.replace("-", "_"), None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            merged[key] = value
+            merged[f.name] = value
     if "dist" not in merged:
         raise ConfigError("no distribution given; use --dist or a config file")
-    if isinstance(merged["dist"], str):
-        merged["dist"] = _load_json_arg(merged["dist"], "dist")
     kwargs: dict = {"dist": merged["dist"]}
-    for key in _INT_KEYS:
-        if merged.get(key) is not None:
-            kwargs[key] = _as_int(merged[key], key)
-    for key in _STR_KEYS:
-        if merged.get(key) is not None:
-            kwargs[key] = str(merged[key])
-    if merged.get("step") is not None:
-        try:
-            kwargs["step"] = float(merged["step"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"step must be a number, got {merged['step']!r}")
-    if merged.get("n_list") is not None:
-        kwargs["n_list"] = _as_int_tuple(merged["n_list"])
+    for f in fields(RunConfig):
+        if merged.get(f.name) is not None:
+            kwargs[f.name] = _PARSE[f.type](merged[f.name], f.name)
     return RunConfig(**kwargs)
 
 
@@ -262,13 +249,33 @@ def _as_int(value, key) -> int:
     return int(value)
 
 
-def _as_int_tuple(value) -> tuple[int, ...]:
+def _as_int_tuple(value, key) -> tuple[int, ...]:
     try:
         if isinstance(value, str):
             value = [int(part) for part in value.split(",") if part.strip()]
-        return tuple(_as_int(part, "n_list") for part in value)
+        return tuple(_as_int(part, key) for part in value)
     except (TypeError, ValueError):
-        raise ConfigError(f"n_list must be a list of integers, got {value!r}")
+        raise ConfigError(f"{key} must be a list of integers, got {value!r}")
+
+
+def _as_float(value, key) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
+# the parser of each RunConfig field, by its annotation
+_PARSE = {
+    "dict": lambda value, key: (_load_json_arg(value, key) if isinstance(value, str)
+                                else value),
+    "int": _as_int,
+    "int | None": _as_int,
+    "tuple[int, ...]": _as_int_tuple,
+    "float": _as_float,
+    "str": lambda value, key: str(value),
+    "str | None": lambda value, key: str(value),
+}
 
 
 def _load_json_arg(text: str, what: str) -> dict:
@@ -362,20 +369,16 @@ def cmd_simulate(cfg: RunConfig) -> None:
     rows = [(str(w), float_cell(x))
             for w, x in zip(result.walk_ids, result.samples)]
     write_csv(out, cfg.header(), ("walk", "x_exit"), rows)
-    if result.samples.size:
-        summary = {
-            "walks": cfg.walks,
-            "truncated": result.truncated_walks,
-            "ks": ks_distance(result.samples, dist),
-            "mean": float(result.samples.mean()),
-            "std": float(result.samples.std()),
-            "seed": cfg.seed,
-            "step": cfg.step,
-        }
-    else:
-        summary = {"walks": cfg.walks, "truncated": result.truncated_walks,
-                   "ks": None, "mean": None, "std": None,
-                   "seed": cfg.seed, "step": cfg.step}
+    exits = result.samples
+    summary = {
+        "walks": cfg.walks,
+        "truncated": result.truncated_walks,
+        "ks": ks_distance(exits, dist) if exits.size else None,
+        "mean": float(exits.mean()) if exits.size else None,
+        "std": float(exits.std()) if exits.size else None,
+        "seed": cfg.seed,
+        "step": cfg.step,
+    }
     with open(_summary_path(out), "w", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -35,6 +35,7 @@ class UnboundedSupportError(ValueError):
 _WIDTH_FLOOR = 1e-15        # level widths below this are unrepresentable
 _LEVEL_TOL = 1e-9           # level slack: of s_0, and of dropped-cell pieces
                             # (one this thin merges into the next step)
+_TAIL_STEPS = 2.0 ** np.arange(-64, 64)   # tail cuts: resolve scales 5e-20 to 9e18
 
 
 @dataclass(frozen=True)
@@ -297,30 +298,22 @@ def step_l1_distance(sq1: StepQuantile, sq2: StepQuantile) -> float:
                     np.concatenate((sq1.values, sq2.values)))
 
 
-def quantile_l1(dist_a: Distribution, dist_b: Distribution,
-                tol: float = 1e-10) -> float:
+def quantile_l1(dist_a: Distribution, dist_b: Distribution) -> float:
     """L1 distance between two exact quantiles over (0, 1).
 
     Cells between the breakpoints of both laws need F_a - F_b to change
-    sign at most once each, as for a law and its truncation.  Unbounded
-    x-tails are integrated adaptively to absolute tolerance `tol`.
+    sign at most once each, as for a law and its truncation.  An unbounded
+    side is cut at distances 2^k, k = -64..63, beyond the outermost
+    breakpoint, so its tail gets the same cell rule on cells that double
+    in width; mass more than 2^63 beyond that breakpoint is left out.
     """
-    Fa, Fb = dist_a.cdf, dist_b.cdf
-    cuts = np.unique(np.concatenate((dist_a.cdf_breakpoints(),
-                                     dist_b.cdf_breakpoints())))
-    total = _cdf_gap(Fa, Fb, cuts)
+    cuts = np.concatenate((dist_a.cdf_breakpoints(), dist_b.cdf_breakpoints()))
     (a1, b1), (a2, b2) = dist_a.support(), dist_b.support()
-    lo, hi = min(a1, a2), max(b1, b2)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        from scipy.integrate import quad
-
-        def gap(x):
-            return abs(float(Fa(x)) - float(Fb(x)))
-
-        # a finite end is a cut, so its tail is empty
-        for a, b in ((lo, cuts[0]), (cuts[-1], hi)):
-            total += quad(gap, a, b, epsabs=tol, epsrel=0.0)[0]
-    return total
+    if not np.isfinite(min(a1, a2)):
+        cuts = np.concatenate((cuts, cuts.min() - _TAIL_STEPS))
+    if not np.isfinite(max(b1, b2)):
+        cuts = np.concatenate((cuts, cuts.max() + _TAIL_STEPS))
+    return _cdf_gap(dist_a.cdf, dist_b.cdf, cuts)
 
 
 # ------------------------------------------------------------- rate bounds

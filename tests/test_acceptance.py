@@ -149,7 +149,7 @@ def test_criterion_09_truncation_convergence(capsys):
             lump = np.exp(-r)
             expect = np.where(u <= lump, 0.0, -np.log1p(-(u - lump)))
             np.testing.assert_allclose(trunc.quantile(u), expect, atol=1e-12)
-            gap = quantile_l1(trunc, base, tol=1e-9)
+            gap = quantile_l1(trunc, base)
             assert gap == pytest.approx(np.exp(-r) * (1.0 + r), rel=1e-5)
             assert gap < last
             last = gap

@@ -196,6 +196,31 @@ def test_unknown_family_is_config_error(tmp_path):
     assert rc == 2
 
 
+def _two_piece(a1, b1, a2, b2):
+    return {"family": "two-piece-uniform", "a1": a1, "b1": b1, "a2": a2, "b2": b2}
+
+
+def test_two_piece_uniform_builds(tmp_path):
+    """Uniform on the union of the pieces: each carries mass by its length."""
+    law = build_distribution({**_two_piece(-2, -1, 0, 2), "center": False})
+    np.testing.assert_allclose(law.cdf([-1.5, -1.0, -0.5, 1.0]),
+                               [1 / 6, 1 / 3, 1 / 3, 2 / 3], atol=1e-15)
+    out = tmp_path / "b.csv"
+    assert run("build", "--dist", json.dumps(_two_piece(-2, -1, 1, 2)),
+               "--n", "20", "--points", "64", "--out", str(out)) == 0
+    assert HEADER_RE.match(out.read_text().splitlines()[0])
+
+
+@pytest.mark.parametrize("pieces", [(1, 2, -2, -1), (-2, 0.5, 0, 2), (-1, -1, 1, 2)],
+                         ids=["swapped", "overlapping", "empty-piece"])
+def test_two_piece_uniform_out_of_order_is_config_error(tmp_path, capsys, pieces):
+    out = tmp_path / "b.csv"
+    rc = run("build", "--dist", json.dumps(_two_piece(*pieces)), "--out", str(out))
+    assert rc == 2
+    assert not out.exists()
+    assert "a1 < b1 <= a2 < b2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dist, name", [
     ('{"family": "beta", "alpha": Infinity, "beta": 2}', "alpha"),
     ('{"family": "beta", "alpha": 2, "beta": NaN}', "beta"),
@@ -415,7 +440,7 @@ def test_run_config_hash_covers_input_file_contents(tmp_path, key):
 
 
 def test_import_loads_no_scipy_stats_or_integrate():
-    """`import mudk` stays light: scipy.integrate loads only for unbounded tails."""
+    """`import mudk` stays light: no module of the package imports scipy."""
     code = ("import sys, mudk; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

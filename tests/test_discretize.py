@@ -1,5 +1,9 @@
 """Tests of the measure discretization and its error estimates."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +15,7 @@ from mudk.discretize import (StepQuantile, UnboundedSupportError,
                              build_measure_pdf, grid, l1_distance, quantile_l1,
                              rate_bound, step_l1_distance, tail_defect)
 from mudk.distributions import (AffineDistribution, Beta, Discrete,
-                                Exponential, Mixture, TruncatedNormal,
-                                TwoPieceUniform, Uniform)
+                                Exponential, Mixture, TruncatedNormal, Uniform)
 
 
 def test_grid_endpoints_and_spacing():
@@ -36,7 +39,7 @@ def test_uniform_l1_error_is_one_over_n(n):
 
 def test_l1_error_within_the_simple_bound():
     for d in (Uniform(-1.0, 1.0), Beta(2.0, 5.0),
-              TwoPieceUniform(-2.0, -1.0, 1.0, 2.0)):
+              Mixture([(0.5, Uniform(-2.0, -1.0)), (0.5, Uniform(1.0, 2.0))])):
         for n in (7, 23, 64):
             rb = rate_bound(d, n)
             assert rb.varpi == 0.0  # atomless
@@ -146,7 +149,57 @@ def test_truncated_exponential_quantile_gap(r, expect):
     """||q_r - q||_1 = e^-r (1 + r) for the unit exponential."""
     base = Exponential(1.0)
     got = quantile_l1(base.truncate(r), base)
-    assert got == pytest.approx(expect, rel=1e-6)
+    assert got == pytest.approx(expect, rel=1e-12)
+
+
+TAIL_LAWS = {
+    "exp-1": Exponential(1.0),
+    "exp-1-centred": Exponential(1.0).center(),
+    "exp-3-centred": Exponential(3.0).center(),
+    "exp-0.2-centred": Exponential(0.2).center(),
+    "exp-0.01-centred": Exponential(0.01).center(),
+    "exp-mixture-centred": Mixture([(0.5, Exponential(1.0)),
+                                    (0.5, Exponential(4.0))]).center(),
+}
+
+
+def _quad_quantile_l1(dist_a, dist_b):
+    """int |F_a - F_b| dx by scipy's quad, one call per cell between the
+    breakpoints of both laws, the two unbounded ends included."""
+    cuts = sorted(set(dist_a.cdf_breakpoints()) | set(dist_b.cdf_breakpoints()))
+    edges = [-np.inf, *cuts, np.inf]
+    return sum(quad(lambda x: abs(float(dist_a.cdf(x)) - float(dist_b.cdf(x))),
+                    lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0, 4.0, 8.0, 20.0, 100.0])
+@pytest.mark.parametrize("law", sorted(TAIL_LAWS))
+def test_quantile_l1_tails_match_quad(law, r):
+    """The geometric tail cuts give what adaptive quadrature gives."""
+    base = TAIL_LAWS[law]
+    got = quantile_l1(base.truncate(r), base)
+    assert got == pytest.approx(_quad_quantile_l1(base.truncate(r), base),
+                                rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("rate_a, rate_b", [(1.0, 2.0), (100.0, 200.0),
+                                            (1000.0, 3000.0), (0.01, 0.02)])
+def test_quantile_l1_resolves_tails_of_any_scale(rate_a, rate_b):
+    """||q_a - q_b||_1 = 1/rate_a - 1/rate_b, also when the whole gap lies
+    within 1e-3 of the last breakpoint."""
+    got = quantile_l1(Exponential(rate_a), Exponential(rate_b))
+    assert got == pytest.approx(1.0 / rate_a - 1.0 / rate_b, rel=1e-12)
+
+
+def test_quantile_l1_runs_without_scipy():
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from mudk import Exponential, quantile_l1\n"
+            "print(quantile_l1(Exponential(1.0).truncate(4.0), Exponential(1.0)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert float(out) == pytest.approx(5.0 * np.exp(-4.0), rel=1e-12)
 
 
 def test_rate_bound_uniform_values():
@@ -264,7 +317,8 @@ def atom_laws(draw):
     else:
         w1, gap, w2 = (draw(st.floats(0.1, 1.0)) for _ in range(3))
         b = a + w1 + gap + w2
-        base = TwoPieceUniform(a, a + w1, a + w1 + gap, b)
+        base = Mixture([(w1 / (w1 + w2), Uniform(a, a + w1)),
+                        (w2 / (w1 + w2), Uniform(a + w1 + gap, b))])
     h = (b - a) / n
     locs = []
     for _ in range(draw(st.integers(0, 4))):
