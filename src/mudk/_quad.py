@@ -3,9 +3,20 @@
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
+# The positive half of numpy.polynomial.legendre.leggauss(16), printed with
+# repr and mirrored exactly, as leggauss itself mirrors them: the same bits
+# without importing numpy.polynomial or running an eigensolver at import.
+_HALF_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499])
+_HALF_WEIGHTS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176])
+_GL_NODES = np.concatenate((-_HALF_NODES[::-1], _HALF_NODES))
+_GL_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
 
 
 def gauss_legendre(f, lo, hi):

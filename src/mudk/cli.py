@@ -37,13 +37,23 @@ valid boundary).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+# CPython's built-in SHA-256 (`_sha2` from 3.12, `_sha256` before): the same
+# digests as hashlib's, without hashlib's `_hashlib`, which maps OpenSSL's
+# libcrypto (about 3.4 MB resident) into every process for one config hash
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from ._csvio import float_cell, read_csv, write_csv
@@ -209,9 +219,9 @@ class RunConfig:
             path = getattr(self, key)
             if path is not None:
                 with open(path, "rb") as fh:
-                    payload[f"{key}_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+                    payload[f"{key}_sha256"] = sha256(fh.read()).hexdigest()
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return sha256(blob.encode()).hexdigest()[:12]
 
     def header(self) -> str:
         return f"mu-domain-kit v{__version__}, config hash {self.hash()}"
@@ -260,9 +270,11 @@ def _as_int_tuple(value, key) -> tuple[int, ...]:
 
 def _as_float(value, key) -> float:
     try:
-        return float(value)
+        if not isinstance(value, bool):    # as for the integer fields
+            return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+        pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
 
 
 # the parser of each RunConfig field, by its annotation

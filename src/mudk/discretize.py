@@ -137,12 +137,23 @@ def _cells(dist: Distribution, n: int):
         raise ValueError(f"atoms at {lo!r} and {hi!r} are closer than "
                          "1e-12 (1 + |x|), the tolerance within which atoms are "
                          "matched; merge them into one")
-    atol = 1e-12 * max(1.0, b - a)
     on_node = np.zeros(n + 1, dtype=bool)
-    right = np.clip(np.searchsorted(xs, locs), 1, n)
-    for node in (right - 1, right):     # the nodes on either side of each atom
-        on_node[node[np.abs(xs[node] - locs) <= atol]] = True
+    for node, _ in _nodes_near(xs, locs):
+        on_node[node] = True
     return xs, atoms, on_node, ~(on_node[:-1] | on_node[1:])
+
+
+def _nodes_near(xs, points):
+    """(nodes, points) pairs with a node within 1e-12 max(1, b-a) of a point.
+
+    Only the two nodes on either side of each point are looked at.
+    """
+    points = np.asarray(points, dtype=float)
+    atol = 1e-12 * max(1.0, xs[-1] - xs[0])
+    right = np.clip(np.searchsorted(xs, points), 1, xs.size - 1)
+    for node in (right - 1, right):
+        close = np.abs(xs[node] - points) <= atol
+        yield node[close], points[close]
 
 
 def build_measure_cdf(dist: Distribution, n: int) -> StepQuantile:
@@ -155,12 +166,19 @@ def build_measure_cdf(dist: Distribution, n: int) -> StepQuantile:
     and takes the value c if its cell is kept or c is an atom.  Otherwise
     it takes the atom at its left end: a dropped cell goes to the atom it
     touches.  So no mass moves by more than one cell width h, and
-    sup_u |q(u) - q_n(u)| <= h.  The total mass is one.
+    sup_u |q(u) - q_n(u)| <= h.  The total mass is one.  F at a node
+    within the atom tolerance of a breakpoint of F is taken at the
+    breakpoint.
     """
     xs, atoms, on_node, kept = _cells(dist, n)
     locs = atoms[:, 0]
     nodes = np.flatnonzero(~on_node)
-    F = np.asarray(dist.cdf(xs), dtype=float)[nodes]
+    # a node an ulp inside a piece edge, next to an empty cell, would leave
+    # a sliver below the width floor, and the next step would take its levels
+    at = xs.copy()
+    for node, edge in _nodes_near(xs, dist.cdf_breakpoints()):
+        at[node] = edge
+    F = np.asarray(dist.cdf(at), dtype=float)[nodes]
     x = np.concatenate((xs[nodes], locs))
     order = np.argsort(x, kind="stable")
     x = x[order]

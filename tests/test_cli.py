@@ -1,5 +1,7 @@
 """End-to-end tests of the mudk command line interface."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -289,6 +291,18 @@ def test_zero_walks_is_config_error(tmp_path):
     assert rc == 2
 
 
+def test_boolean_step_is_config_error(tmp_path, capsys):
+    """A JSON boolean is not a number for the float fields, as for the integer ones."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"dist": {"family": "uniform", "a": -1, "b": 1},
+                               "step": True}))
+    rc = run("build", str(cfg), "--n", "4", "--points", "16",
+             "--out", str(tmp_path / "b.csv"))
+    assert rc == 2
+    assert "step must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_zero_max_steps_is_config_error(tmp_path, capsys):
     boundary = tmp_path / "b.csv"
     assert run("build", "--dist", UNIFORM, "--n", "4", "--points", "16",
@@ -425,6 +439,24 @@ def test_run_config_hash_tracks_inputs():
     assert RunConfig(out="elsewhere.csv", **base).hash() == h0
 
 
+def test_run_config_hash_is_hashlib_sha256(tmp_path):
+    """The built-in SHA-256 gives hashlib's digest of the same payload."""
+    boundary, samples = tmp_path / "b.csv", tmp_path / "s.csv"
+    boundary.write_text("t,x,y\n0.0,0.0,0.0\n")
+    samples.write_text("x\n0.25\n")
+    cfg = RunConfig(dist={"family": "uniform", "a": -1, "b": 1}, n_list=(10, 20),
+                    boundary=str(boundary), samples=str(samples),
+                    out="o.csv", svg="o.svg")
+    payload = {"dist": {"family": "uniform", "a": -1, "b": 1}, "n": 30,
+               "n_list": [10, 20], "scheme": "cdf", "points": 2048,
+               "coeffs": None, "walks": 10_000, "step": 1e-4, "seed": 0,
+               "max_steps": 10_000_000,
+               "boundary_sha256": hashlib.sha256(boundary.read_bytes()).hexdigest(),
+               "samples_sha256": hashlib.sha256(samples.read_bytes()).hexdigest()}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    assert cfg.hash() == hashlib.sha256(blob).hexdigest()[:12]
+
+
 @pytest.mark.parametrize("key", ["boundary", "samples"])
 def test_run_config_hash_covers_input_file_contents(tmp_path, key):
     base = {"dist": {"family": "uniform", "a": -1, "b": 1}}
@@ -453,10 +485,9 @@ BETA = '{"family": "beta", "alpha": 2, "beta": 5}'
 TRUNCATED_NORMAL = '{"family": "truncated-normal", "mu": 0, "sigma": 1, "lo": -2, "hi": 2}'
 
 
-def test_no_cli_command_loads_scipy(tmp_path):
-    """Every command, on beta(2,5) and the truncated normal, runs on numpy alone."""
-    out = str(tmp_path)
-    commands = [
+def _every_command(out):
+    """argv of each command on beta(2,5), and `rates` on the truncated normal."""
+    return [
         ["build", "--dist", BETA, "--n", "20", "--points", "64", "--out", f"{out}/b.csv"],
         ["map", "--dist", BETA, "--n", "20", "--out", f"{out}/m.csv"],
         ["rates", "--dist", BETA, "--n-list", "10,20", "--out", f"{out}/r.csv"],
@@ -467,16 +498,34 @@ def test_no_cli_command_loads_scipy(tmp_path):
         ["rates", "--dist", TRUNCATED_NORMAL, "--n-list", "10,20",
          "--out", f"{out}/t.csv"],
     ]
+
+
+def _modules_after_every_command(tmp_path, *packages):
+    """Modules of `packages` loaded in a fresh process that ran every command."""
     code = f"""
 import sys
 import mudk.cli
-for argv in {commands!r}:
+for argv in {_every_command(str(tmp_path))!r}:
     assert mudk.cli.main(argv) == 0, argv
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert loaded == [], loaded
+print(sorted(m for m in sys.modules
+             if any(m == p or m.startswith(p + ".") for p in {packages!r})))
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    return out.splitlines()[-1]     # after what the commands print
+
+
+def test_no_cli_command_loads_scipy(tmp_path):
+    """Every command, on beta(2,5) and the truncated normal, runs on numpy alone."""
+    assert _modules_after_every_command(tmp_path, "scipy") == "[]"
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                    reason="this Python has no built-in SHA-256 module")
+def test_no_cli_command_loads_openssl_or_numpy_polynomial(tmp_path):
+    """No command maps libcrypto (via `_hashlib`) or imports numpy.polynomial."""
+    assert _modules_after_every_command(tmp_path, "_hashlib", "numpy.polynomial") == "[]"
 
 
 def test_python_m_mudk_runs_the_cli(tmp_path):

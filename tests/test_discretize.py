@@ -6,10 +6,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import IntegrationWarning, quad
 
+from mudk._quad import _GL_NODES, _GL_WEIGHTS
 from mudk.discretize import (StepQuantile, UnboundedSupportError,
                              build_measure, build_measure_cdf,
                              build_measure_pdf, grid, l1_distance, quantile_l1,
@@ -202,6 +204,13 @@ def test_quantile_l1_runs_without_scipy():
     assert float(out) == pytest.approx(5.0 * np.exp(-4.0), rel=1e-12)
 
 
+def test_gauss_legendre_table_is_leggauss_16():
+    """The literal 16-point table has the bits numpy computes for it."""
+    nodes, weights = leggauss(16)
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_rate_bound_uniform_values():
     rb = rate_bound(Uniform(-1.0, 1.0), 10)
     assert rb.cell_width == pytest.approx(0.2)
@@ -343,8 +352,17 @@ def atom_laws(draw):
     return Mixture([(1.0 - w, base), (w, atoms)]), n, b - a
 
 
+def _edge_law(*pieces):
+    """Equal mixture of two uniforms, at n = 3, as `atom_laws` draws it."""
+    dist = Mixture([(0.5, Uniform(*pieces[:2])), (0.5, Uniform(*pieces[2:]))])
+    return dist, 3, pieces[3] - pieces[0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(atom_laws())
+# grid nodes an ulp inside a piece edge, next to the empty middle cell
+@example(_edge_law(0.0, 0.7170564646135957, 1.4341129292271915, 2.151169393840787))
+@example(_edge_law(-1e-12, 0.099999999999, 0.199999999999, 0.299999999999))
 def test_cdf_scheme_moves_no_mass_past_one_cell(law):
     """A dropped cell goes to the atom it touches: sup |q - q_n| <= h."""
     dist, n, width = law
