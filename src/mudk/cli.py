@@ -369,6 +369,14 @@ def _summary_path(out: str) -> str:
     return (stem if dot else out) + ".summary.json"
 
 
+def _sample_report(samples: np.ndarray, dist) -> dict:
+    """KS distance of exit samples to `dist`, their mean and std; None when empty."""
+    if not samples.size:
+        return dict.fromkeys(("ks", "mean", "std"))
+    return {"ks": ks_distance(samples, dist), "mean": float(samples.mean()),
+            "std": float(samples.std())}
+
+
 def cmd_simulate(cfg: RunConfig) -> None:
     if not cfg.boundary:
         raise ConfigError("simulate needs --boundary pointing at a CSV "
@@ -381,15 +389,12 @@ def cmd_simulate(cfg: RunConfig) -> None:
     rows = [(str(w), float_cell(x))
             for w, x in zip(result.walk_ids, result.samples)]
     write_csv(out, cfg.header(), ("walk", "x_exit"), rows)
-    exits = result.samples
     summary = {
         "walks": cfg.walks,
         "truncated": result.truncated_walks,
-        "ks": ks_distance(exits, dist) if exits.size else None,
-        "mean": float(exits.mean()) if exits.size else None,
-        "std": float(exits.std()) if exits.size else None,
         "seed": cfg.seed,
         "step": cfg.step,
+        **_sample_report(result.samples, dist),
     }
     with open(_summary_path(out), "w", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -411,12 +416,7 @@ def cmd_check(cfg: RunConfig) -> None:
     samples = _read_input(load_samples_csv, cfg.samples)
     if not samples.size:
         raise ConfigError(f"no samples found in {cfg.samples}")
-    report = {
-        "samples": int(samples.size),
-        "ks": ks_distance(samples, dist),
-        "mean": float(samples.mean()),
-        "std": float(samples.std()),
-    }
+    report = {"samples": int(samples.size), **_sample_report(samples, dist)}
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if cfg.out:

@@ -82,7 +82,7 @@ class StepQuantile:
         """Step value at level u; left-continuous, defined on (0, s_m]."""
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 0
-        if arr.size and (np.any(arr <= 0.0) or np.any(arr > self.total_mass + 1e-12)):
+        if arr.size and not (arr.min() > 0.0 and arr.max() <= self.total_mass + 1e-12):
             raise ValueError(f"levels must lie in (0, {self.total_mass}]")
         idx = np.searchsorted(self.breakpoints, np.minimum(arr, self.total_mass),
                               side="left") - 1

@@ -9,6 +9,10 @@ discrete, mixtures), affine reparametrizations, and
 the truncation operator that folds unbounded tails into an atom at the
 origin.
 
+Every law follows one rule, written once in `Distribution`: a scalar
+argument gives a Python float back, an array a float array of its shape,
+and quantile levels must lie in (0, 1), NaN excluded.
+
 The special functions behind Beta and TruncatedNormal (the regularized
 incomplete beta function and its inverse, the normal c.d.f. and
 quantile) are computed here from numpy and `math`, so no law loads
@@ -25,27 +29,20 @@ import numpy as np
 from ._quad import gauss_legendre
 
 
-def _as_float_array(x):
-    a = np.asarray(x, dtype=float)
-    return a, (a.ndim == 0)
-
-
-def _restore(a, scalar):
-    return float(a) if scalar else a
-
-
 def _check_levels(u):
-    """Validate quantile levels: every u must lie strictly inside (0,1)."""
-    arr, scalar = _as_float_array(u)
-    if scalar:
-        low, high = float(arr), float(arr)     # quadrature calls one level at a time
-    elif arr.size:
-        low, high = arr.min(), arr.max()
-    else:
-        return arr, scalar
-    if low <= 0.0 or high >= 1.0:
+    """Refuse quantile levels outside (0, 1); a NaN level is refused too."""
+    if not u.size:
+        return
+    low, high = (float(u), float(u)) if u.ndim == 0 else (u.min(), u.max())
+    if not (low > 0.0 and high < 1.0):       # false for NaN, which min and max carry
         raise ValueError("quantile level must lie strictly inside (0, 1)")
-    return arr, scalar
+
+
+def _apply(core, x):
+    """core(x) on x as a float array; a scalar x gives a Python float."""
+    arr = np.asarray(x, dtype=float)
+    out = core(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def bisect_smallest(predicate, lo, hi, tol=1e-12, max_iter=200):
@@ -212,12 +209,12 @@ def _ibeta(sides, x):
     lower, upper = sides
     flip = x > lower.edge
     value = np.where(np.isnan(x), x, flip)      # 0 at and below x = 0, 1 at and above x = 1
-    below = np.flatnonzero(~flip & (x > 0.0))
-    above = np.flatnonzero(flip & (x < 1.0))
-    if below.size:
+    below = ~flip & (x > 0.0)
+    above = flip & (x < 1.0)
+    if below.any():
         t = x[below]
         value[below] = lower.value(t, 1.0 - t)
-    if above.size:
+    if above.any():
         t = x[above]
         value[above] = 1.0 - upper.value(1.0 - t, t)
     return value
@@ -373,16 +370,45 @@ def _ndtri(p):
 class Distribution(abc.ABC):
     """A probability law on R, described through F and q.
 
-    Subclasses must provide `cdf`, `support` and `mean`;
-    everything else has generic fallbacks, such as the bisection
-    quantile.
+    The public `cdf`, `cdf_left`, `pdf` and `quantile` live here alone:
+    each converts its argument once (a scalar gives a Python float back,
+    an array an array of its shape), refuses quantile levels outside
+    (0, 1) once, and calls the array core `_cdf`, `_cdf_left`, `_pdf` or
+    `_quantile`.  A law implements `_cdf`, `support` and `mean`, and may
+    add `_pdf` (with `has_density`), a closed-form `_quantile` (the
+    fallback bisects `_cdf`) and `atoms`.  A core calls its own law's
+    cores directly and other laws through their public methods.
     """
 
-    # ---- required interface
+    has_density = False
 
-    @abc.abstractmethod
+    # ---- public interface
+
     def cdf(self, x):
         """F(x) = P(X <= x), right-continuous."""
+        return _apply(self._cdf, x)
+
+    def cdf_left(self, x):
+        """Left limit F(x-); differs from F(x) only at atoms."""
+        return _apply(self._cdf_left, x)
+
+    def pdf(self, x):
+        """Density of the absolutely continuous part (atoms excluded)."""
+        if not self.has_density:
+            raise ValueError(f"{type(self).__name__} does not expose a density")
+        return _apply(self._pdf, x)
+
+    def quantile(self, u):
+        """Left-continuous generalized inverse q(u) = inf{x : F(x) >= u}."""
+        arr = np.asarray(u, dtype=float)
+        _check_levels(arr)
+        return _apply(self._quantile, arr)
+
+    # ---- required of every law
+
+    @abc.abstractmethod
+    def _cdf(self, x):
+        """F on a float array."""
 
     @abc.abstractmethod
     def support(self) -> tuple[float, float]:
@@ -392,28 +418,36 @@ class Distribution(abc.ABC):
     def mean(self) -> float:
         ...
 
+    # ---- fallback cores
+
+    def _cdf_left(self, x):
+        out = self._cdf(x)
+        for loc, mass in self.atoms():
+            # tolerant match: atom locations may carry affine round-off
+            hit = np.abs(x - loc) <= 1e-12 * (1.0 + abs(loc))
+            out = np.where(hit, out - mass, out)
+        return np.maximum(out, 0.0)
+
+    def _quantile(self, u):
+        a, b = self.support()
+        lo = np.full(u.shape, a - 1e-9 if np.isfinite(a) else -1.0)
+        hi = np.full(u.shape, b if np.isfinite(b) else 1.0)
+        pred = lambda x: self._cdf(x) >= u
+        # expand open-ended brackets until they straddle the target level
+        for _ in range(200):
+            bad_lo = ~np.isfinite(a) & (self._cdf(lo) >= u)
+            bad_hi = ~pred(hi)
+            if not (np.any(bad_lo) or np.any(bad_hi)):
+                break
+            lo = np.where(bad_lo, 2.0 * lo - 1.0, lo)
+            hi = np.where(bad_hi, 2.0 * hi + 1.0, hi)
+        return bisect_smallest(pred, lo, hi)
+
     # ---- generic structure
 
     def atoms(self) -> list[tuple[float, float]]:
         """Atom locations and masses, sorted by location."""
         return []
-
-    @property
-    def has_density(self) -> bool:
-        return False
-
-    def pdf(self, x):
-        raise ValueError(f"{type(self).__name__} does not expose a density")
-
-    def cdf_left(self, x):
-        """Left limit F(x-); differs from F(x) only at atoms."""
-        arr, scalar = _as_float_array(x)
-        out = np.asarray(self.cdf(arr), dtype=float).copy()
-        for loc, mass in self.atoms():
-            # tolerant match: atom locations may carry affine round-off
-            hit = np.abs(arr - loc) <= 1e-12 * (1.0 + abs(loc))
-            out = np.where(hit, out - mass, out)
-        return _restore(np.maximum(out, 0.0), scalar)
 
     def cdf_breakpoints(self) -> list[float]:
         """x-locations where F is not smooth (support edges, atoms, kinks)."""
@@ -424,28 +458,6 @@ class Distribution(abc.ABC):
         if np.isfinite(b):
             pts.append(b)
         return sorted(set(pts))
-
-    # ---- quantiles
-
-    def quantile(self, u):
-        """Left-continuous generalized inverse q(u) = inf{x : F(x) >= u}."""
-        arr, scalar = _check_levels(u)
-        return _restore(self._quantile_bisect(arr), scalar)
-
-    def _quantile_bisect(self, u):
-        a, b = self.support()
-        lo = np.full(u.shape, a - 1e-9 if np.isfinite(a) else -1.0)
-        hi = np.full(u.shape, b if np.isfinite(b) else 1.0)
-        pred = lambda x: np.asarray(self.cdf(x)) >= u
-        # expand open-ended brackets until they straddle the target level
-        for _ in range(200):
-            bad_lo = ~np.isfinite(a) & (np.asarray(self.cdf(lo)) >= u)
-            bad_hi = ~pred(hi)
-            if not (np.any(bad_lo) or np.any(bad_hi)):
-                break
-            lo = np.where(bad_lo, 2.0 * lo - 1.0, lo)
-            hi = np.where(bad_hi, 2.0 * hi + 1.0, hi)
-        return bisect_smallest(pred, lo, hi)
 
     # ---- transforms
 
@@ -461,9 +473,7 @@ class Distribution(abc.ABC):
         """Numerical sup of the density part over (lo, hi); 0 if no density."""
         if not self.has_density or hi <= lo:
             return 0.0
-        xs = np.linspace(lo, hi, 1025)[1:-1]
-        vals = np.asarray(self.pdf(xs), dtype=float)
-        return float(np.max(vals)) if vals.size else 0.0
+        return float(np.max(self._pdf(np.linspace(lo, hi, 1025)[1:-1])))
 
 
 # ---------------------------------------------------------------- families
@@ -471,6 +481,8 @@ class Distribution(abc.ABC):
 
 class Uniform(Distribution):
     """Uniform law on (a, b)."""
+
+    has_density = True
 
     def __init__(self, a: float, b: float):
         a, b = float(a), float(b)
@@ -481,22 +493,15 @@ class Uniform(Distribution):
     def __repr__(self):
         return f"Uniform({self.a}, {self.b})"
 
-    def cdf(self, x):
-        arr, scalar = _as_float_array(x)
-        return _restore(np.clip((arr - self.a) / (self.b - self.a), 0.0, 1.0), scalar)
+    def _cdf(self, x):
+        return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def pdf(self, x):
-        arr, scalar = _as_float_array(x)
-        inside = (arr >= self.a) & (arr <= self.b)
-        return _restore(np.where(inside, 1.0 / (self.b - self.a), 0.0), scalar)
+    def _pdf(self, x):
+        inside = (x >= self.a) & (x <= self.b)
+        return np.where(inside, 1.0 / (self.b - self.a), 0.0)
 
-    @property
-    def has_density(self):
-        return True
-
-    def quantile(self, u):
-        arr, scalar = _check_levels(u)
-        return _restore(self.a + arr * (self.b - self.a), scalar)
+    def _quantile(self, u):
+        return self.a + u * (self.b - self.a)
 
     def support(self):
         return (self.a, self.b)
@@ -513,6 +518,8 @@ class Uniform(Distribution):
 class Exponential(Distribution):
     """Exponential law with the given rate, supported on (0, inf)."""
 
+    has_density = True
+
     def __init__(self, rate: float = 1.0):
         rate = float(rate)
         if not (np.isfinite(rate) and rate > 0):
@@ -522,21 +529,14 @@ class Exponential(Distribution):
     def __repr__(self):
         return f"Exponential(rate={self.rate})"
 
-    def cdf(self, x):
-        arr, scalar = _as_float_array(x)
-        return _restore(np.where(arr <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(arr, 0.0))), scalar)
+    def _cdf(self, x):
+        return np.where(x <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
 
-    def pdf(self, x):
-        arr, scalar = _as_float_array(x)
-        return _restore(np.where(arr < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(arr, 0.0))), scalar)
+    def _pdf(self, x):
+        return np.where(x < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)))
 
-    @property
-    def has_density(self):
-        return True
-
-    def quantile(self, u):
-        arr, scalar = _check_levels(u)
-        return _restore(-np.log1p(-arr) / self.rate, scalar)
+    def _quantile(self, u):
+        return -np.log1p(-u) / self.rate
 
     def support(self):
         return (0.0, np.inf)
@@ -545,9 +545,10 @@ class Exponential(Distribution):
         return 1.0 / self.rate
 
 
-
 class Beta(Distribution):
     """Beta(alpha, beta) law on (0, 1), via the regularized incomplete beta."""
+
+    has_density = True
 
     def __init__(self, alpha: float, beta: float):
         alpha, beta = float(alpha), float(beta)
@@ -564,36 +565,28 @@ class Beta(Distribution):
     def __repr__(self):
         return f"Beta({self.alpha}, {self.beta})"
 
-    def cdf(self, x):
-        arr, scalar = _as_float_array(x)
-        if scalar:
-            return _ibeta1(self._sides, float(arr))[0]
-        return _ibeta(self._sides, arr)
+    def _cdf(self, x):
+        if x.ndim == 0:         # the float path: quadrature asks one point at a time
+            return _ibeta1(self._sides, float(x))[0]
+        return _ibeta(self._sides, x)
 
-    def pdf(self, x):
-        arr, scalar = _as_float_array(x)
-        inside = (arr >= 0.0) & (arr <= 1.0)
-        t = np.clip(arr, 0.0, 1.0)
+    def _pdf(self, x):
+        inside = (x >= 0.0) & (x <= 1.0)
+        t = np.clip(x, 0.0, 1.0)
         log_f = (_xlog(self.alpha - 1.0, np.log, t) + _xlog(self.beta - 1.0, np.log1p, -t)
                  - self._log_norm)
-        return _restore(np.where(inside, np.exp(log_f), 0.0), scalar)
+        return np.where(inside, np.exp(log_f), 0.0)
 
-    @property
-    def has_density(self):
-        return True
-
-    def quantile(self, u):
+    def _quantile(self, u):
         # one level at a time: the pipeline asks for a few hundred at most
-        arr, scalar = _check_levels(u)
-        out = [_ibeta_inv(self._sides, level, self._flip_level) for level in arr.ravel().tolist()]
-        return out[0] if scalar else np.array(out).reshape(arr.shape)
+        out = [_ibeta_inv(self._sides, level, self._flip_level) for level in u.ravel().tolist()]
+        return np.array(out).reshape(u.shape)
 
     def support(self):
         return (0.0, 1.0)
 
     def mean(self):
         return self.alpha / (self.alpha + self.beta)
-
 
 
 class TruncatedNormal(Distribution):
@@ -603,6 +596,8 @@ class TruncatedNormal(Distribution):
     the upper tail (alpha > 0) works with upper-tail probabilities, whose
     differences keep their precision there.
     """
+
+    has_density = True
 
     def __init__(self, mu: float, sigma: float, lo: float, hi: float):
         mu, sigma, lo, hi = (float(v) for v in (mu, sigma, lo, hi))
@@ -627,28 +622,19 @@ class TruncatedNormal(Distribution):
         """P(Z <= z), or -P(Z > z) for a window in the upper tail."""
         return -_ndtr(-z) if self._alpha > 0.0 else _ndtr(z)
 
-    def cdf(self, x):
-        arr, scalar = _as_float_array(x)
-        z = (np.clip(arr, self.lo, self.hi) - self.mu) / self.sigma
-        out = (self._cum(z) - self._cum_lo) / self._mass
-        return _restore(np.clip(out, 0.0, 1.0), scalar)
+    def _cdf(self, x):
+        z = (np.clip(x, self.lo, self.hi) - self.mu) / self.sigma
+        return np.clip((self._cum(z) - self._cum_lo) / self._mass, 0.0, 1.0)
 
-    def pdf(self, x):
-        arr, scalar = _as_float_array(x)
-        inside = (arr >= self.lo) & (arr <= self.hi)
-        z = (arr - self.mu) / self.sigma
-        out = np.where(inside, _normal_pdf(z) / (self.sigma * self._mass), 0.0)
-        return _restore(out, scalar)
+    def _pdf(self, x):
+        inside = (x >= self.lo) & (x <= self.hi)
+        z = (x - self.mu) / self.sigma
+        return np.where(inside, _normal_pdf(z) / (self.sigma * self._mass), 0.0)
 
-    @property
-    def has_density(self):
-        return True
-
-    def quantile(self, u):
-        arr, scalar = _check_levels(u)
-        level = self._cum_lo + arr * self._mass
+    def _quantile(self, u):
+        level = self._cum_lo + u * self._mass
         z = -_ndtri(-level) if self._alpha > 0.0 else _ndtri(level)
-        return _restore(np.clip(self.mu + self.sigma * z, self.lo, self.hi), scalar)
+        return np.clip(self.mu + self.sigma * z, self.lo, self.hi)
 
     def support(self):
         return (self.lo, self.hi)
@@ -656,7 +642,6 @@ class TruncatedNormal(Distribution):
     def mean(self):
         pa, pb = _normal_pdf(self._alpha), _normal_pdf(self._beta)
         return self.mu + self.sigma * (pa - pb) / self._mass
-
 
 
 class Discrete(Distribution):
@@ -684,23 +669,19 @@ class Discrete(Distribution):
     def __repr__(self):
         return f"Discrete({list(zip(self.xs, self.ps))})"
 
-    def cdf(self, x):
-        arr, scalar = _as_float_array(x)
-        eps = 1e-12 * (1.0 + np.abs(arr))
-        idx = np.searchsorted(self.xs, arr + eps, side="left")
-        out = np.where(idx > 0, self.cum[np.maximum(idx - 1, 0)], 0.0)
-        return _restore(out, scalar)
+    def _mass_below(self, x):
+        """Mass of the atoms strictly below x."""
+        idx = np.searchsorted(self.xs, x, side="left")
+        return np.where(idx > 0, self.cum[np.maximum(idx - 1, 0)], 0.0)
 
-    def cdf_left(self, x):
-        arr, scalar = _as_float_array(x)
-        eps = 1e-12 * (1.0 + np.abs(arr))
-        idx = np.searchsorted(self.xs, arr - eps, side="left")
-        out = np.where(idx > 0, self.cum[np.maximum(idx - 1, 0)], 0.0)
-        return _restore(out, scalar)
+    def _cdf(self, x):
+        return self._mass_below(x + 1e-12 * (1.0 + np.abs(x)))
 
-    def quantile(self, u):
-        arr, scalar = _check_levels(u)
-        return _restore(self.xs[np.searchsorted(self.cum, arr, side="left")], scalar)
+    def _cdf_left(self, x):
+        return self._mass_below(x - 1e-12 * (1.0 + np.abs(x)))
+
+    def _quantile(self, u):
+        return self.xs[np.searchsorted(self.cum, u, side="left")]
 
     def atoms(self):
         return list(zip(self.xs.tolist(), self.ps.tolist()))
@@ -710,7 +691,6 @@ class Discrete(Distribution):
 
     def mean(self):
         return float(self.xs @ self.ps)
-
 
 
 class Mixture(Distribution):
@@ -730,28 +710,18 @@ class Mixture(Distribution):
     def __repr__(self):
         return f"Mixture({self.components})"
 
-    def cdf(self, x):
-        arr, scalar = _as_float_array(x)
-        out = sum(w * np.asarray(d.cdf(arr), dtype=float) for w, d in self.components)
-        return _restore(out, scalar)
+    def _cdf(self, x):
+        return sum(w * d.cdf(x) for w, d in self.components)
 
-    def cdf_left(self, x):
-        arr, scalar = _as_float_array(x)
-        out = sum(w * np.asarray(d.cdf_left(arr), dtype=float) for w, d in self.components)
-        return _restore(out, scalar)
+    def _cdf_left(self, x):
+        return sum(w * d.cdf_left(x) for w, d in self.components)
 
     @property
     def has_density(self):
         return any(d.has_density for _, d in self.components)
 
-    def pdf(self, x):
-        """Density of the absolutely continuous part (atoms excluded)."""
-        if not self.has_density:
-            raise ValueError("mixture has no density component")
-        arr, scalar = _as_float_array(x)
-        out = sum(w * np.asarray(d.pdf(arr), dtype=float)
-                  for w, d in self.components if d.has_density)
-        return _restore(out, scalar)
+    def _pdf(self, x):
+        return sum(w * d.pdf(x) for w, d in self.components if d.has_density)
 
     def atoms(self):
         merged: dict[float, float] = {}
@@ -791,27 +761,21 @@ class AffineDistribution(Distribution):
     def _pull(self, x):
         return (x - self._offset) / self._scale
 
-    def cdf(self, x):
-        arr, scalar = _as_float_array(x)
-        return _restore(np.asarray(self.base.cdf(self._pull(arr)), dtype=float), scalar)
+    def _cdf(self, x):
+        return self.base.cdf(self._pull(x))
 
-    def cdf_left(self, x):
-        arr, scalar = _as_float_array(x)
-        return _restore(np.asarray(self.base.cdf_left(self._pull(arr)), dtype=float), scalar)
+    def _cdf_left(self, x):
+        return self.base.cdf_left(self._pull(x))
 
     @property
     def has_density(self):
         return self.base.has_density
 
-    def pdf(self, x):
-        arr, scalar = _as_float_array(x)
-        out = np.asarray(self.base.pdf(self._pull(arr)), dtype=float) / self._scale
-        return _restore(out, scalar)
+    def _pdf(self, x):
+        return self.base.pdf(self._pull(x)) / self._scale
 
-    def quantile(self, u):
-        arr, scalar = _check_levels(u)
-        out = self._scale * np.asarray(self.base.quantile(arr), dtype=float) + self._offset
-        return _restore(out, scalar)
+    def _quantile(self, u):
+        return self._scale * self.base.quantile(u) + self._offset
 
     def atoms(self):
         return [(self._scale * loc + self._offset, mass) for loc, mass in self.base.atoms()]
@@ -845,10 +809,10 @@ class TruncatedDistribution(Distribution):
             raise ValueError(f"truncation bound must be positive and finite, got {bound}")
         self.base = base
         self.bound = bound
-        self._f_lo = float(base.cdf_left(-bound))        # F(-bound^-)
-        self._f_hi = float(base.cdf(bound))              # F(bound)
-        self._lo_level = float(base.cdf_left(0.0)) - self._f_lo
-        self._hi_level = float(base.cdf(0.0)) + 1.0 - self._f_hi
+        self._f_lo = base.cdf_left(-bound)        # F(-bound^-)
+        self._f_hi = base.cdf(bound)              # F(bound)
+        self._lo_level = base.cdf_left(0.0) - self._f_lo
+        self._hi_level = base.cdf(0.0) + 1.0 - self._f_hi
         if self._lo_level < -1e-12 or self._hi_level > 1.0 + 1e-12:
             raise ValueError("base law is inconsistent at the truncation window")
 
@@ -859,39 +823,31 @@ class TruncatedDistribution(Distribution):
         """Mass of the atom at 0 (folded tails plus any base atom there)."""
         return self._hi_level - self._lo_level
 
-    def cdf(self, x):
-        arr, scalar = _as_float_array(x)
-        base_cdf = np.asarray(self.base.cdf(arr), dtype=float)
-        out = np.select(
-            [arr < -self.bound, arr < 0.0, arr <= self.bound],
+    def _fold(self, x, base_f, below):
+        """The folded c.d.f. from the base's F (or F(x-)); `below` is < (or <=)."""
+        return np.select(
+            [below(x, -self.bound), below(x, 0.0), x <= self.bound],
             [0.0,
-             np.maximum(base_cdf - self._f_lo, 0.0),
-             np.minimum(base_cdf + 1.0 - self._f_hi, 1.0)],
+             np.maximum(base_f - self._f_lo, 0.0),
+             np.minimum(base_f + 1.0 - self._f_hi, 1.0)],
             default=1.0)
-        return _restore(out, scalar)
 
-    def cdf_left(self, x):
-        arr, scalar = _as_float_array(x)
-        base_left = np.asarray(self.base.cdf_left(arr), dtype=float)
-        out = np.select(
-            [arr <= -self.bound, arr <= 0.0, arr <= self.bound],
-            [0.0,
-             np.maximum(base_left - self._f_lo, 0.0),
-             np.minimum(base_left + 1.0 - self._f_hi, 1.0)],
-            default=1.0)
-        return _restore(out, scalar)
+    def _cdf(self, x):
+        return self._fold(x, self.base.cdf(x), np.less)
 
-    def quantile(self, u):
-        arr, scalar = _check_levels(u)
-        flat = np.atleast_1d(arr)
+    def _cdf_left(self, x):
+        return self._fold(x, self.base.cdf_left(x), np.less_equal)
+
+    def _quantile(self, u):
+        flat = np.atleast_1d(u)
         below = flat < self._lo_level
         above = flat > self._hi_level
         out = np.zeros_like(flat)
         if np.any(below):
-            out[below] = np.asarray(self.base.quantile(flat[below] + self._f_lo), dtype=float)
+            out[below] = self.base.quantile(flat[below] + self._f_lo)
         if np.any(above):
-            out[above] = np.asarray(self.base.quantile(flat[above] + self._f_hi - 1.0), dtype=float)
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+            out[above] = self.base.quantile(flat[above] + self._f_hi - 1.0)
+        return out.reshape(u.shape)
 
     def atoms(self):
         out = []
@@ -925,12 +881,10 @@ class TruncatedDistribution(Distribution):
     def has_density(self):
         return self.base.has_density
 
-    def pdf(self, x):
+    def _pdf(self, x):
         """Density part inside the window; the origin atom is not included."""
-        arr, scalar = _as_float_array(x)
-        inside = (arr >= -self.bound) & (arr <= self.bound)
-        out = np.where(inside, np.asarray(self.base.pdf(arr), dtype=float), 0.0)
-        return _restore(out, scalar)
+        inside = (x >= -self.bound) & (x <= self.bound)
+        return np.where(inside, self.base.pdf(x), 0.0)
 
     def cdf_breakpoints(self):
         pts = {p for p in self.base.cdf_breakpoints() if -self.bound <= p <= self.bound}

@@ -97,7 +97,7 @@ def evaluate_map(fc: FourierCoefficients, z):
     if arr.size and np.any(np.abs(arr) > 1.0 - _DISC_MARGIN):
         raise ValueError(f"evaluation requires |z| <= 1 - {_DISC_MARGIN}")
     poly = np.concatenate(([0.0], fc.coeffs))
-    out = np.polynomial.polynomial.polyval(arr, poly)
+    out = np.polyval(poly[::-1], arr)
     return complex(out) if scalar else out
 
 

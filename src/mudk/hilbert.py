@@ -67,32 +67,47 @@ def _check_poles(u, poles):
             f"evaluation within {POLE_RADIUS} of a logarithmic pole at u={bad}")
 
 
+def _jump_sum(u, theta, coeff):
+    """sum_j coeff_j D(u, theta_j) / pi at angles u, for jump angles theta.
+
+    D(u, t) = log|sin((u-t)/2)| - log|sin((u+t)/2)|, one log pair per
+    jump, with logarithmic poles at +-theta_j; angles within POLE_RADIUS
+    of one are refused.  The sum runs in blocks of points through two
+    (rows x jumps) buffers of at most _BLOCK_CELLS float64 cells,
+    allocated once: each block's log|sin| chain runs in place and its
+    matrix-vector product is written straight into the result.  Memory
+    is O(points + jumps).  A scalar u gives a float.
+    """
+    arr = np.asarray(u, dtype=float)
+    pts = np.atleast_1d(arr).ravel()
+    _check_poles(pts, np.concatenate((theta, -theta)))
+    out = np.zeros(pts.size)
+    if theta.size:
+        rows = max(1, min(pts.size, _BLOCK_CELLS // theta.size))
+        buf = np.empty((2, rows, theta.size))
+        for i in range(0, pts.size, rows):
+            blk = pts[i:i + rows, None]
+            D, P = buf[:, :blk.shape[0]]
+            _log_abs_sin_half(np.subtract(blk, theta, out=D), out=D)
+            D -= _log_abs_sin_half(np.add(blk, theta, out=P), out=P)
+            np.dot(D, coeff, out=out[i:i + rows])
+        out /= np.pi
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
 def hilbert_indicator(a: float, b: float, u):
     """Closed-form transform of the indicator of {a < |x| < b} on (-pi, pi).
 
-    Evaluates as a sum of log|sin((.)/2)| terms, which is an odd function
+    The jump sum with angles (a, b) and weights (+1, -1): an odd function
     of u with logarithmic poles at +-a and +-b (modulo 2*pi).
     """
     a, b = float(a), float(b)
     if not 0.0 <= a < b <= np.pi:
         raise ValueError(f"band must satisfy 0 <= a < b <= pi, got ({a}, {b})")
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
     # a = 0 and b = pi carry no pole: their log pair cancels identically
-    poles = []
-    if a > 0.0:
-        poles += [a, -a]
-    if b < np.pi:
-        poles += [b, -b]
-    _check_poles(arr, poles)
-    L = _log_abs_sin_half
-    out = np.zeros(arr.shape)
-    if a > 0.0:
-        out = out + (L(arr - a) - L(arr + a))
-    if b < np.pi:
-        out = out + (L(arr + b) - L(arr - b))
-    out = out / np.pi
-    return float(out) if scalar else out
+    live = [(t, c) for t, c in ((a, 1.0), (b, -1.0)) if 0.0 < t < np.pi]
+    theta, coeff = np.array(live).reshape(-1, 2).T
+    return _jump_sum(u, theta, coeff)
 
 
 def _jumps(sq: StepQuantile) -> tuple[np.ndarray, np.ndarray]:
@@ -125,35 +140,10 @@ def hilbert_step_quantile(sq: StepQuantile, u):
     """Transform of the even extension of the step quantile at angles u.
 
     Sums over the live jumps (s_j, c_j) of the step quantile,
-    H(u) = sum_j c_j D(u, pi s_j) / pi with
-    D(u, t) = log|sin((u-t)/2)| - log|sin((u+t)/2)|, one log pair per
-    jump.  The sum runs in blocks of points through two (rows x jumps)
-    buffers of at most _BLOCK_CELLS float64 cells, allocated once: each
-    block's log|sin| chain runs in place and its matrix-vector product
-    is written straight into the result.  Memory is O(points + jumps).
+    H(u) = sum_j c_j D(u, pi s_j) / pi, by `_jump_sum`.
     """
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    pts = np.atleast_1d(arr).ravel()
-
     levels, coeff = _jumps(sq)
-    theta = np.pi * levels
-    _check_poles(pts, np.concatenate((theta, -theta)))
-
-    out = np.zeros(pts.size)
-    if theta.size:
-        rows = max(1, min(pts.size, _BLOCK_CELLS // theta.size))
-        buf = np.empty((2, rows, theta.size))
-        for i in range(0, pts.size, rows):
-            blk = pts[i:i + rows, None]
-            D, P = buf[:, :blk.shape[0]]
-            _log_abs_sin_half(np.subtract(blk, theta, out=D), out=D)
-            D -= _log_abs_sin_half(np.add(blk, theta, out=P), out=P)
-            np.dot(D, coeff, out=out[i:i + rows])
-        out /= np.pi
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return _jump_sum(u, np.pi * levels, coeff)
 
 
 def hilbert_pv_oracle(f, u: float, etas=(1e-2, 1e-3, 1e-4), jumps=(),

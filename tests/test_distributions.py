@@ -5,12 +5,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mudk.distributions
+from mudk.discretize import build_measure
 from mudk.distributions import (AffineDistribution, Beta, Discrete,
                                 Distribution, Exponential, Mixture,
                                 TruncatedDistribution, TruncatedNormal,
                                 Uniform, _ndtr, _ndtri, bisect_smallest)
 
 U = np.linspace(0.01, 0.99, 49)
+
+# one instance of every law class; the mixture carries an atom
+LAWS = [Uniform(-1.0, 2.0), Exponential(1.5), Beta(2.0, 5.0),
+        TruncatedNormal(0.0, 1.0, -2.0, 2.0), Discrete([(-1.0, 0.25), (0.5, 0.75)]),
+        Mixture([(0.7, Uniform(-1.0, 1.0)), (0.3, Discrete([(0.25, 1.0)]))]),
+        AffineDistribution(Beta(2.0, 5.0), 2.0, -0.5),
+        TruncatedDistribution(Exponential(1.0).center(), 1.5)]
+LAW_CLASSES = {cls for cls in vars(mudk.distributions).values()
+               if isinstance(cls, type) and issubclass(cls, Distribution) and cls is not Distribution}
+PUBLIC = ("cdf", "cdf_left", "pdf", "quantile")
+
+
+def test_laws_cover_every_class():
+    assert {type(d) for d in LAWS} == LAW_CLASSES
+
+
+def test_only_the_base_class_defines_the_public_methods():
+    """Laws implement the array cores; the scalar/array rule lives in Distribution."""
+    for cls in LAW_CLASSES:
+        assert not set(PUBLIC) & set(vars(cls)), cls.__name__
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda d: type(d).__name__)
+def test_scalar_gives_float_and_array_keeps_its_shape(law):
+    x = np.linspace(-1.2, 1.3, 6).reshape(2, 3)
+    u = np.linspace(0.1, 0.9, 6).reshape(2, 3)
+    calls = [(law.cdf, x), (law.cdf_left, x), (law.quantile, u)]
+    if law.has_density:
+        calls.append((law.pdf, x))
+    for method, arg in calls:
+        out = method(arg)
+        assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            value = method(float(arg[i, j]))
+            assert type(value) is float
+            assert value == pytest.approx(out[i, j], rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("levels_of", [d.quantile for d in LAWS]
+                         + [build_measure(Uniform(-1.0, 1.0), 4).eval],
+                         ids=[type(d).__name__ for d in LAWS] + ["StepQuantile.eval"])
+def test_nan_level_is_refused(levels_of):
+    for bad in (np.nan, [0.5, np.nan]):
+        with pytest.raises(ValueError):
+            levels_of(bad)
 
 
 def test_uniform_closed_forms():
@@ -161,7 +208,7 @@ def test_truncated_normal_closed_form_quantile_matches_bisection(lo, hi):
     ref = stats.truncnorm(lo, hi)
     x = np.linspace(lo, hi, 41)
     np.testing.assert_allclose(d.cdf(x), ref.cdf(x), rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(d.quantile(U), Distribution.quantile(d, U),
+    np.testing.assert_allclose(d.quantile(U), Distribution._quantile(d, np.asarray(U)),
                                rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(d.quantile(U), ref.ppf(U), rtol=0.0, atol=1e-10)
 

@@ -1,5 +1,9 @@
 """Tests of the power series coefficients and disc evaluation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -152,3 +156,33 @@ def test_angle_addition_matches_dense_oracle(sq, terms):
 def test_default_terms_match_dense_oracle_at_n2000():
     sq = build_measure(Beta(2.0, 5.0), 2000)
     assert _oracle_gap(sq, fourier_coefficients(sq).order) <= 1e-14
+
+
+def _beta_map():
+    return fourier_coefficients(build_measure(Beta(2.0, 5.0).center(), 200))
+
+
+def test_evaluate_map_matches_numpy_polynomial_bit_for_bit():
+    from numpy.polynomial import polynomial
+    fc = _beta_map()
+    rng = np.random.default_rng(5)
+    z = 0.97 * np.sqrt(rng.random(5000)) * np.exp(2j * np.pi * rng.random(5000))
+    ref = polynomial.polyval(z, np.concatenate(([0.0], fc.coeffs)))
+    np.testing.assert_array_equal(evaluate_map(fc, z), ref)
+    assert evaluate_map(fc, complex(z[0])) == ref[0]
+
+
+def test_evaluate_map_loads_no_numpy_polynomial():
+    code = """
+import sys
+from mudk.discretize import build_measure
+from mudk.distributions import Beta
+from mudk.gross_map import evaluate_map, fourier_coefficients
+fc = fourier_coefficients(build_measure(Beta(2.0, 5.0).center(), 200))
+evaluate_map(fc, [0.5, 0.25j])
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "polynomial"]))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
