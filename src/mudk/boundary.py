@@ -89,7 +89,6 @@ def parameter_grid(sq: StepQuantile, num_points: int) -> np.ndarray:
     cell = 1.0 / m
     t = (np.arange(1, m + 1) - 0.5) * cell
     poles = pole_levels(sq)
-    poles = poles[(poles > 0.0) & (poles < 1.0)]
     if poles.size:
         j = np.searchsorted(poles, t)
         dist = np.minimum(np.abs(t - poles[np.clip(j - 1, 0, poles.size - 1)]),
@@ -108,16 +107,17 @@ def parameter_grid(sq: StepQuantile, num_points: int) -> np.ndarray:
 def boundary_points(sq: StepQuantile, num_points: int = 2048) -> BoundaryPolyline:
     """Trace the domain boundary at 2*num_points parameters.
 
-    Requires total mass 1 (c.d.f. scheme); a sub-probability step
-    quantile has no complete boundary correspondence.  Recommended
-    resolution is at least four points per step.
+    Requires total mass 1 (`StepQuantile.unit_mass`, the c.d.f. scheme);
+    a step quantile of another mass has no complete boundary
+    correspondence.  Recommended resolution is at least four points per
+    step.
     """
-    if abs(sq.total_mass - 1.0) > 1e-9:
+    if not sq.unit_mass:
         raise ValueError(
             f"boundary tracing needs total mass 1, got {sq.total_mass}; "
             "use the c.d.f. scheme or renormalize")
     t = parameter_grid(sq, num_points)
-    x = np.asarray(sq.eval(t), dtype=float)
+    x = sq.eval(t)
     y = hilbert_step_quantile(sq, np.pi * t)
 
     pts = np.empty((2 * num_points, 3))

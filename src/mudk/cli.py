@@ -64,7 +64,7 @@ from .discretize import (UnboundedSupportError, build_measure, l1_distance,
 from .distributions import (Beta, Discrete, Distribution, Exponential,
                             Mixture, TruncatedNormal, Uniform)
 from .gross_map import fourier_coefficients
-from .hilbert import OracleConvergenceError, PoleError
+from .hilbert import PoleError
 from .verify_mc import TopologyError, ks_distance, simulate_exit
 
 
@@ -304,10 +304,10 @@ def _load_json_arg(text: str, what: str) -> dict:
         raise ConfigError(f"invalid JSON in {what} file {text!r}: {exc}")
 
 
-def _measure(dist, n, scheme):
-    """build_measure with scheme mismatches reported as config errors."""
+def _config_call(fn, *args):
+    """fn(*args), with a law or scheme it refuses reported as a config error."""
     try:
-        return build_measure(dist, n, scheme)
+        return fn(*args)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -321,14 +321,12 @@ def _build_polyline(cfg: RunConfig):
     mean-zero discrete law.
     """
     dist = build_distribution(cfg.dist)
-    norm, width, _ = normalize_support(dist)
-    sq = _measure(norm, cfg.n, cfg.scheme)
-    try:
-        traced = boundary_points(sq, num_points=cfg.points)
-    except ValueError as exc:
-        if "total mass" in str(exc):
-            raise ConfigError(f"cannot trace a boundary: {exc}")
-        raise
+    norm, width, _ = _config_call(normalize_support, dist)
+    sq = _config_call(build_measure, norm, cfg.n, cfg.scheme)
+    if not sq.unit_mass:
+        raise ConfigError(f"cannot trace a boundary: total mass is {sq.total_mass}, "
+                          "not 1; use the c.d.f. scheme")
+    traced = boundary_points(sq, num_points=cfg.points)
     return scale_domain(traced, width, -width * sq.mean())
 
 
@@ -346,7 +344,7 @@ def cmd_rates(cfg: RunConfig) -> None:
     ns = cfg.n_list or (cfg.n,)
     rows = []
     for n in ns:
-        sq = _measure(dist, n, cfg.scheme)
+        sq = _config_call(build_measure, dist, n, cfg.scheme)
         l1 = l1_distance(dist, sq)
         rb = rate_bound(dist, n)
         rows.append((str(n), float_cell(l1), float_cell(rb.bound),
@@ -357,7 +355,7 @@ def cmd_rates(cfg: RunConfig) -> None:
 def cmd_map(cfg: RunConfig) -> None:
     out = cfg.out or "map.csv"
     dist = build_distribution(cfg.dist)
-    sq = _measure(dist, cfg.n, cfg.scheme)
+    sq = _config_call(build_measure, dist, cfg.n, cfg.scheme)
     fc = fourier_coefficients(sq, num_terms=cfg.coeffs)
     rows = [(str(k), float_cell(a))
             for k, a in enumerate(fc.coeffs, start=1)]
@@ -488,7 +486,7 @@ def main(argv=None) -> int:
     except (ConfigError, UnboundedSupportError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PoleError, OracleConvergenceError, TopologyError) as exc:
+    except (PoleError, TopologyError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, InputFileError) as exc:

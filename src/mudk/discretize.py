@@ -45,6 +45,10 @@ class StepQuantile:
     `breakpoints` holds the m+1 cumulative levels 0 = s_0 <= ... <= s_m
     and `values` the m step values (non-decreasing).  s_m is 1 for the
     c.d.f. scheme but may differ under the p.d.f. scheme.
+
+    Every reading (values, c.d.f., jumps, norm, mean) follows one rule,
+    q_n(min(u, s_m)) for levels u in (0, 1]: levels past s_m take the final
+    value and levels past 1 are ignored.  Only `widths` is raw.
     """
 
     breakpoints: np.ndarray
@@ -78,27 +82,46 @@ class StepQuantile:
     def total_mass(self) -> float:
         return float(self.breakpoints[-1])
 
+    @property
+    def unit_mass(self) -> bool:
+        """Whether s_m is 1 (within 1e-9), as boundary tracing needs."""
+        return abs(self.total_mass - 1.0) <= 1e-9
+
+    def _levels(self) -> np.ndarray:
+        """The breakpoints as the rule reads them: min(s_j, 1), and s_m as 1."""
+        levels = np.minimum(self.breakpoints, 1.0)
+        levels[-1] = 1.0
+        return levels
+
     def eval(self, u):
-        """Step value at level u; left-continuous, defined on (0, s_m]."""
+        """Step value at level u in (0, 1]; left-continuous."""
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 0
-        if arr.size and not (arr.min() > 0.0 and arr.max() <= self.total_mass + 1e-12):
-            raise ValueError(f"levels must lie in (0, {self.total_mass}]")
-        idx = np.searchsorted(self.breakpoints, np.minimum(arr, self.total_mass),
-                              side="left") - 1
-        idx = np.clip(idx, 0, self.num_steps - 1)
-        out = self.values[idx]
+        if arr.size and not (arr.min() > 0.0 and arr.max() <= 1.0 + 1e-12):
+            raise ValueError("levels must lie in (0, 1]")
+        # the levels run from 0 to 1, so each u in (0, 1] falls in a step
+        out = self.values[np.searchsorted(self._levels(), np.minimum(arr, 1.0)) - 1]
         return float(out) if scalar else out
+
+    def cdf(self, x):
+        """Level of the steps with value <= x, capped at 1; 1 from v_m on."""
+        return self._levels()[np.searchsorted(self.values, x, side="right")]
+
+    def jumps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending levels s_j < 1 with a nonzero jump v_{j+1} - v_j, and those jumps."""
+        levels, coeff = self.breakpoints[1:-1], np.diff(self.values)
+        live = (coeff != 0.0) & (levels < 1.0)
+        return levels[live], coeff[live]
 
     def widths(self) -> np.ndarray:
         return np.diff(self.breakpoints)
 
     def l1_norm(self) -> float:
-        """Integral of |value| against level width."""
-        return float(np.abs(self.values) @ self.widths())
+        """Integral of |q_n| over the levels (0, 1]."""
+        return float(np.abs(self.values) @ np.diff(self._levels()))
 
     def mean(self) -> float:
-        return float(self.values @ self.widths())
+        return float(self.values @ np.diff(self._levels()))
 
 
 def grid(a: float, b: float, n: int) -> np.ndarray:
@@ -178,7 +201,7 @@ def build_measure_cdf(dist: Distribution, n: int) -> StepQuantile:
     at = xs.copy()
     for node, edge in _nodes_near(xs, dist.cdf_breakpoints()):
         at[node] = edge
-    F = np.asarray(dist.cdf(at), dtype=float)[nodes]
+    F = dist.cdf(at)[nodes]
     x = np.concatenate((xs[nodes], locs))
     order = np.argsort(x, kind="stable")
     x = x[order]
@@ -186,8 +209,8 @@ def build_measure_cdf(dist: Distribution, n: int) -> StepQuantile:
     # the cell (x_{k-1}, x_k] a cut closes, as k
     cell = np.concatenate((nodes, np.searchsorted(xs, locs)))[order]
     in_kept = kept[np.clip(cell, 1, n) - 1]
-    left = np.concatenate((F, np.asarray(dist.cdf_left(locs), dtype=float)))[order]
-    right = np.concatenate((F, np.asarray(dist.cdf(locs), dtype=float)))[order]
+    left = np.concatenate((F, dist.cdf_left(locs)))[order]
+    right = np.concatenate((F, dist.cdf(locs)))[order]
     value = np.where(in_kept | is_atom, x, np.concatenate((x[:1], x[:-1])))
 
     # each cut gives the piece before it and the atom at it (empty off atoms);
@@ -215,7 +238,7 @@ def build_measure_pdf(dist: Distribution, n: int) -> StepQuantile:
     if not dist.has_density:
         raise ValueError("the p.d.f. scheme requires a target with a density")
     xs, atoms, _, kept = _cells(dist, n)
-    f = np.asarray(dist.pdf(xs), dtype=float)[:-1][kept]
+    f = dist.pdf(xs)[:-1][kept]
     if not np.all(np.isfinite(f)):
         bad = xs[:-1][kept][np.argmin(np.isfinite(f))]
         raise ValueError(f"density is not finite at grid node {bad}")
@@ -266,24 +289,15 @@ def _cdf_gap(F, G, cuts):
     return math.fsum(gap)
 
 
-def _step_cdf(sq: StepQuantile, top: float):
-    """C.d.f. of a step quantile: the width of the steps with value <= x,
-    capped at `top`, and `top` from the last step value on."""
-    levels = np.minimum(sq.breakpoints, top)
-    levels[-1] = top
-    return lambda x: levels[np.searchsorted(sq.values, x, side="right")]
-
-
 def l1_distance(dist: Distribution, sq: StepQuantile) -> float:
     """L1 gap between the exact quantile and a step quantile over (0, 1).
 
-    Levels above the step quantile's total mass (p.d.f. scheme) compare
-    against its final value; levels past 1 are ignored.  Needs bounded
+    The step quantile is read by the `StepQuantile` rule.  Needs bounded
     support.
     """
     _finite_support(dist)
     cuts = np.concatenate((sq.values, dist.cdf_breakpoints()))
-    return _cdf_gap(dist.cdf, _step_cdf(sq, 1.0), cuts)
+    return _cdf_gap(dist.cdf, sq.cdf, cuts)
 
 
 def tail_defect(dist: Distribution, sq: StepQuantile, delta: float) -> float:
@@ -295,7 +309,7 @@ def tail_defect(dist: Distribution, sq: StepQuantile, delta: float) -> float:
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
     _finite_support(dist)
-    F, G = dist.cdf, _step_cdf(sq, 1.0)
+    F, G = dist.cdf, sq.cdf
     cuts = np.concatenate((sq.values, dist.cdf_breakpoints(),
                            dist.quantile([delta, 1.0 - delta])))
     low = _cdf_gap(lambda x: np.minimum(F(x), delta),
@@ -306,14 +320,8 @@ def tail_defect(dist: Distribution, sq: StepQuantile, delta: float) -> float:
 
 
 def step_l1_distance(sq1: StepQuantile, sq2: StepQuantile) -> float:
-    """Exact L1 distance between two step quantiles.
-
-    Integrates over (0, max total mass), extending the shorter one by its
-    final value.
-    """
-    top = max(sq1.total_mass, sq2.total_mass)
-    return _cdf_gap(_step_cdf(sq1, top), _step_cdf(sq2, top),
-                    np.concatenate((sq1.values, sq2.values)))
+    """Exact L1 distance between two step quantiles on the levels (0, 1]."""
+    return _cdf_gap(sq1.cdf, sq2.cdf, np.concatenate((sq1.values, sq2.values)))
 
 
 def quantile_l1(dist_a: Distribution, dist_b: Distribution) -> float:

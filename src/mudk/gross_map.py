@@ -1,10 +1,11 @@
 """Power-series map of the unit disc attached to a step quantile.
 
 The boundary real part of the map is the even 2*pi-periodic extension of
-u -> q_n(u / pi), so the coefficients are its Fourier cosine
-coefficients; for a step function they reduce to a sine sum over the
-quantile's jumps.  The constant term is dropped (it vanishes for centered
-targets up to discretization bias), which makes the map fix the origin.
+u -> q_n(min(u / pi, s_m)) on (0, pi] (the `StepQuantile` rule), so the
+coefficients are its Fourier cosine coefficients; for a step function
+they reduce to a sine sum over the quantile's jumps.  The constant term
+is dropped (it vanishes for centered targets up to discretization bias),
+which makes the map fix the origin.
 
 Evaluation is restricted to the open disc; boundary values come from the
 boundary module instead, where the conjugate function is available in
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import StepQuantile
-from .hilbert import _BLOCK_CELLS, _jumps
+from .hilbert import _BLOCK_CELLS
 
 _DISC_MARGIN = 1e-9
 
@@ -57,8 +58,8 @@ class FourierCoefficients:
 def fourier_coefficients(sq: StepQuantile, num_terms: int | None = None) -> FourierCoefficients:
     """Cosine coefficients of the step quantile's even circle extension.
 
-    a_k = -(2/(k pi)) sum_j c_j sin(k t_j) over the live jumps (s_j, c_j),
-    t_j = pi s_j (see `hilbert.pole_levels`), by angle addition: with
+    a_k = -(2/(k pi)) sum_j c_j sin(k t_j) over the jumps (s_j, c_j) of
+    `StepQuantile.jumps`, t_j = pi s_j, by angle addition: with
     k = k0 + r for B = ceil(K/R) starts k0 and R = isqrt(K) offsets r,
     sin(k t) = sin(k0 t) cos(r t) + cos(k0 t) sin(r t), so each chunk of
     jumps costs two GEMMs into one B x R array and O(sqrt(K)) sines per
@@ -71,7 +72,7 @@ def fourier_coefficients(sq: StepQuantile, num_terms: int | None = None) -> Four
         num_terms = max(256, 8 * sq.num_steps)
     if num_terms < 1:
         raise ValueError(f"num_terms must be >= 1, got {num_terms}")
-    levels, jumps = _jumps(sq)
+    levels, jumps = sq.jumps()
     k = np.arange(1, num_terms + 1)
     R = math.isqrt(num_terms)
     sums = np.zeros((-(-num_terms // R), R))

@@ -110,39 +110,23 @@ def hilbert_indicator(a: float, b: float, u):
     return _jump_sum(u, theta, coeff)
 
 
-def _jumps(sq: StepQuantile) -> tuple[np.ndarray, np.ndarray]:
-    """Live jumps (s_j, c_j) of the step quantile, ascending in s_j.
-
-    c_j = v_{j+1} - v_j at the internal breakpoint s_j, plus -v_m at s_m
-    when the total mass falls short of 1 (at s_m = 1 every term these
-    jumps feed vanishes by periodicity).  Zero jumps are dropped.
-    """
-    coeff = np.diff(sq.values, append=0.0)
-    if sq.total_mass >= 1.0 - 1e-12:
-        coeff[-1] = 0.0
-    live = coeff != 0.0
-    return sq.breakpoints[1:][live], coeff[live]
-
-
 def pole_levels(sq: StepQuantile) -> np.ndarray:
-    """Levels s in (0, 1] where the transform of the step quantile blows up.
+    """Levels s in (0, 1) where the transform of the step quantile blows up.
 
-    These are exactly the levels of the live jumps (s_j, c_j), c_j != 0:
-    internal breakpoints where the step value actually jumps, and the
-    outermost breakpoint only if the step quantile stops short of total
-    mass 1 with a nonzero final value (at s_m = 1 the two log terms
-    cancel by periodicity).
+    These are the levels of its jumps (`StepQuantile.jumps`); a jump at
+    level 1 would carry none, its two log terms cancelling by periodicity.
     """
-    return _jumps(sq)[0]
+    return sq.jumps()[0]
 
 
 def hilbert_step_quantile(sq: StepQuantile, u):
     """Transform of the even extension of the step quantile at angles u.
 
-    Sums over the live jumps (s_j, c_j) of the step quantile,
-    H(u) = sum_j c_j D(u, pi s_j) / pi, by `_jump_sum`.
+    The even extension x -> q_n(min(|x|/pi, s_m)) on (-pi, pi) is
+    v_1 plus one band indicator {pi s_j < |x| < pi} per jump (s_j, c_j),
+    so H(u) = sum_j c_j D(u, pi s_j) / pi, by `_jump_sum`.
     """
-    levels, coeff = _jumps(sq)
+    levels, coeff = sq.jumps()
     return _jump_sum(u, np.pi * levels, coeff)
 
 

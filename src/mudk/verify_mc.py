@@ -195,7 +195,7 @@ def ks_distance(samples, dist: Distribution) -> float:
     m = arr.size
     if m == 0:
         raise ValueError("need at least one sample")
-    f = np.asarray(dist.cdf(arr), dtype=float)
-    f_left = np.asarray(dist.cdf_left(arr), dtype=float)
+    f = dist.cdf(arr)
+    f_left = dist.cdf_left(arr)
     i = np.arange(1, m + 1)
     return float(max(np.max(i / m - f), np.max(f_left - (i - 1) / m)))

@@ -336,6 +336,28 @@ def test_pdf_scheme_without_density_is_config_error(tmp_path):
     assert rc == 2
 
 
+def test_build_of_one_point_law_is_config_error(tmp_path, capsys):
+    """A one-point law has no support to normalize; check still measures it."""
+    point = '{"family": "discrete", "atoms": [[0, 1]]}'
+    out = tmp_path / "b.csv"
+    assert run("build", "--dist", point, "--out", str(out)) == 2
+    assert not out.exists()
+    assert "config error: normalization needs bounded support" in capsys.readouterr().err
+    samples = tmp_path / "s.csv"
+    samples.write_text("walk,x_exit\n0,0.0\n1,0.0\n")
+    assert run("check", "--dist", point, "--samples", str(samples)) == 0
+
+
+def test_build_with_pdf_scheme_is_config_error(tmp_path, capsys):
+    """A step quantile whose mass is not 1 is refused before tracing."""
+    out = tmp_path / "b.csv"
+    rc = run("build", "--dist", '{"family": "beta", "alpha": 2, "beta": 1}',
+             "--scheme", "pdf", "--n", "10", "--out", str(out))
+    assert rc == 2
+    assert not out.exists()
+    assert "cannot trace a boundary: total mass is" in capsys.readouterr().err
+
+
 def test_missing_boundary_file_is_io_error(tmp_path):
     rc = run("simulate", "--dist", UNIFORM,
              "--boundary", str(tmp_path / "nope.csv"),

@@ -18,6 +18,7 @@ from mudk.discretize import (StepQuantile, UnboundedSupportError,
                              rate_bound, step_l1_distance, tail_defect)
 from mudk.distributions import (AffineDistribution, Beta, Discrete,
                                 Exponential, Mixture, TruncatedNormal, Uniform)
+from mudk.hilbert import pole_levels
 
 
 def test_grid_endpoints_and_spacing():
@@ -119,6 +120,31 @@ def test_step_quantile_eval_left_continuity():
     assert sq.eval(1.0) == 1.0
     with pytest.raises(ValueError):
         sq.eval(0.0)
+
+
+@pytest.mark.parametrize("sq", [
+    StepQuantile([0.0, 0.2, 0.5, 0.7], [-1.0, 0.0, 2.0]),
+    StepQuantile([0.0, 0.3, 0.6, 1.0, 1.2, 1.5], [-2.0, -1.0, -1.0, 1.0, 3.0]),
+], ids=["mass-0.7", "mass-1.5"])
+def test_step_quantile_readings_follow_one_rule(sq):
+    """eval, cdf, jumps, poles, norm and mean all read q_n(min(u, s_m)) on (0, 1]."""
+    u = np.union1d(sq.breakpoints[(sq.breakpoints > 0) & (sq.breakpoints <= 1)],
+                   (np.arange(1000) + 0.5) / 1000)
+    x = np.union1d(sq.values, np.concatenate((sq.values - 0.5, sq.values + 0.5)))
+    # Galois: q(u) <= x exactly when u <= F(x)
+    np.testing.assert_array_equal(sq.eval(u)[:, None] <= x[None, :],
+                                  u[:, None] <= sq.cdf(x)[None, :])
+    assert sq.cdf(sq.values[-1]) == 1.0 and sq.cdf(sq.values[0] - 1.0) == 0.0
+    levels, jumps = sq.jumps()
+    np.testing.assert_array_equal(pole_levels(sq), levels)
+    assert np.all((levels > 0) & (levels < 1)) and np.all(jumps != 0)
+    np.testing.assert_allclose(sq.eval(levels + 1e-9) - sq.eval(levels), jumps)
+    assert sq.eval(1.0) == pytest.approx(sq.values[0] + jumps.sum())
+    mid = (np.arange(10 ** 5) + 0.5) / 10 ** 5
+    assert sq.mean() == pytest.approx(np.mean(sq.eval(mid)), abs=1e-4)
+    assert sq.l1_norm() == pytest.approx(np.mean(np.abs(sq.eval(mid))), abs=1e-4)
+    with pytest.raises(ValueError):
+        sq.eval(1.1)
 
 
 def test_step_l1_distance_small_case():

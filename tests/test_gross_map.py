@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from mudk.discretize import build_measure, step_l1_distance
+from mudk.cli import build_distribution
+from mudk.discretize import StepQuantile, build_measure, step_l1_distance
 from mudk.distributions import Beta, Discrete, Mixture, Uniform
 from mudk.gross_map import (FourierCoefficients, evaluate_map,
                             fourier_coefficients, map_distance_bound)
@@ -91,6 +92,30 @@ def test_pairwise_map_gap_respects_l1_bound():
             assert gap <= bound + 1e-12
 
 
+def test_map_gap_bound_holds_past_the_total_mass():
+    """Both step quantiles are -1 on (0, 0.5] and 1 on (0.5, 1]: one map."""
+    s1 = StepQuantile([0.0, 0.5, 0.8], [-1.0, 1.0])
+    s2 = StepQuantile([0.0, 0.5, 0.9], [-1.0, 1.0])
+    z = 0.5 * np.exp(2j * np.pi * np.arange(64) / 64.0)
+    gap = np.max(np.abs(evaluate_map(fourier_coefficients(s1), z)
+                        - evaluate_map(fourier_coefficients(s2), z)))
+    assert gap <= map_distance_bound(step_l1_distance(s1, s2), 0.5) + 1e-12
+
+
+def test_pdf_map_past_level_one_matches_midpoint_cosine_sum():
+    """Mass 1.44: a_k = 2 int_0^1 q_n(min(u, s_m)) cos(k pi u) du, levels past 1 unread."""
+    dist = build_distribution({"family": "exponential", "rate": 1, "truncate": 3})
+    sq = build_measure(dist, 5, scheme="pdf")
+    assert sq.total_mass > 1.4
+    m = 2 ** 18
+    u = (np.arange(m) + 0.5) / m
+    q = sq.values[np.searchsorted(sq.breakpoints, np.minimum(u, sq.total_mass)) - 1]
+    terms = 64
+    ref = [2.0 * np.mean(q * np.cos(k * np.pi * u)) for k in range(1, terms + 1)]
+    got = fourier_coefficients(sq, num_terms=terms).coeffs
+    assert np.max(np.abs(got - ref)) <= 1e-5
+
+
 def test_coefficients_validate_inputs():
     with pytest.raises(ValueError):
         FourierCoefficients(np.array([]), 1.0)
@@ -105,12 +130,15 @@ def test_coefficients_validate_inputs():
 def _dense_coefficients(sq, num_terms):
     """Reference: sine differences over the (terms x breakpoints) matrix.
 
-    Built 1024 rows of k at a time, so the n=2000 case stays small.
+    The breakpoints are read at min(s, 1), with the last one at 1.  Built
+    1024 rows of k at a time, so the n=2000 case stays small.
     """
+    levels = np.minimum(sq.breakpoints, 1.0)
+    levels[-1] = 1.0
     out = np.empty(num_terms)
     for i in range(0, num_terms, 1024):
         k = np.arange(i + 1, min(i + 1024, num_terms) + 1)
-        sines = np.sin(np.pi * np.outer(k, sq.breakpoints))
+        sines = np.sin(np.pi * np.outer(k, levels))
         out[i:i + k.size] = (np.diff(sines, axis=1) @ sq.values) * (2.0 / (np.pi * k))
     return out
 

@@ -71,9 +71,10 @@ def test_pole_levels_of_uniform_steps():
     np.testing.assert_allclose(pole_levels(sq), [0.2, 0.4, 0.6, 0.8])
 
 
-def test_pole_levels_include_submass_edge():
+def test_pole_levels_last_step_holds_to_level_one():
+    # past its mass 0.8 the last step holds its value: no pole at 0.8
     sub = StepQuantile(np.array([0.0, 0.4, 0.8]), np.array([1.0, 2.0]))
-    np.testing.assert_allclose(pole_levels(sub), [0.4, 0.8])
+    np.testing.assert_allclose(pole_levels(sub), [0.4])
 
 
 def test_step_quantile_strip_frozen_value():
@@ -163,11 +164,13 @@ def _brute_wrap_distance(u, poles):
 
 
 def _dense_hilbert(sq, u):
-    """Reference: the whole (points x jumps) log-sin matrix at once."""
-    theta = np.pi * sq.breakpoints[1:]
-    coeff = np.empty(theta.size)
-    coeff[:-1] = np.diff(sq.values)
-    coeff[-1] = 0.0 if sq.total_mass >= 1.0 - 1e-12 else -sq.values[-1]
+    """Reference: the whole (points x jumps) log-sin matrix at once.
+
+    The internal breakpoints are read at min(s, 1); the last one is
+    level 1, where the last step ends and no term is added.
+    """
+    theta = np.pi * np.minimum(sq.breakpoints[1:-1], 1.0)
+    coeff = np.diff(sq.values)
     live = coeff != 0.0
     theta, coeff = theta[live], coeff[live]
     def L(t):
