@@ -32,6 +32,18 @@ def gauss_legendre(f, lo, hi):
     return half * (values @ _GL_WEIGHTS)
 
 
+def cell_edges(cuts):
+    """The distinct values of `cuts`, ascending: the edges of the cells they cut.
+
+    The sort and neighbour mask of `np.unique`, without its masked-array
+    check, which imports numpy.ma (about 0.65 MB resident) on first use.
+    """
+    cuts = np.sort(np.asarray(cuts, dtype=float).ravel())
+    keep = np.ones(cuts.shape, dtype=bool)
+    keep[1:] = cuts[1:] != cuts[:-1]
+    return cuts[keep]
+
+
 def simpson_adaptive(f, a, b, tol, depth=50):
     """Integrate a scalar function over (a, b) to absolute tolerance tol.
 

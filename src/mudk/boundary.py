@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import float_cell, read_csv, write_csv
+from ._csvio import float_cell, read_floats, write_csv
 from .discretize import StepQuantile
 from .distributions import AffineDistribution, Distribution
 from .hilbert import hilbert_step_quantile, pole_levels
@@ -173,10 +173,18 @@ def export_csv(bp: BoundaryPolyline, path, header_comment: str | None = None) ->
 
 
 def load_csv(path) -> BoundaryPolyline:
-    """Read a polyline written by export_csv (comment lines ignored)."""
-    rows = [[float(v) for v in row] for row in read_csv(path, ("t", "x", "y"))]
-    pts = np.array(rows, dtype=float) if rows else np.empty((0, 3))
+    """Read a polyline written by export_csv (comment lines ignored).
+
+    A file without rows is refused: no domain has an empty boundary.
+    """
+    pts = read_floats(path, ("t", "x", "y"))
+    if not pts.size:
+        raise ValueError("no boundary rows under the column row")
     return BoundaryPolyline(points=pts)
+
+
+# vertices per write of export_svg
+_SVG_CHUNK = 512
 
 
 def export_svg(bp: BoundaryPolyline, path) -> None:
@@ -199,15 +207,18 @@ def export_svg(bp: BoundaryPolyline, path) -> None:
     height = (h + 2.0 * pad) * scale
     px = (bp.x - xmin + pad) * scale
     py = (ymax - bp.y + pad) * scale
-    coords = " L ".join(f"{x:.6f} {y:.6f}" for x, y in zip(px, py))
-    svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{width:.2f}" height="{height:.2f}" '
-        f'viewBox="0 0 {width:.2f} {height:.2f}">\n'
-        f'  <path d="M {coords} Z" fill="none" stroke="black" stroke-width="1.5"/>\n'
-        f'</svg>\n')
     with open(path, "w", newline="\n") as fh:
-        fh.write(svg)
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
+                 f'width="{width:.2f}" height="{height:.2f}" '
+                 f'viewBox="0 0 {width:.2f} {height:.2f}">\n'
+                 '  <path d="M ')
+        # the vertices joined by " L ", written a chunk at a time
+        for i in range(0, bp.num_points, _SVG_CHUNK):
+            if i:
+                fh.write(" L ")
+            chunk = zip(px[i:i + _SVG_CHUNK].tolist(), py[i:i + _SVG_CHUNK].tolist())
+            fh.write(" L ".join(f"{x:.6f} {y:.6f}" for x, y in chunk))
+        fh.write(' Z" fill="none" stroke="black" stroke-width="1.5"/>\n</svg>\n')
 
 
 def svg_point_count(path) -> int:

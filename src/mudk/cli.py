@@ -30,8 +30,9 @@ against the configured law; needs --samples).  Exit codes: 0 success,
 2 configuration problem, 3 numerical failure (including a boundary
 that does not enclose the origin), 4 I/O failure (a missing or
 unreadable file, or a --boundary/--samples file that is malformed: a
-wrong header, a cell that is not a number, or rows that do not form a
-valid boundary).
+wrong header, a row of the wrong width, a cell that is not a finite
+number, a boundary file with no rows, or rows that do not form a valid
+boundary).  A samples file with no rows is exit 2.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from ._csvio import float_cell, read_csv, write_csv
+from ._csvio import float_cell, read_floats, write_csv
 from .boundary import (boundary_points, export_csv, export_svg, load_csv,
                        normalize_support, scale_domain)
 from .discretize import (UnboundedSupportError, build_measure, l1_distance,
@@ -218,8 +219,11 @@ class RunConfig:
         for key in ("boundary", "samples"):
             path = getattr(self, key)
             if path is not None:
+                digest = sha256()
                 with open(path, "rb") as fh:
-                    payload[f"{key}_sha256"] = sha256(fh.read()).hexdigest()
+                    for block in iter(lambda: fh.read(1 << 16), b""):
+                        digest.update(block)
+                payload[f"{key}_sha256"] = digest.hexdigest()
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return sha256(blob.encode()).hexdigest()[:12]
 
@@ -357,8 +361,8 @@ def cmd_map(cfg: RunConfig) -> None:
     dist = build_distribution(cfg.dist)
     sq = _config_call(build_measure, dist, cfg.n, cfg.scheme)
     fc = fourier_coefficients(sq, num_terms=cfg.coeffs)
-    rows = [(str(k), float_cell(a))
-            for k, a in enumerate(fc.coeffs, start=1)]
+    rows = ((str(k), float_cell(a))
+            for k, a in enumerate(fc.coeffs, start=1))
     write_csv(out, cfg.header(), ("k", "a_k"), rows)
 
 
@@ -384,8 +388,8 @@ def cmd_simulate(cfg: RunConfig) -> None:
     bp = _read_input(load_csv, cfg.boundary)
     result = simulate_exit(bp, walks=cfg.walks, step=cfg.step, seed=cfg.seed,
                            max_steps=cfg.max_steps)
-    rows = [(str(w), float_cell(x))
-            for w, x in zip(result.walk_ids, result.samples)]
+    rows = ((str(w), float_cell(x))
+            for w, x in zip(result.walk_ids, result.samples))
     write_csv(out, cfg.header(), ("walk", "x_exit"), rows)
     summary = {
         "walks": cfg.walks,
@@ -404,7 +408,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
 
 def load_samples_csv(path) -> np.ndarray:
     """Exit abscissas from a samples.csv written by the simulate command."""
-    return np.array([float(x) for _, x in read_csv(path, ("walk", "x_exit"))])
+    return read_floats(path, ("walk", "x_exit"))[:, 1]
 
 
 def cmd_check(cfg: RunConfig) -> None:

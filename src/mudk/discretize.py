@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import gauss_legendre
+from ._quad import cell_edges, gauss_legendre
 from .distributions import Distribution, bisect_smallest
 
 
@@ -274,7 +274,7 @@ def _cdf_gap(F, G, cuts):
     split at that change, found by bisection, and both sides get the
     Gauss-Legendre cell rule.
     """
-    cuts = np.unique(np.asarray(cuts, dtype=float))
+    cuts = cell_edges(cuts)
     lo, hi = cuts[:-1], cuts[1:]
     # F, G are right-continuous, so their values at lo hold just inside.  A
     # change found within tol of lo is at lo itself: the cell stays whole.

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from ._quad import gauss_legendre
+from ._quad import cell_edges, gauss_legendre
 
 
 def _check_levels(u):
@@ -656,7 +656,7 @@ class Discrete(Distribution):
         ps = np.array([p for _, p in pairs])
         if np.any(ps <= 0):
             raise ValueError("atom masses must be positive")
-        if len(np.unique(xs)) != len(xs):
+        if np.any(xs[1:] == xs[:-1]):
             raise ValueError("atom locations must be distinct")
         total = ps.sum()
         if abs(total - 1.0) > 1e-9:
@@ -873,8 +873,8 @@ class TruncatedDistribution(Distribution):
         # each cell at most 1/64 of the mass, so F is resolved however narrow.
         tail = 2.0 ** -np.arange(1, 53)
         levels = np.concatenate((np.arange(1, 64) / 64.0, tail, 1.0 - tail))
-        cuts = np.unique(np.concatenate(([-self.bound, self.bound], self.cdf_breakpoints(),
-                                         self.quantile(levels))))
+        cuts = cell_edges(np.concatenate(([-self.bound, self.bound], self.cdf_breakpoints(),
+                                          self.quantile(levels))))
         return self.bound - float(gauss_legendre(self.cdf, cuts[:-1], cuts[1:]).sum())
 
     @property

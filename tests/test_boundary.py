@@ -110,6 +110,13 @@ def test_load_csv_rejects_wrong_header(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_rejects_a_row_of_the_wrong_width(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,x,y\n-0.5,1,-1\n0.5,1\n")
+    with pytest.raises(ValueError, match="has 2 cells, need 3"):
+        load_csv(path)
+
+
 def test_svg_export(tmp_path):
     bp = boundary_points(build_measure(Uniform(-1.0, 1.0), 5), 64)
     path = tmp_path / "domain.svg"
@@ -118,6 +125,34 @@ def test_svg_export(tmp_path):
     assert text.startswith("<svg") or "<svg" in text
     assert svg_point_count(path) == bp.num_points
     assert 'd="M ' in text and text.rstrip().endswith("</svg>")
+
+
+def _one_string_svg(bp):
+    """export_svg's drawing built as one string, every vertex joined by " L "."""
+    xmin, xmax, ymin, ymax = bp.bbox()
+    w, h = xmax - xmin, ymax - ymin
+    side = max(w, h)
+    pad = 0.05 * side
+    scale = 1000.0 / (side + 2.0 * pad)
+    width = (w + 2.0 * pad) * scale
+    height = (h + 2.0 * pad) * scale
+    px = (bp.x - xmin + pad) * scale
+    py = (ymax - bp.y + pad) * scale
+    coords = " L ".join(f"{x:.6f} {y:.6f}" for x, y in zip(px, py))
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" '
+            f'width="{width:.2f}" height="{height:.2f}" '
+            f'viewBox="0 0 {width:.2f} {height:.2f}">\n'
+            f'  <path d="M {coords} Z" fill="none" stroke="black" stroke-width="1.5"/>\n'
+            f'</svg>\n')
+
+
+@pytest.mark.parametrize("per_half", [1, 255, 256, 257, 512, 513, 1500])
+def test_svg_chunks_write_the_one_string_bytes(tmp_path, per_half):
+    """Vertex counts below, at and across the write chunk (512) and its multiples."""
+    bp = boundary_points(build_measure(Beta(2.0, 5.0).center(), 30), per_half)
+    path = tmp_path / "domain.svg"
+    export_svg(bp, path)
+    assert path.read_bytes() == _one_string_svg(bp).encode()
 
 
 def test_svg_rejects_degenerate_polyline(tmp_path):

@@ -381,8 +381,10 @@ def _built_files(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "check"])
-@pytest.mark.parametrize("defect", ["header", "number"])
+@pytest.mark.parametrize("defect", ["header", "number", "nan", "inf", "-inf"])
 def test_malformed_input_file_is_io_error(tmp_path, capsys, command, defect):
+    """A wrong header, or a last cell (a boundary's y, a sample's x) that is
+    not a finite number."""
     boundary, samples = _built_files(tmp_path)
     path, flag = ((boundary, "--boundary") if command == "simulate"
                   else (samples, "--samples"))
@@ -390,7 +392,8 @@ def test_malformed_input_file_is_io_error(tmp_path, capsys, command, defect):
     if defect == "header":
         lines[1] = "foo,bar"
     else:
-        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",zero"
+        cell = "zero" if defect == "number" else defect
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + cell
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     rc = run(command, "--dist", UNIFORM, flag, str(path),
@@ -409,6 +412,27 @@ def test_rejected_boundary_rows_are_io_error(tmp_path, capsys):
              "--walks", "4", "--out", str(tmp_path / "out.csv"))
     assert rc == 4
     assert str(boundary) in capsys.readouterr().err
+
+
+def test_header_only_boundary_is_io_error(tmp_path, capsys):
+    boundary, _ = _built_files(tmp_path)
+    lines = boundary.read_text().splitlines()
+    boundary.write_text("\n".join(lines[:2]) + "\n")  # comment and column rows
+    rc = run("simulate", "--dist", UNIFORM, "--boundary", str(boundary),
+             "--walks", "4", "--out", str(tmp_path / "out.csv"))
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure:") and str(boundary) in err
+
+
+def test_header_only_samples_is_config_error(tmp_path, capsys):
+    """Zero rows is what simulate writes when every walk is truncated."""
+    _, samples = _built_files(tmp_path)
+    lines = samples.read_text().splitlines()
+    samples.write_text("\n".join(lines[:2]) + "\n")
+    capsys.readouterr()
+    assert run("check", "--dist", UNIFORM, "--samples", str(samples)) == 2
+    assert "no samples found" in capsys.readouterr().err
 
 
 def test_boundary_off_the_origin_is_numerical_failure(tmp_path, capsys):
@@ -505,10 +529,16 @@ def test_import_loads_no_scipy_stats_or_integrate():
 
 BETA = '{"family": "beta", "alpha": 2, "beta": 5}'
 TRUNCATED_NORMAL = '{"family": "truncated-normal", "mu": 0, "sigma": 1, "lo": -2, "hi": 2}'
+TRUNCATED_EXP = '{"family": "exponential", "rate": 1, "truncate": 3}'
+MIXTURE = ('{"family": "mixture", "components": ['
+           '{"weight": 0.5, "dist": {"family": "uniform", "a": -1, "b": 1}}, '
+           '{"weight": 0.5, "dist": {"family": "discrete", "atoms": [[0.0, 1.0]]}}]}')
 
 
 def _every_command(out):
-    """argv of each command on beta(2,5), and `rates` on the truncated normal."""
+    """argv of each command on beta(2,5); `rates` on the truncated normal and
+    on the uniform+atom mixture (a `Discrete` part), and `build` on the
+    truncated exponential (centred by `TruncatedDistribution.mean`)."""
     return [
         ["build", "--dist", BETA, "--n", "20", "--points", "64", "--out", f"{out}/b.csv"],
         ["map", "--dist", BETA, "--n", "20", "--out", f"{out}/m.csv"],
@@ -519,6 +549,9 @@ def _every_command(out):
          "--out", f"{out}/c.json"],
         ["rates", "--dist", TRUNCATED_NORMAL, "--n-list", "10,20",
          "--out", f"{out}/t.csv"],
+        ["rates", "--dist", MIXTURE, "--n-list", "10,20", "--out", f"{out}/x.csv"],
+        ["build", "--dist", TRUNCATED_EXP, "--n", "20", "--points", "64",
+         "--out", f"{out}/e.csv"],
     ]
 
 
@@ -545,9 +578,11 @@ def test_no_cli_command_loads_scipy(tmp_path):
 
 @pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
                     reason="this Python has no built-in SHA-256 module")
-def test_no_cli_command_loads_openssl_or_numpy_polynomial(tmp_path):
-    """No command maps libcrypto (via `_hashlib`) or imports numpy.polynomial."""
-    assert _modules_after_every_command(tmp_path, "_hashlib", "numpy.polynomial") == "[]"
+def test_no_cli_command_loads_openssl_numpy_polynomial_or_numpy_ma(tmp_path):
+    """No command maps libcrypto (via `_hashlib`) or imports numpy.polynomial
+    or numpy.ma (which `np.unique` without index flags imports)."""
+    assert _modules_after_every_command(
+        tmp_path, "_hashlib", "numpy.polynomial", "numpy.ma") == "[]"
 
 
 def test_python_m_mudk_runs_the_cli(tmp_path):

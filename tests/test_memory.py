@@ -1,14 +1,17 @@
-"""Peak-memory ceilings of the map layer and the exit sampler.
+"""Peak-memory ceilings of the map layer, the exit sampler and the file layer.
 
 tracemalloc peaks, beta(2,5) at n=2000: the blocked kernels hold a few
-cache-sized buffers, so none of them may reach 4 MB.
+cache-sized buffers, so none of them may reach 4 MB.  The file layer
+streams: a read holds the float array, not one object per row, and a
+write holds one chunk of text, not the whole file.
 """
 
 import tracemalloc
 
 import pytest
 
-from mudk.boundary import boundary_points
+from mudk import cli
+from mudk.boundary import boundary_points, export_csv, export_svg, load_csv
 from mudk.discretize import build_measure
 from mudk.distributions import Beta
 from mudk.gross_map import fourier_coefficients
@@ -43,3 +46,23 @@ def test_simulate_exit_memory_is_bounded():
     bp = boundary_points(build_measure(Beta(2.0, 5.0).center(), 2000), 2048)
     peak = _peak_mb(lambda: simulate_exit(bp, walks=4000, step=1e-4, seed=0))
     assert peak < CEILING_MB
+
+
+def test_load_csv_memory_is_bounded(beta_2000, tmp_path):
+    """2 x 8192 rows are 0.4 MB of floats; a list of rows took 3.5 MB."""
+    path = tmp_path / "b.csv"
+    export_csv(boundary_points(beta_2000, 8192), path)
+    assert _peak_mb(lambda: load_csv(path)) < 1.5
+
+
+def test_export_svg_memory_is_bounded(beta_2000, tmp_path):
+    """The path at 2 x 8192 vertices is 0.4 MB of text, written in chunks."""
+    bp = boundary_points(beta_2000, 8192)
+    assert _peak_mb(lambda: export_svg(bp, tmp_path / "d.svg")) < 1.0
+
+
+def test_map_command_memory_is_bounded(tmp_path):
+    """`mudk map` at n=2000 writes its 16000 coefficient rows as it formats them."""
+    argv = ["map", "--dist", '{"family": "beta", "alpha": 2, "beta": 5}',
+            "--n", "2000", "--out", str(tmp_path / "m.csv")]
+    assert _peak_mb(lambda: cli.main(argv)) < 2.5
