@@ -14,9 +14,10 @@ argument gives a Python float back, an array a float array of its shape,
 and quantile levels must lie in (0, 1), NaN excluded.
 
 The special functions behind Beta and TruncatedNormal (the regularized
-incomplete beta function and its inverse, the normal c.d.f. and
-quantile) are computed here from numpy and `math`, so no law loads
-scipy.
+incomplete beta function and the normal c.d.f.) are computed here from
+numpy and `math`, so no law loads scipy.  Neither has a hand-written
+inverse: a law without an exact one-line quantile bisects its c.d.f.
+to adjacent floats.
 """
 
 from __future__ import annotations
@@ -64,23 +65,30 @@ def bisect_smallest(predicate, lo, hi, tol=1e-12, max_iter=200):
     return hi
 
 
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _ordered(i):
+    """Map float bit patterns (int64) to keys that order as the floats do.
+
+    Flipping the magnitude bits of the negative patterns puts -0.0 just
+    below 0.0; the map is its own inverse.  A 0-d array stays an array.
+    """
+    return np.asarray(i ^ ((i >> 63) & _MAGNITUDE))
+
+
 def _normal_pdf(z):
     return np.exp(-z ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
 
 
 # ---------------------------------------------------------------- special functions
 #
-# The incomplete beta function and the normal c.d.f., with their inverses.
-# The beta c.d.f. comes twice: on floats, because Halley's iteration in the
-# quantile asks for one point at a time, and a point costs 2-3 us there
-# against about 60 us through the array path; and on numpy arrays.
+# The incomplete beta function and the normal c.d.f., on numpy arrays.
 
 _TINY = 1e-300                  # Lentz's stand-in for a zero denominator
 _EPS = 2.0 ** -53               # half an ulp of 1
 _CF_TOL = 8.0 * _EPS            # a continued-fraction update this close to 1 ends it
 _CF_MAX = 100_000               # ~sqrt(max(a, b)) terms are needed
-_INV_TOL = 1e-9                 # Halley's next step would be below 1e-27
-_INV_MAX = 100
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -140,7 +148,7 @@ class _BetaSide:
                 break
         self.terms = terms[::-1]
 
-    def _log_front(self, x, y, log1p_at):
+    def _log_front(self, x, y):
         """ln(x^a y^b / B(a, b)) with y = 1 - x, from its value at the mean.
 
         With x = x0 (1 + e) and y = y0 (1 + f), a e + b f = 0, so the
@@ -151,21 +159,13 @@ class _BetaSide:
         s = a + b
         lam = a - s * x if a <= b else s * y - b
         e, f = -lam / a, lam / b
-        return self.log_front0 + a * (log1p_at(e, x, s / a) - e) + b * (log1p_at(f, y, s / b) - f)
-
-    def value1(self, x, y):
-        """(I_x(a, b), x^a y^b / B(a, b)) for floats x and y = 1 - x."""
-        front = math.exp(self._log_front(x, y, _log1p_at1))
-        t = 1.0
-        for k in self.terms:
-            # a zero denominator makes the next one 1, as with numpy's inf
-            t = 1.0 + k * x / t if t else math.inf
-        return front / (self.a * t), front
+        return (self.log_front0 + a * (_log1p_at(e, x, s / a) - e)
+                + b * (_log1p_at(f, y, s / b) - f))
 
     def value(self, x, y):
         """I_x(a, b) for arrays x and y = 1 - x."""
         with np.errstate(all="ignore"):
-            front = np.exp(self._log_front(x, y, _log1p_at))
+            front = np.exp(self._log_front(x, y))
             t = 1.0
             for k in self.terms:
                 t = 1.0 + (k * x) / t
@@ -176,32 +176,13 @@ def _nonzero1(v):
     return v if abs(v) > _TINY else _TINY
 
 
-def _log1p_at1(e, x, scale):
-    """ln(1 + e) for floats, where 1 + e = scale * x: near e = -1 from x itself."""
-    return math.log1p(e) if e > -0.6 else math.log(scale * x)
-
-
 def _log1p_at(e, x, scale):
-    """`_log1p_at1` on arrays."""
+    """ln(1 + e), where 1 + e = scale * x: near e = -1 from x itself."""
     out = np.log1p(e)
     far = e <= -0.6
     if far.any():
         out[far] = np.log(scale * x[far])
     return out
-
-
-def _ibeta1(sides, x):
-    """(I_x(a, b), x^a (1-x)^b / B(a, b)) for a float x.
-
-    `sides` is the `_BetaSide` pair of (a, b) and (b, a).
-    """
-    if not 0.0 < x < 1.0:
-        return (float(x >= 1.0) if x == x else x), 0.0
-    lower, upper = sides
-    if x > lower.edge:
-        tail, front = upper.value1(1.0 - x, x)
-        return 1.0 - tail, front
-    return lower.value1(x, 1.0 - x)
 
 
 def _ibeta(sides, x):
@@ -218,75 +199,6 @@ def _ibeta(sides, x):
         t = x[above]
         value[above] = 1.0 - upper.value(1.0 - t, t)
     return value
-
-
-def _ibeta_guess(a, b, p):
-    """Start of the inverse at level p (Numerical Recipes' invbetai)."""
-    if a >= 1.0 and b >= 1.0:
-        t = math.sqrt(-2.0 * math.log(p))
-        z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
-        al = (z * z - 3.0) / 6.0
-        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
-        w = (z * math.sqrt(al + h) / h
-             - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h)))
-        # a / (a + b exp(2w)), written to overflow for neither sign of w
-        e = math.exp(-2.0 * abs(w))
-        x = a * e / (a * e + b) if w > 0.0 else a / (a + b * e)
-        if x > 0.01:
-            return x
-        # deep in the lower tail, x^a / (a B(a, b)) <= p bounds x from below
-        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        return math.exp((math.log(p) + math.log(a) + log_beta) / a)
-    s = a + b
-    t = (a / s) ** a / a
-    w = t + (b / s) ** b / b
-    if p < t / w:       # the power law of one edge or of the other
-        return (a * w * p) ** (1.0 / a)
-    return 1.0 - (b * w * (1.0 - p)) ** (1.0 / b)
-
-
-def _ibeta_inv(sides, p, p_flip):
-    """The x with I_x(a, b) = p, for a float 0 < p < 1.
-
-    p_flip is I_x(a, b) at the edge of `sides[0]`; a level above it is
-    solved as I_{1-x}(b, a) = 1 - p, so the unknown stays on the side
-    where the c.d.f. is summed directly.
-    """
-    if p > p_flip:
-        return 1.0 - _ibeta_root(sides[::-1], 1.0 - p)
-    return _ibeta_root(sides, p)
-
-
-def _ibeta_root(sides, p):
-    """Halley's iteration for `_ibeta_inv`, bracketed: a step that leaves
-    the bracket or does not halve the last one becomes a bisection."""
-    a, b = sides[0].a, sides[0].b
-    x = min(max(_ibeta_guess(a, b, p), _TINY), 1.0 - _EPS)
-    lo, hi, last = 0.0, 1.0, 1.0
-    for _ in range(_INV_MAX):
-        value, front = _ibeta1(sides, x)
-        r = value - p
-        if r == 0.0:
-            return x
-        if r < 0.0:
-            lo = x
-        else:
-            hi = x
-        x_new = math.nan
-        if front > 0.0:
-            # Halley's step, its second-order term capped
-            y = 1.0 - x
-            t = r / front * x * y
-            step = t / (1.0 - 0.5 * min(1.0, t * ((a - 1.0) / x - (b - 1.0) / y)))
-            if abs(step) <= _INV_TOL * x:
-                return x - step
-            if abs(step) <= 0.5 * last:
-                x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        last = abs(x_new - x)
-        x = x_new
-    return x
 
 
 def _erfc(t):
@@ -318,52 +230,6 @@ def _ndtr(z):
     return np.where(z < 0.0, tail, 1.0 - tail)
 
 
-# Wichura's AS 241 (PPND16): rational approximations of the normal quantile
-# on the centre |p - 1/2| <= 0.425, then in r = sqrt(-ln min(p, 1-p)) up to
-# r = 5 and beyond; relative error about 1e-16.
-_AS241 = (
-    ((3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
-      1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-      3.3430575583588128105e4, 2.5090809287301226727e3),
-     (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
-      2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
-      5.2264952788528545610e3)),
-    ((1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
-      3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
-      2.27238449892691845833e-2, 7.74545014278341407640e-4),
-     (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
-      1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
-      1.05075007164441684324e-9)),
-    ((6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
-      2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-      2.71155556874348757815e-5, 2.01033439929228813265e-7),
-     (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
-      7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
-      2.04426310338993978564e-15)),
-)
-
-
-def _rational(coeffs, x):
-    num, den = coeffs
-    p = q = 0.0
-    for cn, cd in zip(reversed(num), reversed(den)):
-        p = p * x + cn
-        q = q * x + cd
-    return p / q
-
-
-def _ndtri(p):
-    """Standard normal quantile of an array 0 < p < 1 (AS 241)."""
-    q = p - 0.5
-    central = np.abs(q) <= 0.425
-    z = q * _rational(_AS241[0], 0.180625 - q * q)
-    if not central.all():
-        r = np.sqrt(-np.log(np.where(central, 0.5, np.minimum(p, 1.0 - p))))
-        tail = np.where(r <= 5.0, _rational(_AS241[1], r - 1.6), _rational(_AS241[2], r - 5.0))
-        z = np.where(central, z, np.copysign(tail, q))
-    return z
-
-
 # ---------------------------------------------------------------- base class
 
 
@@ -375,9 +241,10 @@ class Distribution(abc.ABC):
     an array an array of its shape), refuses quantile levels outside
     (0, 1) once, and calls the array core `_cdf`, `_cdf_left`, `_pdf` or
     `_quantile`.  A law implements `_cdf`, `support` and `mean`, and may
-    add `_pdf` (with `has_density`), a closed-form `_quantile` (the
-    fallback bisects `_cdf`) and `atoms`.  A core calls its own law's
-    cores directly and other laws through their public methods.
+    add `_pdf` (with `has_density`), an exact one-line `_quantile` (the
+    fallback bisects `_cdf` to the smallest float x with F(x) >= u) and
+    `atoms`.  A core calls its own law's cores directly and other laws
+    through their public methods.
     """
 
     has_density = False
@@ -430,18 +297,28 @@ class Distribution(abc.ABC):
 
     def _quantile(self, u):
         a, b = self.support()
-        lo = np.full(u.shape, a - 1e-9 if np.isfinite(a) else -1.0)
+        lo = np.full(u.shape, a if np.isfinite(a) else -1.0)
         hi = np.full(u.shape, b if np.isfinite(b) else 1.0)
-        pred = lambda x: self._cdf(x) >= u
         # expand open-ended brackets until they straddle the target level
         for _ in range(200):
             bad_lo = ~np.isfinite(a) & (self._cdf(lo) >= u)
-            bad_hi = ~pred(hi)
+            bad_hi = self._cdf(hi) < u
             if not (np.any(bad_lo) or np.any(bad_hi)):
                 break
             lo = np.where(bad_lo, 2.0 * lo - 1.0, lo)
             hi = np.where(bad_hi, 2.0 * hi + 1.0, hi)
-        return bisect_smallest(pred, lo, hi)
+        # F(lo) < u <= F(hi), but where F(a) >= u at a finite left edge a,
+        # which is then the answer; halve the keys until lo and hi are
+        # adjacent floats, at most 64 times
+        lo_key = _ordered(lo.view(np.int64))
+        hi_key = np.where(self._cdf(lo) >= u, lo_key, _ordered(hi.view(np.int64)))
+        while True:
+            mid = (lo_key >> 1) + (hi_key >> 1) + (lo_key & hi_key & 1)     # cannot overflow
+            if np.all(mid == lo_key):
+                return _ordered(hi_key).view(float)
+            hit = self._cdf(_ordered(mid).view(float)) >= u
+            hi_key = np.where(hit, mid, hi_key)
+            lo_key = np.where(hit, lo_key, mid)
 
     # ---- generic structure
 
@@ -559,15 +436,11 @@ class Beta(Distribution):
         self._log_norm = math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
         log_front0 = _beta_log_front0(alpha, beta)
         self._sides = (_BetaSide(alpha, beta, log_front0), _BetaSide(beta, alpha, log_front0))
-        edge = self._sides[0].edge
-        self._flip_level = self._sides[0].value1(edge, 1.0 - edge)[0]
 
     def __repr__(self):
         return f"Beta({self.alpha}, {self.beta})"
 
     def _cdf(self, x):
-        if x.ndim == 0:         # the float path: quadrature asks one point at a time
-            return _ibeta1(self._sides, float(x))[0]
         return _ibeta(self._sides, x)
 
     def _pdf(self, x):
@@ -576,11 +449,6 @@ class Beta(Distribution):
         log_f = (_xlog(self.alpha - 1.0, np.log, t) + _xlog(self.beta - 1.0, np.log1p, -t)
                  - self._log_norm)
         return np.where(inside, np.exp(log_f), 0.0)
-
-    def _quantile(self, u):
-        # one level at a time: the pipeline asks for a few hundred at most
-        out = [_ibeta_inv(self._sides, level, self._flip_level) for level in u.ravel().tolist()]
-        return np.array(out).reshape(u.shape)
 
     def support(self):
         return (0.0, 1.0)
@@ -592,9 +460,8 @@ class Beta(Distribution):
 class TruncatedNormal(Distribution):
     """Normal(mu, sigma) conditioned on the window (lo, hi).
 
-    The quantile inverts the normal c.d.f. in closed form.  A window in
-    the upper tail (alpha > 0) works with upper-tail probabilities, whose
-    differences keep their precision there.
+    A window in the upper tail (alpha > 0) works with upper-tail
+    probabilities, whose differences keep their precision there.
     """
 
     has_density = True
@@ -630,11 +497,6 @@ class TruncatedNormal(Distribution):
         inside = (x >= self.lo) & (x <= self.hi)
         z = (x - self.mu) / self.sigma
         return np.where(inside, _normal_pdf(z) / (self.sigma * self._mass), 0.0)
-
-    def _quantile(self, u):
-        level = self._cum_lo + u * self._mass
-        z = -_ndtri(-level) if self._alpha > 0.0 else _ndtri(level)
-        return np.clip(self.mu + self.sigma * z, self.lo, self.hi)
 
     def support(self):
         return (self.lo, self.hi)

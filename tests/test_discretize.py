@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
+from scipy import special
 from scipy.integrate import IntegrationWarning, quad
 
 from mudk._quad import _GL_NODES, _GL_WEIGHTS
@@ -257,12 +258,17 @@ def test_beta_discretization_converges():
 # ------------------------------------------------ level-space L1 reference
 
 MIXTURE = Mixture([(0.5, Uniform(-1.0, 1.0)), (0.5, Discrete([(0.0, 1.0)]))])
-# the five reference laws, each with the quantile the oracle integrates;
-# the mixture's is written out (it is affine between its break levels)
+NORMAL_LO, NORMAL_HI = special.ndtr(-2.0), special.ndtr(2.0)
+# the five reference laws, each with the quantile the oracle integrates:
+# scipy's for the beta and the truncated normal, so the oracle does not
+# run the code under test, and the mixture's written out (it is affine
+# between its break levels)
 REFERENCE_LAWS = {
     "uniform": (Uniform(-1.0, 1.0).center(), None),
-    "beta": (Beta(2.0, 5.0).center(), None),
-    "truncated_normal": (TruncatedNormal(0.0, 1.0, -2.0, 2.0).center(), None),
+    "beta": (Beta(2.0, 5.0).center(),
+             lambda u: float(special.betaincinv(2.0, 5.0, u)) - 2.0 / 7.0),
+    "truncated_normal": (TruncatedNormal(0.0, 1.0, -2.0, 2.0).center(),
+                         lambda u: float(special.ndtri(NORMAL_LO + u * (NORMAL_HI - NORMAL_LO)))),
     "truncated_exponential": (Exponential(1.0).center().truncate(3.0), None),
     "mixture": (MIXTURE.center(),
                 lambda u: float(np.interp(u, [0.0, 0.25, 0.75, 1.0],
