@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# float64 cells per buffer of a blocked kernel or integrand (256 KB, fits in L2)
+_BLOCK_CELLS = 2 ** 15
+
 # The positive half of numpy.polynomial.legendre.leggauss(16), printed with
 # repr and mirrored exactly, as leggauss itself mirrors them: the same bits
 # without importing numpy.polynomial or running an eigensolver at import.
@@ -17,19 +20,31 @@ _HALF_WEIGHTS = np.array([
     0.062253523938647456, 0.027152459411754176])
 _GL_NODES = np.concatenate((-_HALF_NODES[::-1], _HALF_NODES))
 _GL_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
+# cells per call of a gauss_legendre integrand: at most _BLOCK_CELLS // 8
+# nodes, so the ~8 node-sized temporaries of an integrand (F - G, abs, a
+# continued fraction) together stay near one 256 KB buffer
+_GL_BLOCK = _BLOCK_CELLS // 8 // _GL_NODES.size
 
 
 def gauss_legendre(f, lo, hi):
     """16-node Gauss-Legendre integral of f over each cell (lo[i], hi[i]).
 
-    `f` is called once, on a flat array of every node of every cell.
+    `f` is called on one block of at most _GL_BLOCK cells at a time, on a
+    flat array of the block's nodes, so memory is O(cells) however many
+    temporaries `f` makes.  Each cell's value is the one-shot rule's,
+    half * (f(nodes) @ weights), bit for bit.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
-    nodes = (lo + half)[:, None] + half[:, None] * _GL_NODES
-    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return half * (values @ _GL_WEIGHTS)
+    mid = lo + half
+    out = np.empty(half.shape)
+    for i in range(0, half.size, _GL_BLOCK):
+        h = half[i:i + _GL_BLOCK]
+        nodes = mid[i:i + _GL_BLOCK, None] + h[:, None] * _GL_NODES
+        values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        out[i:i + _GL_BLOCK] = h * (values @ _GL_WEIGHTS)
+    return out
 
 
 def cell_edges(cuts):

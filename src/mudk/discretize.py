@@ -271,8 +271,10 @@ def _cdf_gap(F, G, cuts):
     Transportation, 2.2).  `cuts` must hold
     every x where F or G jumps or loses smoothness, so that F - G changes
     sign at most once per cell, as when G is constant there.  Each cell is
-    split at that change, found by bisection, and both sides get the
-    Gauss-Legendre cell rule.
+    split at that change, found by bisection over all cells at once (its
+    stopping rule is global, so the split points depend on every cell),
+    and both sides get the Gauss-Legendre cell rule, which evaluates
+    |F - G| one bounded block of cells at a time.
     """
     cuts = cell_edges(cuts)
     lo, hi = cuts[:-1], cuts[1:]

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quad import _BLOCK_CELLS
 from .discretize import StepQuantile
-from .hilbert import _BLOCK_CELLS
 
 _DISC_MARGIN = 1e-9
 

@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._quad import simpson_adaptive
+from ._quad import _BLOCK_CELLS, simpson_adaptive
 from .discretize import StepQuantile
 
 POLE_RADIUS = 1e-9
-
-# float64 cells per buffer of a blocked kernel sum (256 KB, fits in L2)
-_BLOCK_CELLS = 2 ** 15
 
 
 class PoleError(ValueError):

@@ -12,7 +12,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import special
 from scipy.integrate import IntegrationWarning, quad
 
-from mudk._quad import _GL_NODES, _GL_WEIGHTS
+from mudk._quad import _GL_BLOCK, _GL_NODES, _GL_WEIGHTS, gauss_legendre
 from mudk.discretize import (StepQuantile, UnboundedSupportError,
                              build_measure, build_measure_cdf,
                              build_measure_pdf, grid, l1_distance, quantile_l1,
@@ -236,6 +236,27 @@ def test_gauss_legendre_table_is_leggauss_16():
     nodes, weights = leggauss(16)
     assert _GL_NODES.tobytes() == nodes.tobytes()
     assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("cells", [1, _GL_BLOCK - 1, _GL_BLOCK, _GL_BLOCK + 1,
+                                   3 * _GL_BLOCK + 7])
+def test_gauss_legendre_blocks_match_the_one_shot_rule(cells):
+    """Blocks of at most _GL_BLOCK cells give the one-shot rule's bits."""
+    F = Beta(2.0, 5.0).cdf
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return F(x)
+
+    edges = np.sort(np.random.default_rng(cells).random(cells + 1))
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    nodes = (lo + half)[:, None] + half[:, None] * _GL_NODES
+    one_shot = half * (F(nodes.ravel()).reshape(nodes.shape) @ _GL_WEIGHTS)
+    assert gauss_legendre(f, lo, hi).tobytes() == one_shot.tobytes()
+    assert max(calls) <= _GL_BLOCK * _GL_NODES.size
+    assert sum(calls) == cells * _GL_NODES.size
 
 
 def test_rate_bound_uniform_values():

@@ -1,9 +1,12 @@
-"""Peak-memory ceilings of the map layer, the exit sampler and the file layer.
+"""Peak-memory ceilings of the map layer, the exit sampler, the file layer
+and the L1 layer.
 
 tracemalloc peaks, beta(2,5) at n=2000: the blocked kernels hold a few
 cache-sized buffers, so none of them may reach 4 MB.  The file layer
 streams: a read holds the float array, not one object per row, and a
-write holds one chunk of text, not the whole file.
+write holds one chunk of text, not the whole file.  The L1 gaps call
+their integrand on one block of quadrature cells at a time, so the
+integrand's temporaries do not grow with the number of cells.
 """
 
 import tracemalloc
@@ -12,8 +15,8 @@ import pytest
 
 from mudk import cli
 from mudk.boundary import boundary_points, export_csv, export_svg, load_csv
-from mudk.discretize import build_measure
-from mudk.distributions import Beta
+from mudk.discretize import build_measure, l1_distance
+from mudk.distributions import Beta, TruncatedNormal
 from mudk.gross_map import fourier_coefficients
 from mudk.verify_mc import simulate_exit
 
@@ -66,3 +69,17 @@ def test_map_command_memory_is_bounded(tmp_path):
     argv = ["map", "--dist", '{"family": "beta", "alpha": 2, "beta": 5}',
             "--n", "2000", "--out", str(tmp_path / "m.csv")]
     assert _peak_mb(lambda: cli.main(argv)) < 2.5
+
+
+def test_rates_command_memory_is_bounded(tmp_path):
+    """`mudk rates` at n=200,2000 held every quadrature node at once: 4.2 MB."""
+    argv = ["rates", "--dist", '{"family": "beta", "alpha": 2, "beta": 5}',
+            "--n-list", "200,2000", "--out", str(tmp_path / "r.csv")]
+    assert _peak_mb(lambda: cli.main(argv)) < 1.5
+
+
+def test_l1_distance_memory_is_bounded():
+    """At n=20000 the one-shot integrand's temporaries took 65 MB."""
+    law = TruncatedNormal(0.0, 1.0, -2.0, 2.0)
+    sq = build_measure(law, 20000)
+    assert _peak_mb(lambda: l1_distance(law, sq)) < CEILING_MB
