@@ -107,6 +107,10 @@ class StepQuantile:
         """Level of the steps with value <= x, capped at 1; 1 from v_m on."""
         return self._levels()[np.searchsorted(self.values, x, side="right")]
 
+    def cdf_left(self, x):
+        """Left limit of `cdf`: the level of the steps with value < x."""
+        return self._levels()[np.searchsorted(self.values, x, side="left")]
+
     def jumps(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending levels s_j < 1 with a nonzero jump v_{j+1} - v_j, and those jumps."""
         levels, coeff = self.breakpoints[1:-1], np.diff(self.values)
@@ -266,28 +270,29 @@ def build_measure(dist: Distribution, n: int, scheme: str = "cdf") -> StepQuanti
 def _cdf_gap(F, G, cuts):
     """Integral of |F - G| over (min(cuts), max(cuts)).
 
-    The L1 distances below all reduce to it through the identity
-    int_0^1 |q - q'| du = int |F - F'| dx (Villani, Topics in Optimal
-    Transportation, 2.2).  `cuts` must hold
-    every x where F or G jumps or loses smoothness, so that F - G changes
-    sign at most once per cell, as when G is constant there.  Each cell is
-    split at that change, found by bisection over all cells at once (its
-    stopping rule is global, so the split points depend on every cell),
-    and both sides get the Gauss-Legendre cell rule, which evaluates
-    |F - G| one bounded block of cells at a time.
+    F and G are pairs of callables: a right-continuous c.d.f. and its left
+    limits.  The L1 distances below all reduce to this integral through
+    the identity int_0^1 |q - q'| du = int |F - F'| dx (Villani, Topics in
+    Optimal Transportation, 2.2).  `cuts` must hold every x where F or G
+    jumps or loses smoothness, so that F - G changes sign at most once per
+    cell, as when G is constant there.  A cell is split only where F - G
+    at its left end and F- - G- at its right end have strictly opposite
+    signs: at the smallest float where F - G takes the sign of the right
+    end (`bisect_smallest`).  The left limits read an atom at a cut
+    exactly, so the band within which atoms match never splits a cell.
+    Each piece gets the Gauss-Legendre cell rule, which evaluates |F - G|
+    one bounded block of cells at a time.
     """
+    (F, F_left), (G, G_left) = F, G
     cuts = cell_edges(cuts)
     lo, hi = cuts[:-1], cuts[1:]
-    # F, G are right-continuous, so their values at lo hold just inside.  A
-    # change found within tol of lo is at lo itself: the cell stays whole.
-    # Atoms match within 1e-12 (1 + |x|) (`Distribution.cdf_left`), a band
-    # this tol never resolves, so it cannot split a cell either.
-    tol = 1e-9 * (1.0 + np.abs(hi))
-    left_pos = F(lo) > G(lo)
-    split = bisect_smallest(lambda x: (F(x) > G(x)) != left_pos, lo, hi, tol=tol)
-    split = np.where(split - lo <= tol, lo, split)
+    end = np.sign(F_left(hi) - G_left(hi))
+    cross = np.sign(F(lo) - G(lo)) * end < 0
+    s = end[cross]
+    split = bisect_smallest(lambda x: (F(x) - G(x)) * s > 0, lo[cross], hi[cross])
     gap = gauss_legendre(lambda x: np.abs(F(x) - G(x)),
-                         np.concatenate((lo, split)), np.concatenate((split, hi)))
+                         np.concatenate((lo[~cross], lo[cross], split)),
+                         np.concatenate((hi[~cross], split, hi[cross])))
     return math.fsum(gap)
 
 
@@ -299,7 +304,7 @@ def l1_distance(dist: Distribution, sq: StepQuantile) -> float:
     """
     _finite_support(dist)
     cuts = np.concatenate((sq.values, dist.cdf_breakpoints()))
-    return _cdf_gap(dist.cdf, sq.cdf, cuts)
+    return _cdf_gap((dist.cdf, dist.cdf_left), (sq.cdf, sq.cdf_left), cuts)
 
 
 def tail_defect(dist: Distribution, sq: StepQuantile, delta: float) -> float:
@@ -311,19 +316,22 @@ def tail_defect(dist: Distribution, sq: StepQuantile, delta: float) -> float:
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
     _finite_support(dist)
-    F, G = dist.cdf, sq.cdf
     cuts = np.concatenate((sq.values, dist.cdf_breakpoints(),
                            dist.quantile([delta, 1.0 - delta])))
-    low = _cdf_gap(lambda x: np.minimum(F(x), delta),
-                   lambda x: np.minimum(G(x), delta), cuts)
-    high = _cdf_gap(lambda x: np.maximum(F(x), 1.0 - delta),
-                    lambda x: np.maximum(G(x), 1.0 - delta), cuts)
+
+    def clipped(clip):
+        return [tuple(lambda x, f=f: clip(f(x)) for f in (law.cdf, law.cdf_left))
+                for law in (dist, sq)]
+
+    low = _cdf_gap(*clipped(lambda p: np.minimum(p, delta)), cuts)
+    high = _cdf_gap(*clipped(lambda p: np.maximum(p, 1.0 - delta)), cuts)
     return max(low, high)
 
 
 def step_l1_distance(sq1: StepQuantile, sq2: StepQuantile) -> float:
     """Exact L1 distance between two step quantiles on the levels (0, 1]."""
-    return _cdf_gap(sq1.cdf, sq2.cdf, np.concatenate((sq1.values, sq2.values)))
+    return _cdf_gap((sq1.cdf, sq1.cdf_left), (sq2.cdf, sq2.cdf_left),
+                    np.concatenate((sq1.values, sq2.values)))
 
 
 def quantile_l1(dist_a: Distribution, dist_b: Distribution) -> float:
@@ -341,7 +349,7 @@ def quantile_l1(dist_a: Distribution, dist_b: Distribution) -> float:
         cuts = np.concatenate((cuts, cuts.min() - _TAIL_STEPS))
     if not np.isfinite(max(b1, b2)):
         cuts = np.concatenate((cuts, cuts.max() + _TAIL_STEPS))
-    return _cdf_gap(dist_a.cdf, dist_b.cdf, cuts)
+    return _cdf_gap((dist_a.cdf, dist_a.cdf_left), (dist_b.cdf, dist_b.cdf_left), cuts)
 
 
 # ------------------------------------------------------------- rate bounds

@@ -46,25 +46,6 @@ def _apply(core, x):
     return float(out) if arr.ndim == 0 else out
 
 
-def bisect_smallest(predicate, lo, hi, tol=1e-12, max_iter=200):
-    """Smallest x in (lo, hi] where a monotone predicate turns true.
-
-    `predicate` maps a float array to booleans and must be monotone
-    (false below some threshold, true at and above it).  Vectorized over
-    the bracket arrays; converges to absolute tolerance `tol` in x.
-    """
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    for _ in range(max_iter):
-        if np.all(hi - lo <= tol):
-            break
-        mid = 0.5 * (lo + hi)
-        hit = predicate(mid)
-        hi = np.where(hit, mid, hi)
-        lo = np.where(hit, lo, mid)
-    return hi
-
-
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 
 
@@ -75,6 +56,26 @@ def _ordered(i):
     below 0.0; the map is its own inverse.  A 0-d array stays an array.
     """
     return np.asarray(i ^ ((i >> 63) & _MAGNITUDE))
+
+
+def bisect_smallest(predicate, lo, hi):
+    """Smallest float x in (lo, hi] where a monotone predicate turns true.
+
+    `predicate` maps a float array to booleans, false at `lo` and below
+    some threshold, true at and above it; `hi` is taken as true and never
+    tested, and lo == hi gives hi.  Vectorized over the bracket arrays, it
+    halves the ordered bit patterns of the floats, so it ends at adjacent
+    floats in at most 64 halvings, whatever the scale of the bracket.
+    """
+    lo_key = _ordered(np.asarray(lo, dtype=float).view(np.int64))
+    hi_key = _ordered(np.asarray(hi, dtype=float).view(np.int64))
+    while True:
+        mid = (lo_key >> 1) + (hi_key >> 1) + (lo_key & hi_key & 1)     # cannot overflow
+        if np.all(mid == lo_key):
+            return _ordered(hi_key).view(float)
+        hit = predicate(_ordered(mid).view(float))
+        hi_key = np.where(hit, mid, hi_key)
+        lo_key = np.where(hit, lo_key, mid)
 
 
 def _normal_pdf(z):
@@ -242,9 +243,10 @@ class Distribution(abc.ABC):
     (0, 1) once, and calls the array core `_cdf`, `_cdf_left`, `_pdf` or
     `_quantile`.  A law implements `_cdf`, `support` and `mean`, and may
     add `_pdf` (with `has_density`), an exact one-line `_quantile` (the
-    fallback bisects `_cdf` to the smallest float x with F(x) >= u) and
-    `atoms`.  A core calls its own law's cores directly and other laws
-    through their public methods.
+    fallback runs `bisect_smallest` on `_cdf` over the support, an open
+    end starting at the largest float, to the smallest float x with
+    F(x) >= u) and `atoms`.  A core calls its own law's cores directly
+    and other laws through their public methods.
     """
 
     has_density = False
@@ -296,29 +298,13 @@ class Distribution(abc.ABC):
         return np.maximum(out, 0.0)
 
     def _quantile(self, u):
-        a, b = self.support()
-        lo = np.full(u.shape, a if np.isfinite(a) else -1.0)
-        hi = np.full(u.shape, b if np.isfinite(b) else 1.0)
-        # expand open-ended brackets until they straddle the target level
-        for _ in range(200):
-            bad_lo = ~np.isfinite(a) & (self._cdf(lo) >= u)
-            bad_hi = self._cdf(hi) < u
-            if not (np.any(bad_lo) or np.any(bad_hi)):
-                break
-            lo = np.where(bad_lo, 2.0 * lo - 1.0, lo)
-            hi = np.where(bad_hi, 2.0 * hi + 1.0, hi)
-        # F(lo) < u <= F(hi), but where F(a) >= u at a finite left edge a,
-        # which is then the answer; halve the keys until lo and hi are
-        # adjacent floats, at most 64 times
-        lo_key = _ordered(lo.view(np.int64))
-        hi_key = np.where(self._cdf(lo) >= u, lo_key, _ordered(hi.view(np.int64)))
-        while True:
-            mid = (lo_key >> 1) + (hi_key >> 1) + (lo_key & hi_key & 1)     # cannot overflow
-            if np.all(mid == lo_key):
-                return _ordered(hi_key).view(float)
-            hit = self._cdf(_ordered(mid).view(float)) >= u
-            hi_key = np.where(hit, mid, hi_key)
-            lo_key = np.where(hit, lo_key, mid)
+        # an open end starts at the largest float: the halving spans the line
+        big = np.finfo(float).max
+        lo, hi = (np.full(u.shape, end) for end in np.clip(self.support(), -big, big))
+        with np.errstate(over="ignore"):
+            # where F(a) >= u at a finite left edge a, a is the answer
+            hi = np.where(self._cdf(lo) >= u, lo, hi)
+            return bisect_smallest(lambda x: self._cdf(x) >= u, lo, hi)
 
     # ---- generic structure
 

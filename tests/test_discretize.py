@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 from scipy import special
 from scipy.integrate import IntegrationWarning, quad
 
 from mudk._quad import _GL_BLOCK, _GL_NODES, _GL_WEIGHTS, gauss_legendre
-from mudk.discretize import (StepQuantile, UnboundedSupportError,
+from mudk.discretize import (StepQuantile, UnboundedSupportError, _cdf_gap,
                              build_measure, build_measure_cdf,
                              build_measure_pdf, grid, l1_distance, quantile_l1,
                              rate_bound, step_l1_distance, tail_defect)
@@ -136,6 +137,7 @@ def test_step_quantile_readings_follow_one_rule(sq):
     np.testing.assert_array_equal(sq.eval(u)[:, None] <= x[None, :],
                                   u[:, None] <= sq.cdf(x)[None, :])
     assert sq.cdf(sq.values[-1]) == 1.0 and sq.cdf(sq.values[0] - 1.0) == 0.0
+    np.testing.assert_array_equal(sq.cdf_left(x), sq.cdf(np.nextafter(x, -np.inf)))
     levels, jumps = sq.jumps()
     np.testing.assert_array_equal(pole_levels(sq), levels)
     assert np.all((levels > 0) & (levels < 1)) and np.all(jumps != 0)
@@ -160,6 +162,25 @@ def test_step_l1_distance_extends_shorter_mass():
     b = StepQuantile(np.array([0.0, 0.5]), np.array([1.0]))
     # b is held at its final value 1.0 on (0.5, 1.0)
     assert step_l1_distance(a, b) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["minus-to-plus", "plus-to-minus"])
+@pytest.mark.parametrize("level", [0.1, 0.5, 0.9])
+def test_cdf_gap_splits_a_cell_where_the_sign_changes(level, swap):
+    """A Beta(2, 5) c.d.f. crosses a step level inside the cell (0, 1).
+
+    Its c.d.f. 1 - (1-x)^6 - 6x(1-x)^5 is a polynomial, so the reference
+    integrates F - level exactly on each side of the crossing.
+    """
+    beta = Beta(2.0, 5.0)
+    sq = StepQuantile([0.0, level, 1.0], [0.0, 1.0])
+    sides = [(beta.cdf, beta.cdf_left), (sq.cdf, sq.cdf_left)]
+    got = _cdf_gap(*sides[::-1] if swap else sides, [0.0, 1.0])
+    cross = float(special.betaincinv(2.0, 5.0, level))
+    rest = Polynomial([1.0, -1.0])
+    P = (1.0 - level - rest ** 6 - 6.0 * Polynomial([0.0, 1.0]) * rest ** 5).integ()
+    expect = (P(1.0) - P(cross)) - (P(cross) - P(0.0))
+    assert got == pytest.approx(expect, abs=1e-14)
 
 
 def test_tail_defect_uniform():

@@ -336,6 +336,42 @@ def test_bisect_smallest_recovers_threshold():
     np.testing.assert_allclose(got, roots, atol=1e-11)
 
 
+BIG = np.finfo(float).max
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 3.0), (-1.0, 1.0), (-BIG, BIG)],
+                         ids=["positive", "across-zero", "float-line"])
+def test_bisect_smallest_ends_at_adjacent_floats(lo, hi):
+    """The threshold float itself, or the float after it for a strict test,
+    in at most 64 halvings, with hi never tested."""
+    thresholds = np.array([lo / 3.0 + 1e-300, -1e-300, 0.3, hi / 7.0, np.nextafter(hi, lo)])
+    thresholds = thresholds[(thresholds > lo) & (thresholds < hi)]
+    tested = []
+
+    def count(predicate):
+        def wrapped(x):
+            tested.append(x)
+            return predicate(x)
+        return wrapped
+
+    ends = (np.full(thresholds.shape, lo), np.full(thresholds.shape, hi))
+    assert bisect_smallest(count(lambda x: x >= thresholds), *ends).tolist() == \
+        thresholds.tolist()
+    strict = bisect_smallest(count(lambda x: x > thresholds), *ends)
+    np.testing.assert_array_equal(strict, np.nextafter(thresholds, np.inf))
+    assert len(tested) <= 2 * 64
+    assert not np.any(np.concatenate(tested) == hi)
+
+
+def test_bisect_smallest_returns_hi_for_an_empty_bracket():
+    def untested(x):
+        raise AssertionError("no point lies in (lo, hi]")
+
+    assert bisect_smallest(untested, np.array([0.5, -2.0]), np.array([0.5, -2.0])).tolist() == \
+        [0.5, -2.0]
+    assert bisect_smallest(lambda x: x > 1.0, -1.0, 1.0) == 1.0     # hi, never tested
+
+
 # The laws whose quantile bisects F.  The one-line inverses and the wrappers'
 # affine maps round (Uniform's a + u (b - a) is a itself at u = 1e-300), so
 # the float-exact property below belongs to the bisection alone.
@@ -346,6 +382,9 @@ BISECTED = [pytest.param(d, id=type(d).__name__) for d in LAWS
     pytest.param(Mixture([(0.5, Exponential(1.0).truncate(2.0)), (0.5, Uniform(0.0, 1.0))]),
                  id="atom-at-left-edge"),
     pytest.param(Mixture([(0.5, Uniform(-2.0, -1.0)), (0.5, Uniform(1.0, 2.0))]), id="gap"),
+    # quantiles near 1e70, past any bracket doubled from 1
+    pytest.param(Mixture([(0.5, Exponential(1e-70)), (0.5, Uniform(0.0, 1.0))]),
+                 id="far-scale"),
 ]
 
 
