@@ -17,10 +17,11 @@ parameters, and two optional processing keys::
     {"family": "discrete", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}
     {"family": "mixture", "components": [{"weight": 0.5, "dist": {...}}, ...]}
 
-``center`` (default true) shifts the law to mean zero, before and again
-after ``truncate`` (a positive real), which replaces the mass outside
-[-R, R] by an atom at the origin and so moves the mean; truncation is
-the only way to handle unbounded supports.
+``center`` (a JSON boolean, default true) shifts the law to mean zero,
+before and again after ``truncate`` (a positive real), which replaces
+the mass outside [-R, R] by an atom at the origin and so moves the mean;
+truncation is the only way to handle unbounded supports.  A mixture
+component takes neither key, and any other key is a configuration error.
 
 Subcommands: build (boundary CSV and optional SVG), rates (l1 error
 and bound table over an n list), map (power series coefficients),
@@ -85,23 +86,49 @@ def _read_input(loader, path):
         raise InputFileError(f"{path}: {exc}") from exc
 
 
+# the parameters of each family, besides "family"; the whole law may also
+# carry the processing keys, a mixture component may not
+_FAMILY_FIELDS = {
+    "uniform": ("a", "b"),
+    "two-piece-uniform": ("a1", "b1", "a2", "b2"),
+    "beta": ("alpha", "beta"),
+    "exponential": ("rate",),
+    "truncated-normal": ("mu", "sigma", "lo", "hi"),
+    "discrete": ("atoms",),
+    "mixture": ("components",),
+}
+_PROCESSING = ("center", "truncate")
+
+
+def _number(value, what) -> float:
+    """A JSON number as a float; a boolean or a string is refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _require(fields: dict, family: str, *names):
     out = []
     for name in names:
         if name not in fields:
             raise ConfigError(f"family {family!r} needs field {name!r}")
-        value = fields[name]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"field {name!r} of family {family!r} must be "
-                              f"a number, got {value!r}")
-        out.append(float(value))
+        out.append(_number(fields[name], f"field {name!r} of family {family!r}"))
     return out
 
 
-def _parse_family(fields: dict) -> Distribution:
+def _parse_family(fields: dict, processing: tuple) -> Distribution:
+    """The law that `fields` names; `processing` lists the other keys it may hold."""
+    if not isinstance(fields, dict):
+        raise ConfigError("distribution must be a JSON object")
     family = fields.get("family")
     if not isinstance(family, str):
         raise ConfigError('distribution needs a "family" string')
+    if family not in _FAMILY_FIELDS:
+        raise ConfigError(f"unknown distribution family {family!r}")
+    unknown = set(fields) - {"family", *_FAMILY_FIELDS[family], *processing}
+    if unknown:
+        where = "" if processing else " inside a mixture component"
+        raise ConfigError(f"family {family!r} takes no fields {sorted(unknown)}{where}")
     try:
         if family == "uniform":
             a, b = _require(fields, family, "a", "b")
@@ -126,44 +153,42 @@ def _parse_family(fields: dict) -> Distribution:
             return TruncatedNormal(mu, sigma, lo, hi)
         if family == "discrete":
             atoms = fields.get("atoms")
-            if not isinstance(atoms, list) or not atoms:
+            if not (isinstance(atoms, list) and atoms
+                    and all(isinstance(atom, list) and len(atom) == 2 for atom in atoms)):
                 raise ConfigError('family "discrete" needs a nonempty "atoms" '
                                   "list of [location, mass] pairs")
-            return Discrete([(float(x), float(w)) for x, w in atoms])
-        if family == "mixture":
-            comps = fields.get("components")
-            if not isinstance(comps, list) or not comps:
-                raise ConfigError('family "mixture" needs a nonempty '
-                                  '"components" list')
-            parts = []
-            for comp in comps:
-                if "weight" not in comp or "dist" not in comp:
-                    raise ConfigError('each mixture component needs "weight" '
-                                      'and "dist" fields')
-                parts.append((float(comp["weight"]), _parse_family(comp["dist"])))
-            return Mixture(parts)
+            return Discrete([(_number(x, '"atoms" location'), _number(w, '"atoms" mass'))
+                             for x, w in atoms])
+        comps = fields.get("components")
+        if not isinstance(comps, list) or not comps:
+            raise ConfigError('family "mixture" needs a nonempty "components" list')
+        parts = []
+        for comp in comps:
+            if not isinstance(comp, dict) or set(comp) != {"weight", "dist"}:
+                raise ConfigError('each mixture component holds exactly the fields '
+                                  f'"weight" and "dist", got {comp!r}')
+            parts.append((_number(comp["weight"], 'mixture "weight"'),
+                          _parse_family(comp["dist"], ())))
+        return Mixture(parts)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid parameters for family {family!r}: {exc}")
-    raise ConfigError(f"unknown distribution family {family!r}")
 
 
 def build_distribution(fields: dict) -> Distribution:
     """Working law of a run: parsed family, centered, truncated, recentered."""
-    if not isinstance(fields, dict):
-        raise ConfigError("distribution must be a JSON object")
-    dist = _parse_family(fields)
+    dist = _parse_family(fields, _PROCESSING)
     center = fields.get("center", True)
+    if not isinstance(center, bool):
+        raise ConfigError(f'"center" must be true or false, got {center!r}')
     if center:
         dist = dist.center()
     if "truncate" in fields:
-        radius = fields["truncate"]
-        if not isinstance(radius, (int, float)) or isinstance(radius, bool) \
-                or not math.isfinite(radius) or radius <= 0:
-            raise ConfigError(f'"truncate" must be a positive real, '
-                              f"got {radius!r}")
-        dist = dist.truncate(float(radius))
+        radius = _number(fields["truncate"], '"truncate"')
+        if not (math.isfinite(radius) and radius > 0):
+            raise ConfigError(f'"truncate" must be a positive real, got {radius!r}')
+        dist = dist.truncate(radius)
         if center:
             dist = dist.center()
     lo, hi = dist.support()

@@ -502,12 +502,15 @@ class Discrete(Distribution):
         pairs.sort()
         xs = np.array([x for x, _ in pairs])
         ps = np.array([p for _, p in pairs])
-        if np.any(ps <= 0):
+        # each check below is written so that NaN fails it
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("atom locations must be finite")
+        if not np.all(ps > 0):
             raise ValueError("atom masses must be positive")
         if np.any(xs[1:] == xs[:-1]):
             raise ValueError("atom locations must be distinct")
         total = ps.sum()
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"atom masses must sum to 1, got {total}")
         self.xs = xs
         self.ps = ps / total
@@ -548,10 +551,10 @@ class Mixture(Distribution):
         comps = [(float(w), d) for w, d in components]
         if not comps:
             raise ValueError("at least one component is required")
-        if any(w <= 0 for w, _ in comps):
+        if not all(w > 0 for w, _ in comps):       # false for a NaN weight
             raise ValueError("component weights must be positive")
         total = sum(w for w, _ in comps)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"component weights must sum to 1, got {total}")
         self.components = [(w / total, d) for w, d in comps]
 

@@ -254,6 +254,41 @@ def test_atoms_closer_than_match_tolerance_are_config_error(tmp_path, capsys, sc
     assert "internal error" not in err
 
 
+def _mixture(*comps):
+    return {"family": "mixture", "components": [{"weight": 1 / len(comps), "dist": d}
+                                                for d in comps]}
+
+
+UNIFORM_FIELDS = json.loads(UNIFORM)
+
+
+@pytest.mark.parametrize("dist, named", [
+    ({**UNIFORM_FIELDS, "truncat": 3}, "truncat"),
+    (_mixture({**UNIFORM_FIELDS, "center": False}), "center"),
+    (_mixture({**UNIFORM_FIELDS, "truncate": 0.5}), "truncate"),
+    ({**UNIFORM_FIELDS, "center": "no"}, '"center"'),
+    ({**UNIFORM_FIELDS, "center": 0}, '"center"'),
+    ({"family": "mixture", "components": [{"weight": "1", "dist": UNIFORM_FIELDS}]},
+     '"weight"'),
+    ({"family": "mixture", "components": [{"weight": 1, "dist": UNIFORM_FIELDS,
+                                           "center": True}]}, '"weight" and "dist"'),
+    ({"family": "discrete", "atoms": [[True, 0.5], [1, 0.5]]}, '"atoms" location'),
+    ({"family": "discrete", "atoms": [[0, "0.5"], [1, 0.5]]}, '"atoms" mass'),
+    ({"family": "discrete", "atoms": [[float("nan"), 0.5], [2, 0.5]]},
+     "atom locations must be finite"),
+], ids=["unknown-key", "component-center", "component-truncate", "center-string",
+        "center-zero", "weight-string", "component-extra-key", "atom-bool",
+        "atom-string", "atom-nan"])
+def test_distribution_object_refuses_what_it_would_misread(tmp_path, capsys, dist, named):
+    """Each exits 2 naming the key, where it once ran on a law it misread."""
+    out = tmp_path / "r.csv"
+    rc = run("rates", "--dist", json.dumps(dist), "--n", "4", "--out", str(out))
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert named in err and "unbounded" not in err
+
+
 def test_unbounded_support_is_config_error(tmp_path, capsys):
     rc = run("build", "--dist", '{"family": "exponential", "rate": 1.0}',
              "--out", str(tmp_path / "b.csv"))

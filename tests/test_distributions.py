@@ -235,6 +235,22 @@ def test_discrete_masses_must_sum_to_one():
         Discrete([(0.0, 0.5), (1.0, 0.4)])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Discrete([(1.0, np.nan)]),
+    lambda: Discrete([(np.inf, 0.5), (2.0, 0.5)]),
+    lambda: Discrete([(np.nan, 0.5), (2.0, 0.5)]),
+    lambda: Discrete([(1.0, np.inf)]),
+    lambda: Mixture([(np.nan, Uniform(0.0, 1.0))]),
+    lambda: Mixture([(0.5, Uniform(0.0, 1.0)), (np.nan, Uniform(1.0, 2.0))]),
+    lambda: Mixture([(np.inf, Uniform(0.0, 1.0))]),
+], ids=["discrete-nan-mass", "discrete-inf-location", "discrete-nan-location",
+        "discrete-inf-mass", "mixture-nan-weight", "mixture-second-nan-weight",
+        "mixture-inf-weight"])
+def test_non_finite_atoms_and_weights_are_refused(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_mixture_cdf_is_weighted_sum():
     parts = [(0.3, Uniform(-1.0, 0.0)), (0.7, Uniform(0.0, 2.0))]
     mix = Mixture(parts)
