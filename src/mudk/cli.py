@@ -130,27 +130,6 @@ def _parse_family(fields: dict, processing: tuple) -> Distribution:
         where = "" if processing else " inside a mixture component"
         raise ConfigError(f"family {family!r} takes no fields {sorted(unknown)}{where}")
     try:
-        if family == "uniform":
-            a, b = _require(fields, family, "a", "b")
-            return Uniform(a, b)
-        if family == "two-piece-uniform":
-            a1, b1, a2, b2 = _require(fields, family, "a1", "b1", "a2", "b2")
-            if not a1 < b1 <= a2 < b2:
-                raise ConfigError("two-piece-uniform pieces must satisfy "
-                                  f"a1 < b1 <= a2 < b2, got {[a1, b1, a2, b2]}")
-            # uniform on the union: each piece weighted by its length
-            total = (b1 - a1) + (b2 - a2)
-            return Mixture([((b1 - a1) / total, Uniform(a1, b1)),
-                            ((b2 - a2) / total, Uniform(a2, b2))])
-        if family == "beta":
-            alpha, beta = _require(fields, family, "alpha", "beta")
-            return Beta(alpha, beta)
-        if family == "exponential":
-            (rate,) = _require(fields, family, "rate")
-            return Exponential(rate)
-        if family == "truncated-normal":
-            mu, sigma, lo, hi = _require(fields, family, "mu", "sigma", "lo", "hi")
-            return TruncatedNormal(mu, sigma, lo, hi)
         if family == "discrete":
             atoms = fields.get("atoms")
             if not (isinstance(atoms, list) and atoms
@@ -159,17 +138,30 @@ def _parse_family(fields: dict, processing: tuple) -> Distribution:
                                   "list of [location, mass] pairs")
             return Discrete([(_number(x, '"atoms" location'), _number(w, '"atoms" mass'))
                              for x, w in atoms])
-        comps = fields.get("components")
-        if not isinstance(comps, list) or not comps:
-            raise ConfigError('family "mixture" needs a nonempty "components" list')
-        parts = []
-        for comp in comps:
-            if not isinstance(comp, dict) or set(comp) != {"weight", "dist"}:
-                raise ConfigError('each mixture component holds exactly the fields '
-                                  f'"weight" and "dist", got {comp!r}')
-            parts.append((_number(comp["weight"], 'mixture "weight"'),
-                          _parse_family(comp["dist"], ())))
-        return Mixture(parts)
+        if family == "mixture":
+            comps = fields.get("components")
+            if not isinstance(comps, list) or not comps:
+                raise ConfigError('family "mixture" needs a nonempty "components" list')
+            parts = []
+            for comp in comps:
+                if not isinstance(comp, dict) or set(comp) != {"weight", "dist"}:
+                    raise ConfigError('each mixture component holds exactly the fields '
+                                      f'"weight" and "dist", got {comp!r}')
+                parts.append((_number(comp["weight"], 'mixture "weight"'),
+                              _parse_family(comp["dist"], ())))
+            return Mixture(parts)
+        values = _require(fields, family, *_FAMILY_FIELDS[family])
+        if family == "two-piece-uniform":
+            a1, b1, a2, b2 = values
+            if not a1 < b1 <= a2 < b2:
+                raise ConfigError("two-piece-uniform pieces must satisfy "
+                                  f"a1 < b1 <= a2 < b2, got {values}")
+            # uniform on the union: each piece weighted by its length
+            total = (b1 - a1) + (b2 - a2)
+            return Mixture([((b1 - a1) / total, Uniform(a1, b1)),
+                            ((b2 - a2) / total, Uniform(a2, b2))])
+        return {"uniform": Uniform, "beta": Beta, "exponential": Exponential,
+                "truncated-normal": TruncatedNormal}[family](*values)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:

@@ -272,12 +272,14 @@ UNIFORM_FIELDS = json.loads(UNIFORM)
      '"weight"'),
     ({"family": "mixture", "components": [{"weight": 1, "dist": UNIFORM_FIELDS,
                                            "center": True}]}, '"weight" and "dist"'),
+    ({"family": "mixture", "components": [{"weight": 1, "dist": 5}]}, "JSON object"),
     ({"family": "discrete", "atoms": [[True, 0.5], [1, 0.5]]}, '"atoms" location'),
     ({"family": "discrete", "atoms": [[0, "0.5"], [1, 0.5]]}, '"atoms" mass'),
     ({"family": "discrete", "atoms": [[float("nan"), 0.5], [2, 0.5]]},
      "atom locations must be finite"),
 ], ids=["unknown-key", "component-center", "component-truncate", "center-string",
-        "center-zero", "weight-string", "component-extra-key", "atom-bool",
+        "center-zero", "weight-string", "component-extra-key", "component-not-object",
+        "atom-bool",
         "atom-string", "atom-nan"])
 def test_distribution_object_refuses_what_it_would_misread(tmp_path, capsys, dist, named):
     """Each exits 2 naming the key, where it once ran on a law it misread."""

@@ -370,6 +370,8 @@ def test_tail_defect_matches_level_space_oracle(law, scheme):
        st.lists(st.tuples(st.integers(-50, 50), st.floats(0.05, 1.0)),
                 min_size=1, max_size=8),
        st.floats(0.5, 1.0))
+# an atom on a cut: Discrete counts it from 1e-12 below, a band that F(hi-) skips
+@example(atoms=[(0, 1.0)], steps=[(0, 1.0), (-1, 0.5)], mass=0.5)
 def test_l1_distance_of_discrete_law_equals_step_distance(atoms, steps, mass):
     """For an atomic law both routes compare two step quantiles."""
     total = sum(p for _, p in atoms)
