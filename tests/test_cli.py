@@ -279,8 +279,7 @@ UNIFORM_FIELDS = json.loads(UNIFORM)
      "atom locations must be finite"),
 ], ids=["unknown-key", "component-center", "component-truncate", "center-string",
         "center-zero", "weight-string", "component-extra-key", "component-not-object",
-        "atom-bool",
-        "atom-string", "atom-nan"])
+        "atom-bool", "atom-string", "atom-nan"])
 def test_distribution_object_refuses_what_it_would_misread(tmp_path, capsys, dist, named):
     """Each exits 2 naming the key, where it once ran on a law it misread."""
     out = tmp_path / "r.csv"

@@ -398,7 +398,7 @@ BISECTED = [pytest.param(d, id=type(d).__name__) for d in LAWS
     pytest.param(Mixture([(0.5, Exponential(1.0).truncate(2.0)), (0.5, Uniform(0.0, 1.0))]),
                  id="atom-at-left-edge"),
     pytest.param(Mixture([(0.5, Uniform(-2.0, -1.0)), (0.5, Uniform(1.0, 2.0))]), id="gap"),
-    # quantiles near 1e70, past any bracket doubled from 1
+    # quantiles near 1e70, far out on an open end
     pytest.param(Mixture([(0.5, Exponential(1e-70)), (0.5, Uniform(0.0, 1.0))]),
                  id="far-scale"),
 ]
