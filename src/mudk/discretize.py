@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -267,30 +268,44 @@ def build_measure(dist: Distribution, n: int, scheme: str = "cdf") -> StepQuanti
 # ------------------------------------------------------------- L1 distances
 
 
-def _cdf_gap(F, G, cuts):
+def _end_signs(a, b, cuts):
+    """Signs of F - G at each cell's left end and of the left limits at its
+    right end, and whether F and G both vary on the cell."""
+    lo, hi = cuts[:-1], cuts[1:]
+    fa, ga, fb, gb = a.cdf(lo), b.cdf(lo), a.cdf_left(hi), b.cdf_left(hi)
+    return np.sign(fa - ga), np.sign(fb - gb), (fa != fb) & (ga != gb)
+
+
+def _cdf_gap(a, b, cuts):
     """Integral of |F - G| over (min(cuts), max(cuts)).
 
-    F and G are pairs of callables: a right-continuous c.d.f. and its left
-    limits.  The L1 distances below all reduce to this integral through
-    the identity int_0^1 |q - q'| du = int |F - F'| dx (Villani, Topics in
-    Optimal Transportation, 2.2).  `cuts` must hold every x where F or G
-    jumps or loses smoothness, so that F - G changes sign at most once per
-    cell, as when G is constant there.  A cell is split only where F - G
-    at its left end and F- - G- at its right end have strictly opposite
-    signs: at the smallest float where F - G takes the sign of the right
-    end (`bisect_smallest`).  The left limits read an atom at a cut
-    exactly, so the band within which atoms match never splits a cell.
-    Each piece gets the Gauss-Legendre cell rule, which evaluates |F - G|
-    one bounded block of cells at a time.
+    F and G are the c.d.f.s of `a` and `b`, read with their left limits
+    (`cdf_left`).  The L1 distances below all reduce to this integral
+    through the identity int_0^1 |q - q'| du = int |F - F'| dx (Villani,
+    Topics in Optimal Transportation, 2.2).  `cuts` must hold every x
+    where F or G jumps or loses smoothness, so that F - G changes sign at
+    most once per cell.  A cell is split at the smallest float where
+    (F - G) s > 0 (`bisect_smallest`), s the sign after the change, when
+    F - G at its left end and F- - G- at its right end have opposite
+    signs, or when one of them is 0 and both laws vary on the cell: s
+    then comes from the other end, and a cell with both ends 0 is halved
+    first.  Every other cell stays whole: with one law constant on a cell
+    F - G is monotone there, so a zero end rules a change out.  The left
+    limits read an atom at a cut exactly.  Each piece gets the
+    Gauss-Legendre cell rule, one bounded block of cells at a time.
     """
-    (F, F_left), (G, G_left) = F, G
     cuts = cell_edges(cuts)
+    left, right, vary = _end_signs(a, b, cuts)
+    blind = vary & (left == 0) & (right == 0)
+    if blind.any():
+        cuts = cell_edges(np.concatenate((cuts, 0.5 * (cuts[:-1][blind] + cuts[1:][blind]))))
+        left, right, vary = _end_signs(a, b, cuts)
     lo, hi = cuts[:-1], cuts[1:]
-    end = np.sign(F_left(hi) - G_left(hi))
-    cross = np.sign(F(lo) - G(lo)) * end < 0
-    s = end[cross]
-    split = bisect_smallest(lambda x: (F(x) - G(x)) * s > 0, lo[cross], hi[cross])
-    gap = gauss_legendre(lambda x: np.abs(F(x) - G(x)),
+    side = np.where(right != 0, right, -left)
+    cross = (left * right < 0) | (vary & (left * right == 0) & (side != 0))
+    s = side[cross]
+    split = bisect_smallest(lambda x: (a.cdf(x) - b.cdf(x)) * s > 0, lo[cross], hi[cross])
+    gap = gauss_legendre(lambda x: np.abs(a.cdf(x) - b.cdf(x)),
                          np.concatenate((lo[~cross], lo[cross], split)),
                          np.concatenate((hi[~cross], split, hi[cross])))
     return math.fsum(gap)
@@ -304,7 +319,7 @@ def l1_distance(dist: Distribution, sq: StepQuantile) -> float:
     """
     _finite_support(dist)
     cuts = np.concatenate((sq.values, dist.cdf_breakpoints()))
-    return _cdf_gap((dist.cdf, dist.cdf_left), (sq.cdf, sq.cdf_left), cuts)
+    return _cdf_gap(dist, sq, cuts)
 
 
 def tail_defect(dist: Distribution, sq: StepQuantile, delta: float) -> float:
@@ -319,19 +334,17 @@ def tail_defect(dist: Distribution, sq: StepQuantile, delta: float) -> float:
     cuts = np.concatenate((sq.values, dist.cdf_breakpoints(),
                            dist.quantile([delta, 1.0 - delta])))
 
-    def clipped(clip):
-        return [tuple(lambda x, f=f: clip(f(x)) for f in (law.cdf, law.cdf_left))
-                for law in (dist, sq)]
+    def clipped(law, clip):
+        return SimpleNamespace(cdf=lambda x: clip(law.cdf(x)),
+                               cdf_left=lambda x: clip(law.cdf_left(x)))
 
-    low = _cdf_gap(*clipped(lambda p: np.minimum(p, delta)), cuts)
-    high = _cdf_gap(*clipped(lambda p: np.maximum(p, 1.0 - delta)), cuts)
-    return max(low, high)
+    low, high = (lambda p: np.minimum(p, delta)), (lambda p: np.maximum(p, 1.0 - delta))
+    return max(_cdf_gap(clipped(dist, clip), clipped(sq, clip), cuts) for clip in (low, high))
 
 
 def step_l1_distance(sq1: StepQuantile, sq2: StepQuantile) -> float:
     """Exact L1 distance between two step quantiles on the levels (0, 1]."""
-    return _cdf_gap((sq1.cdf, sq1.cdf_left), (sq2.cdf, sq2.cdf_left),
-                    np.concatenate((sq1.values, sq2.values)))
+    return _cdf_gap(sq1, sq2, np.concatenate((sq1.values, sq2.values)))
 
 
 def quantile_l1(dist_a: Distribution, dist_b: Distribution) -> float:
@@ -349,7 +362,7 @@ def quantile_l1(dist_a: Distribution, dist_b: Distribution) -> float:
         cuts = np.concatenate((cuts, cuts.min() - _TAIL_STEPS))
     if not np.isfinite(max(b1, b2)):
         cuts = np.concatenate((cuts, cuts.max() + _TAIL_STEPS))
-    return _cdf_gap((dist_a.cdf, dist_a.cdf_left), (dist_b.cdf, dist_b.cdf_left), cuts)
+    return _cdf_gap(dist_a, dist_b, cuts)
 
 
 # ------------------------------------------------------------- rate bounds

@@ -1,5 +1,6 @@
 """Tests of the measure discretization and its error estimates."""
 
+import math
 import os
 import subprocess
 import sys
@@ -174,13 +175,34 @@ def test_cdf_gap_splits_a_cell_where_the_sign_changes(level, swap):
     """
     beta = Beta(2.0, 5.0)
     sq = StepQuantile([0.0, level, 1.0], [0.0, 1.0])
-    sides = [(beta.cdf, beta.cdf_left), (sq.cdf, sq.cdf_left)]
-    got = _cdf_gap(*sides[::-1] if swap else sides, [0.0, 1.0])
+    got = _cdf_gap(*(sq, beta) if swap else (beta, sq), [0.0, 1.0])
     cross = float(special.betaincinv(2.0, 5.0, level))
     rest = Polynomial([1.0, -1.0])
     P = (1.0 - level - rest ** 6 - 6.0 * Polynomial([0.0, 1.0]) * rest ** 5).integ()
     expect = (P(1.0) - P(cross)) - (P(cross) - P(0.0))
     assert got == pytest.approx(expect, abs=1e-14)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["beta-first", "uniform-first"])
+@pytest.mark.parametrize("a, b", [(2, 2), (2, 3), (3, 2)])
+def test_quantile_l1_splits_a_cell_whose_ends_agree(a, b, swap):
+    """Beta(a, b) and Uniform(0, 1) agree at both ends of their one cell.
+
+    F - G is 0 at 0 and 1, so neither end gives the sign it changes to;
+    the crossing (0.5 for Beta(2, 2)) must still split the cell.  The
+    c.d.f. of Beta(a, b) with integer parameters is a binomial tail, so
+    the reference integrates F - G exactly between its roots.
+    """
+    x, rest = Polynomial([0.0, 1.0]), Polynomial([1.0, -1.0])
+    n = a + b - 1
+    gap = sum(math.comb(n, j) * x ** j * rest ** (n - j) for j in range(a, n + 1)) - x
+    roots = sorted(r.real for r in gap.roots() if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0)
+    P, ends = gap.integ(), [0.0] + roots + [1.0]
+    expect = sum(abs(P(hi) - P(lo)) for lo, hi in zip(ends, ends[1:]))
+    laws = (Beta(float(a), float(b)), Uniform(0.0, 1.0))
+    assert quantile_l1(*laws[::-1] if swap else laws) == pytest.approx(expect, abs=1e-14)
+    if (a, b) == (2, 2):
+        assert expect == pytest.approx(0.0625, abs=1e-15)
 
 
 def test_tail_defect_uniform():
