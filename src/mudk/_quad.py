@@ -59,16 +59,19 @@ def cell_edges(cuts):
     return cuts[keep]
 
 
-def simpson_adaptive(f, a, b, tol, depth=50):
+_SIMPSON_DEPTH = 50             # recursion cap of simpson_adaptive
+
+
+def simpson_adaptive(f, a, b, tol):
     """Integrate a scalar function over (a, b) to absolute tolerance tol.
 
     Classic recursive Simpson refinement with Richardson correction and a
-    hard recursion cap; integrable endpoint singularities converge, just
-    slowly.
+    hard recursion cap (`_SIMPSON_DEPTH` halvings); integrable endpoint
+    singularities converge, just slowly.
     """
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _step(f, a, b, fa, fm, fb, whole, tol, depth)
+    return _step(f, a, b, fa, fm, fb, whole, tol, _SIMPSON_DEPTH)
 
 
 def _step(f, a, b, fa, fm, fb, whole, tol, depth):

@@ -15,9 +15,9 @@ and quantile levels must lie in (0, 1), NaN excluded.
 
 The special functions behind Beta and TruncatedNormal (the regularized
 incomplete beta function and the normal c.d.f.) are computed here from
-numpy and `math`, so no law loads scipy.  Neither has a hand-written
-inverse: a law without an exact one-line quantile bisects its c.d.f.
-to adjacent floats.
+numpy and `math`, so no law loads scipy.  No law has a hand-written
+inverse: every quantile bisects the c.d.f. to adjacent floats, and a
+level inside the jump of F at an atom is that atom exactly.
 """
 
 from __future__ import annotations
@@ -241,12 +241,14 @@ class Distribution(abc.ABC):
     each converts its argument once (a scalar gives a Python float back,
     an array an array of its shape), refuses quantile levels outside
     (0, 1) once, and calls the array core `_cdf`, `_cdf_left`, `_pdf` or
-    `_quantile`.  A law implements `_cdf`, `support` and `mean`, and may
-    add `_pdf` (with `has_density`), an exact one-line `_quantile` (the
-    fallback runs `bisect_smallest` on `_cdf` over the support, an open
-    end starting at the largest float, to the smallest float x with
-    F(x) >= u) and `atoms`.  A core calls its own law's cores directly
-    and other laws through their public methods.
+    `_quantile`.  A law implements `_cdf`, `support` and `mean`, and,
+    where it has them, `_pdf` (with `has_density`), `atoms` with their
+    `_cdf_left`, and `cdf_breakpoints`.  The one `_quantile` returns an
+    atom a for the levels in (F(a-), F(a)], and elsewhere runs
+    `bisect_smallest` on `_cdf` over the support, an open end starting
+    at the largest float, to the smallest float x with F(x) >= u.  A core
+    calls its own law's cores directly and other laws through their
+    public methods.
     """
 
     has_density = False
@@ -287,23 +289,24 @@ class Distribution(abc.ABC):
     def mean(self) -> float:
         ...
 
-    # ---- fallback cores
+    # ---- shared cores
 
     def _cdf_left(self, x):
-        out = self._cdf(x)
-        for loc, mass in self.atoms():
-            # tolerant match: atom locations may carry affine round-off
-            hit = np.abs(x - loc) <= 1e-12 * (1.0 + abs(loc))
-            out = np.where(hit, out - mass, out)
-        return np.maximum(out, 0.0)
+        # F has no jumps; a law with atoms defines its own
+        return self._cdf(x)
 
     def _quantile(self, u):
         # an open end starts at the largest float: the halving spans the line
         big = np.finfo(float).max
         lo, hi = (np.full(u.shape, end) for end in np.clip(self.support(), -big, big))
+        locs = np.array([loc for loc, _ in self.atoms()])
+        if locs.size:
+            # a level in (F(a-), F(a)] of an atom a is a itself: lo = hi = a
+            top = self._cdf(locs)
+            k = np.minimum(np.searchsorted(top, u), locs.size - 1)
+            on_atom = (self._cdf_left(locs)[k] < u) & (u <= top[k])
+            lo, hi = np.where(on_atom, locs[k], lo), np.where(on_atom, locs[k], hi)
         with np.errstate(over="ignore"):
-            # where F(a) >= u at a finite left edge a, a is the answer
-            hi = np.where(self._cdf(lo) >= u, lo, hi)
             return bisect_smallest(lambda x: self._cdf(x) >= u, lo, hi)
 
     # ---- generic structure
@@ -332,12 +335,6 @@ class Distribution(abc.ABC):
         """Restrict to [-bound, bound], lumping outside mass at 0."""
         return TruncatedDistribution(self, bound)
 
-    def density_sup(self, lo: float, hi: float) -> float:
-        """Numerical sup of the density part over (lo, hi); 0 if no density."""
-        if not self.has_density or hi <= lo:
-            return 0.0
-        return float(np.max(self._pdf(np.linspace(lo, hi, 1025)[1:-1])))
-
 
 # ---------------------------------------------------------------- families
 
@@ -363,19 +360,11 @@ class Uniform(Distribution):
         inside = (x >= self.a) & (x <= self.b)
         return np.where(inside, 1.0 / (self.b - self.a), 0.0)
 
-    def _quantile(self, u):
-        return self.a + u * (self.b - self.a)
-
     def support(self):
         return (self.a, self.b)
 
     def mean(self):
         return 0.5 * (self.a + self.b)
-
-    def density_sup(self, lo, hi):
-        if min(hi, self.b) <= max(lo, self.a):
-            return 0.0
-        return 1.0 / (self.b - self.a)
 
 
 class Exponential(Distribution):
@@ -397,9 +386,6 @@ class Exponential(Distribution):
 
     def _pdf(self, x):
         return np.where(x < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)))
-
-    def _quantile(self, u):
-        return -np.log1p(-u) / self.rate
 
     def support(self):
         return (0.0, np.inf)
@@ -531,9 +517,6 @@ class Discrete(Distribution):
     def _cdf_left(self, x):
         return self._mass_below(x - 1e-12 * (1.0 + np.abs(x)))
 
-    def _quantile(self, u):
-        return self.xs[np.searchsorted(self.cum, u, side="left")]
-
     def atoms(self):
         return list(zip(self.xs.tolist(), self.ps.tolist()))
 
@@ -625,9 +608,6 @@ class AffineDistribution(Distribution):
     def _pdf(self, x):
         return self.base.pdf(self._pull(x)) / self._scale
 
-    def _quantile(self, u):
-        return self._scale * self.base.quantile(u) + self._offset
-
     def atoms(self):
         return [(self._scale * loc + self._offset, mass) for loc, mass in self.base.atoms()]
 
@@ -641,17 +621,13 @@ class AffineDistribution(Distribution):
     def cdf_breakpoints(self):
         return [self._scale * p + self._offset for p in self.base.cdf_breakpoints()]
 
-    def density_sup(self, lo, hi):
-        return self.base.density_sup(self._pull(lo), self._pull(hi)) / self._scale
-
 
 class TruncatedDistribution(Distribution):
     """Base law restricted to [-bound, bound], outside mass moved to 0.
 
     The c.d.f. is F(x) - F(-bound^-) below 0 and F(x) + 1 - F(bound) at
     and above 0, which lumps both tails into a single atom at the
-    origin.  The quantile therefore has three branches: a shifted copy
-    of the base quantile on each side of a flat stretch at 0.
+    origin.
     """
 
     def __init__(self, base: Distribution, bound: float):
@@ -688,17 +664,6 @@ class TruncatedDistribution(Distribution):
 
     def _cdf_left(self, x):
         return self._fold(x, self.base.cdf_left(x), np.less_equal)
-
-    def _quantile(self, u):
-        flat = np.atleast_1d(u)
-        below = flat < self._lo_level
-        above = flat > self._hi_level
-        out = np.zeros_like(flat)
-        if np.any(below):
-            out[below] = self.base.quantile(flat[below] + self._f_lo)
-        if np.any(above):
-            out[above] = self.base.quantile(flat[above] + self._f_hi - 1.0)
-        return out.reshape(u.shape)
 
     def atoms(self):
         out = []
@@ -743,9 +708,3 @@ class TruncatedDistribution(Distribution):
         a, b = self.support()
         return sorted(p for p in pts if a <= p <= b)
 
-    def density_sup(self, lo, hi):
-        a = max(lo, -self.bound)
-        b = min(hi, self.bound)
-        if b <= a:
-            return 0.0
-        return self.base.density_sup(a, b)

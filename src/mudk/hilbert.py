@@ -127,20 +127,20 @@ def hilbert_step_quantile(sq: StepQuantile, u):
     return _jump_sum(u, np.pi * levels, coeff)
 
 
-def hilbert_pv_oracle(f, u: float, etas=(1e-2, 1e-3, 1e-4), jumps=(),
-                      quad_tol=1e-9, spread_tol=1e-4) -> float:
+_PV_ETAS = (1e-2, 1e-3, 1e-4)   # excision radii of the oracle, largest first
+_PV_QUAD_TOL = 1e-9             # absolute tolerance of each Simpson piece
+
+
+def hilbert_pv_oracle(f, u: float, jumps=(), spread_tol=1e-4) -> float:
     """Principal-value quadrature of the defining integral, with extrapolation.
 
     Computes I(eta) = (1/2pi) int_eta^pi (f(u-t) - f(u+t)) cot(t/2) dt for
-    each excision radius, then extrapolates eta -> 0 linearly from
-    consecutive pairs.  Disagreement of the extrapolants beyond
+    each excision radius in `_PV_ETAS`, then extrapolates eta -> 0 linearly
+    from consecutive pairs.  Disagreement of the extrapolants beyond
     `spread_tol` raises OracleConvergenceError.  `jumps` lists angles in
     [0, pi] where f is discontinuous, used to split the quadrature.
     """
     u = float(u)
-    etas = sorted(etas, reverse=True)
-    if len(etas) < 2:
-        raise ValueError("need at least two excision radii to extrapolate")
 
     def integrand(t):
         return (f(u - t) - f(u + t)) / np.tan(0.5 * t)
@@ -163,12 +163,12 @@ def hilbert_pv_oracle(f, u: float, etas=(1e-2, 1e-3, 1e-4), jumps=(),
             if hi - lo <= 1e-13:
                 continue
             pad = min(1e-10, 0.25 * (hi - lo))
-            total += simpson_adaptive(integrand, lo + pad, hi - pad, quad_tol)
+            total += simpson_adaptive(integrand, lo + pad, hi - pad, _PV_QUAD_TOL)
         return total / (2.0 * np.pi)
 
-    vals = [excised(eta) for eta in etas]
+    vals = [excised(eta) for eta in _PV_ETAS]
     extrapolants = []
-    for (e1, i1), (e2, i2) in zip(zip(etas, vals), zip(etas[1:], vals[1:])):
+    for (e1, i1), (e2, i2) in zip(zip(_PV_ETAS, vals), zip(_PV_ETAS[1:], vals[1:])):
         extrapolants.append((e1 * i2 - e2 * i1) / (e1 - e2))
     spread = max(extrapolants) - min(extrapolants)
     if spread > spread_tol:

@@ -87,13 +87,18 @@ def point_in_domain(bp: BoundaryPolyline, point) -> bool:
     between the outer walls, with finite y, is inside when it is
     farther than 1e-12 (relative to the domain scale) from every tooth.
     """
+    return _clearance(bp, *_comb(bp), point) > 0.0
+
+
+def _clearance(bp, locs, tips, point) -> float:
+    """Distance from a point to the nearest tooth of the comb (locs, tips),
+    or 0.0 where the point is not in the domain of `point_in_domain`."""
     px, py = float(point[0]), float(point[1])
-    locs, tips = _comb(bp)
     tol = 1e-12 * (1.0 + float(np.max(np.abs(bp.points[:, 1:]))))
     if not (locs[0] < px < locs[-1] and np.isfinite(py)):
-        return False
-    dist = _nearest_tooth(locs, tips, np.array([px]), np.array([py]))[0]
-    return bool(dist[0] > tol)
+        return 0.0
+    dist = float(_nearest_tooth(locs, tips, np.array([px]), np.array([py]))[0][0])
+    return dist if dist > tol else 0.0
 
 
 def _nearest_tooth(locs, tips, x, y):
@@ -161,10 +166,10 @@ def simulate_exit(bp: BoundaryPolyline, walks: int, step: float, seed: int,
         raise ValueError(f"step must be positive, got {step}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    if not point_in_domain(bp, (0.0, 0.0)):
-        raise TopologyError("origin is not inside the domain")
     locs, tips = _comb(bp)
-    origin = _nearest_tooth(locs, tips, np.zeros(1), np.zeros(1))[0]
+    origin = _clearance(bp, locs, tips, (0.0, 0.0))
+    if origin == 0.0:
+        raise TopologyError("origin is not inside the domain")
 
     exits, ids = np.full(walks, np.nan), np.arange(walks)
     x, y, r = np.zeros(walks), np.zeros(walks), np.repeat(origin, walks)

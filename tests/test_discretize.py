@@ -65,9 +65,10 @@ def test_atom_mixture_correction_term():
         prev = rb.varpi
         l1 = l1_distance(d, build_measure(d, n))
         assert l1 <= rb.bound + 1e-12
-        # bounded-density refinement with the explicit constants
-        assert rb.alpha == pytest.approx(2.0, rel=1e-12)
-        assert rb.beta == pytest.approx(2.0, rel=1e-12)
+        # bounded-density refinement with the explicit constants:
+        # alpha = (b-a)/2, beta = (b-a)^2 (1/4 + 1/4)/2 over the pieces (-1, 0), (0, 1)
+        assert rb.alpha == pytest.approx(1.0, rel=1e-12)
+        assert rb.beta == pytest.approx(1.0, rel=1e-12)
         assert l1 <= rb.refined_bound + 1e-12
 
 
@@ -312,6 +313,52 @@ def test_rate_bound_uniform_values():
         <= rb.refined_bound + 1e-12
 
 
+def _refined_bound_laws(count=16, seed=1):
+    """Centred Beta laws (shapes in (1, 8)) and centred truncated normals on
+    random windows, from one seeded generator, then laws with gaps, atoms
+    and supports away from the origin."""
+    rng = np.random.default_rng(seed)
+    laws = []
+    for _ in range(count):
+        a, b = rng.uniform(1.0, 8.0, 2)
+        laws.append(pytest.param(Beta(a, b).center(), id=f"beta({a:.2f},{b:.2f})"))
+    for _ in range(count):
+        lo, hi = np.sort(rng.uniform(-3.0, 3.0, 2))
+        hi = max(hi, lo + 0.1)
+        mu, sigma = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 3.0)
+        laws.append(pytest.param(TruncatedNormal(mu, sigma, lo, hi).center(),
+                                 id=f"normal({mu:.2f},{sigma:.2f},{lo:.2f},{hi:.2f})"))
+    return laws + [
+        pytest.param(Uniform(-3.0, -1.0), id="uniform-left-of-origin"),
+        pytest.param(Mixture([(0.5, Uniform(-2.0, -1.0)), (0.5, Uniform(1.0, 2.0))]),
+                     id="two-piece"),
+        pytest.param(Mixture([(0.5, Beta(2.0, 5.0)), (0.5, Uniform(0.0, 1.0))]).center(),
+                     id="beta+uniform"),
+        pytest.param(Mixture([(0.6, Uniform(-1.0, 1.0)), (0.4, Discrete([(0.3, 1.0)]))]),
+                     id="uniform+atom"),
+        pytest.param(Mixture([(0.8, Beta(2.0, 5.0)), (0.2, Discrete([(0.5, 1.0)]))]).center(),
+                     id="beta+atom"),
+        pytest.param(Exponential(2.0).center().truncate(1.5), id="truncated-exponential"),
+    ]
+
+
+@pytest.mark.parametrize("dist", _refined_bound_laws())
+def test_refined_bound_holds_wherever_the_law_sits(dist):
+    """alpha/n + beta/n^2 bounds the c.d.f.-scheme L1 gap and is positive,
+    whatever the location of the support."""
+    for n in (3, 10, 11, 50, 200):
+        rb = rate_bound(dist, n)
+        assert rb.refined_bound > 0.0
+        assert l1_distance(dist, build_measure(dist, n)) <= rb.refined_bound + 1e-12, n
+
+
+def test_refined_bound_does_not_move_with_the_law():
+    """U(-3, -1) and U(-1, 1) get one bound at n = 10:
+    (b-a)/(2n) + (b-a)^2 sup f/(2n^2) = 0.1 + 0.01."""
+    for dist in (Uniform(-3.0, -1.0), Uniform(-1.0, 1.0)):
+        assert rate_bound(dist, 10).refined_bound == pytest.approx(0.11, rel=1e-12)
+
+
 def test_beta_discretization_converges():
     d = Beta(2.0, 5.0)
     errs = [l1_distance(d, build_measure(d, n)) for n in (10, 40, 160)]
@@ -323,31 +370,43 @@ def test_beta_discretization_converges():
 
 MIXTURE = Mixture([(0.5, Uniform(-1.0, 1.0)), (0.5, Discrete([(0.0, 1.0)]))])
 NORMAL_LO, NORMAL_HI = special.ndtr(-2.0), special.ndtr(2.0)
-# the five reference laws, each with the quantile the oracle integrates:
-# scipy's for the beta and the truncated normal, so the oracle does not
-# run the code under test, and the mixture's written out (it is affine
-# between its break levels)
+EXP_LUMP = math.exp(-4.0)          # the origin atom of the truncated exponential
+
+
+def _truncated_exponential_quantile(u):
+    """Quantile of Exponential(1).center().truncate(3): the atom at 0 holds
+    the levels (1 - 1/e, 1 - 1/e + e^-4]."""
+    if u <= 1.0 - math.exp(-1.0):
+        return -math.log1p(-u) - 1.0
+    if u <= 1.0 - math.exp(-1.0) + EXP_LUMP:
+        return 0.0
+    return -math.log1p(-(u - EXP_LUMP)) - 1.0
+
+
+# the five reference laws, each with the quantile the oracle integrates,
+# written out or taken from scipy so that the oracle does not run the
+# code under test
 REFERENCE_LAWS = {
-    "uniform": (Uniform(-1.0, 1.0).center(), None),
+    "uniform": (Uniform(-1.0, 1.0).center(), lambda u: 2.0 * u - 1.0),
     "beta": (Beta(2.0, 5.0).center(),
              lambda u: float(special.betaincinv(2.0, 5.0, u)) - 2.0 / 7.0),
     "truncated_normal": (TruncatedNormal(0.0, 1.0, -2.0, 2.0).center(),
                          lambda u: float(special.ndtri(NORMAL_LO + u * (NORMAL_HI - NORMAL_LO)))),
-    "truncated_exponential": (Exponential(1.0).center().truncate(3.0), None),
+    "truncated_exponential": (Exponential(1.0).center().truncate(3.0),
+                              _truncated_exponential_quantile),
     "mixture": (MIXTURE.center(),
                 lambda u: float(np.interp(u, [0.0, 0.25, 0.75, 1.0],
                                           [-1.0, 0.0, 0.0, 1.0]))),
 }
 
 
-def level_oracle(dist, sq, lo=0.0, hi=1.0, quantile=None):
+def level_oracle(dist, sq, quantile, lo=0.0, hi=1.0):
     """Integral of |q - q_n| over the levels (lo, hi) by adaptive quadrature.
 
     Level cells are cut at the step breakpoints and at the levels where q
     jumps or kinks; q_n is constant on each cell, held at its final value
     past the total mass, and q - q_n changes sign at F(c).
     """
-    q = quantile or (lambda u: float(dist.quantile(u)))
     kinks = [f(p) for p in dist.cdf_breakpoints() for f in (dist.cdf_left, dist.cdf)]
     levels = np.unique(np.clip(np.concatenate((sq.breakpoints, kinks, [lo, hi])), lo, hi))
     total = 0.0
@@ -357,7 +416,7 @@ def level_oracle(dist, sq, lo=0.0, hi=1.0, quantile=None):
         split = min(max(float(dist.cdf(c)), l), r)
         for a, b in ((l, split), (split, r)):
             if b - a > 1e-15:
-                total += quad(lambda u: abs(q(u) - c), a, b,
+                total += quad(lambda u: abs(quantile(u) - c), a, b,
                               epsabs=1e-14, epsrel=0.0, limit=200)[0]
     return total
 
@@ -371,7 +430,7 @@ def test_l1_distance_matches_level_space_oracle(law, n, scheme):
     dist, quantile = REFERENCE_LAWS[law]
     sq = build_measure(dist, n, scheme)
     assert l1_distance(dist, sq) == pytest.approx(
-        level_oracle(dist, sq, quantile=quantile), abs=1e-12)
+        level_oracle(dist, sq, quantile), abs=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore", category=IntegrationWarning)
@@ -381,8 +440,8 @@ def test_tail_defect_matches_level_space_oracle(law, scheme):
     dist, quantile = REFERENCE_LAWS[law]
     sq = build_measure(dist, 200, scheme)
     for delta in (0.05, 0.25):
-        expect = max(level_oracle(dist, sq, 0.0, delta, quantile),
-                     level_oracle(dist, sq, 1.0 - delta, 1.0, quantile))
+        expect = max(level_oracle(dist, sq, quantile, 0.0, delta),
+                     level_oracle(dist, sq, quantile, 1.0 - delta, 1.0))
         assert tail_defect(dist, sq, delta) == pytest.approx(expect, abs=1e-12)
 
 

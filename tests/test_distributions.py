@@ -1,5 +1,7 @@
 """Tests of quantile machinery across the distribution families."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,9 +32,17 @@ def test_laws_cover_every_class():
 
 
 def test_only_the_base_class_defines_the_public_methods():
-    """Laws implement the array cores; the scalar/array rule lives in Distribution."""
+    """Laws implement the array cores; the scalar/array rule lives in Distribution.
+
+    The one quantile algorithm lives there too, no law supplies its own
+    density sup, and a law with atoms reads its left limits itself (the
+    base `_cdf_left` is F).
+    """
     for cls in LAW_CLASSES:
-        assert not set(PUBLIC) & set(vars(cls)), cls.__name__
+        assert not set(PUBLIC + ("_quantile", "density_sup")) & set(vars(cls)), cls.__name__
+    for law in LAWS:
+        if law.atoms():
+            assert "_cdf_left" in vars(type(law)), type(law).__name__
 
 
 @pytest.mark.parametrize("law", LAWS, ids=lambda d: type(d).__name__)
@@ -388,11 +398,8 @@ def test_bisect_smallest_returns_hi_for_an_empty_bracket():
     assert bisect_smallest(lambda x: x > 1.0, -1.0, 1.0) == 1.0     # hi, never tested
 
 
-# The laws whose quantile bisects F.  The one-line inverses and the wrappers'
-# affine maps round (Uniform's a + u (b - a) is a itself at u = 1e-300), so
-# the float-exact property below belongs to the bisection alone.
-BISECTED = [pytest.param(d, id=type(d).__name__) for d in LAWS
-            if type(d)._quantile is Distribution._quantile] + [
+# Every law's quantile bisects F, and returns an atom exactly.
+BISECTED = [pytest.param(d, id=type(d).__name__) for d in LAWS] + [
     pytest.param(Mixture([(0.5, Exponential(1.0)), (0.5, Uniform(-2.0, -1.0))]),
                  id="open-right-end"),
     pytest.param(Mixture([(0.5, Exponential(1.0).truncate(2.0)), (0.5, Uniform(0.0, 1.0))]),
@@ -406,11 +413,31 @@ BISECTED = [pytest.param(d, id=type(d).__name__) for d in LAWS
 
 @pytest.mark.parametrize("law", BISECTED)
 def test_bisected_quantile_is_the_smallest_float_reaching_the_level(law):
-    """F(q) >= u > F(x) at the float x just below q."""
+    """F(q) >= u; q is the atom a where u lies in (F(a-), F(a)], and
+    elsewhere F(x) < u at the float x just below q."""
     u = np.array([1e-300, 1e-100, 0.5, 1.0 - 2.0 ** -53])
     q = law.quantile(u)
     assert np.all(law.cdf(q) >= u)
-    assert np.all(law.cdf(np.nextafter(q, -np.inf)) < u)
+    atom = np.full(u.shape, np.nan)
+    for loc, _ in law.atoms():
+        atom[(law.cdf_left(loc) < u) & (u <= law.cdf(loc))] = loc
+    on = ~np.isnan(atom)
+    assert q[on].tolist() == atom[on].tolist()
+    assert np.all(law.cdf(np.nextafter(q[~on], -np.inf)) < u[~on])
+
+
+def test_quantile_inside_an_interior_atom_is_the_atom():
+    """Discrete's F counts an atom from 1e-12 below it; the atom itself is returned."""
+    law = Mixture([(0.7, Uniform(-1.0, 1.0)), (0.3, Discrete([(0.25, 1.0)]))])
+    assert law.quantile([0.44, 0.5, 0.7375]).tolist() == [0.25, 0.25, 0.25]
+    assert law.quantile(0.5) == 0.25
+
+
+def test_quantile_at_the_origin_atom_is_positive_zero():
+    """The fold reads -0.0 as at or above 0; the atom rule returns +0.0."""
+    law = Exponential(1.0).center().truncate(3.0)
+    q = law.quantile(0.64)
+    assert q == 0.0 and math.copysign(1.0, q) == 1.0
 
 
 def test_bisected_quantile_at_an_atom_on_the_left_edge_is_the_edge():

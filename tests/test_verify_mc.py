@@ -229,6 +229,26 @@ def test_origin_outside_raises():
         simulate_exit(shifted, walks=4, step=1e-3, seed=0)
 
 
+def test_simulation_reads_the_comb_once(uniform_bp, monkeypatch):
+    """The origin check and the walks share one comb and one origin search."""
+    import mudk.verify_mc as verify_mc
+    calls = {"_comb": 0, "_nearest_tooth": 0}
+
+    def counted(name):
+        fn = getattr(verify_mc, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(verify_mc, name, counted(name))
+    res = simulate_exit(uniform_bp, walks=8, step=1e-3, seed=4, max_steps=1)
+    assert calls == {"_comb": 1, "_nearest_tooth": 2}
+    assert res.walks == 8
+
+
 def test_simulation_argument_validation(uniform_bp):
     with pytest.raises(ValueError):
         simulate_exit(uniform_bp, walks=0, step=1e-3, seed=0)
