@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from mudk.boundary import export_csv, load_csv, scale_domain, svg_point_count
-from mudk.cli import (ConfigError, RunConfig, build_distribution,
-                      load_samples_csv, main)
+from mudk.cli import (ConfigError, RunConfig, _summary_path,
+                      build_distribution, load_samples_csv, main)
 from mudk.discretize import UnboundedSupportError
 
 UNIFORM = '{"family": "uniform", "a": -1, "b": 1}'
@@ -135,6 +135,16 @@ def test_simulate_check_round_trip(tmp_path, capsys):
     assert report["samples"] == 200
     assert report["ks"] == pytest.approx(summary["ks"])
     assert report["mean"] == pytest.approx(summary["mean"])
+
+
+@pytest.mark.parametrize("out, summary", [
+    ("samples.csv", "samples.summary.json"),
+    ("run/s.csv", "run/s.summary.json"),
+    ("out.d/samples", "out.d/samples.summary.json"),
+    ("./samples", "./samples.summary.json"),
+])
+def test_summary_sits_beside_the_samples(out, summary):
+    assert _summary_path(out) == summary
 
 
 def test_simulate_rerun_byte_identical(tmp_path):
@@ -553,14 +563,38 @@ def test_run_config_hash_covers_input_file_contents(tmp_path, key):
     assert RunConfig(**base, **{key: str(path)}).hash() != h0
 
 
-def test_import_loads_no_scipy_stats_or_integrate():
-    """`import mudk` stays light: no module of the package imports scipy."""
-    code = ("import sys, mudk; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+def _fresh_stdout(code: str) -> str:
+    """Standard output of `python -c code` in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout.strip()
+
+
+def test_import_loads_no_scipy_stats_or_integrate():
+    """No module of the package imports scipy (`mudk.cli` imports them all)."""
+    code = ("import sys, mudk.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    assert _fresh_stdout(code) == "[]"
+
+
+def test_import_loads_no_numpy_and_no_submodule():
+    code = ("import sys, mudk; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('mudk.')))")
+    assert _fresh_stdout(code) == "[]"
+
+
+def test_package_names_are_their_home_modules_objects():
+    import mudk
+    for module, names in mudk._EXPORTS.items():
+        home = importlib.import_module(f"mudk.{module}")
+        for name in names:
+            assert getattr(mudk, name) is getattr(home, name), name
+    assert set(mudk.__all__) <= set(dir(mudk))
+    namespace = {}
+    exec("from mudk import *", namespace)
+    assert set(mudk.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mudk.no_such_name
 
 
 BETA = '{"family": "beta", "alpha": 2, "beta": 5}'

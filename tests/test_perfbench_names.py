@@ -8,6 +8,8 @@ benchmark run while the package's own tests pass.
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -34,3 +36,10 @@ def _tracing():
 ], ids=lambda v: v if isinstance(v, str) else getattr(v, "__name__", None))
 def test_benchmark_names_exist_and_are_callable(module, attr):
     assert callable(getattr(module, attr, None))
+
+
+def test_worker_import_line_runs_in_a_fresh_process():
+    """`perfbench/worker.py` imports submodules through the lazy package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", "from mudk import cli, discretize, hilbert"],
+                   check=True, env=env)
