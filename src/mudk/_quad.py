@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# float64 cells per buffer of a blocked kernel or integrand (256 KB, fits in L2)
+# The one memory rule of every blocked kernel: the temporaries that one loop
+# step keeps live hold at most this many float64 cells together (256 KB, fits
+# in L2).  The Gauss-Legendre integrand, the Hilbert jump sum and the
+# Fourier sine sums each size their blocks by it.
 _BLOCK_CELLS = 2 ** 15
 
 # The positive half of numpy.polynomial.legendre.leggauss(16), printed with
@@ -20,10 +23,12 @@ _HALF_WEIGHTS = np.array([
     0.062253523938647456, 0.027152459411754176])
 _GL_NODES = np.concatenate((-_HALF_NODES[::-1], _HALF_NODES))
 _GL_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
-# cells per call of a gauss_legendre integrand: at most _BLOCK_CELLS // 8
-# nodes, so the ~8 node-sized temporaries of an integrand (F - G, abs, a
-# continued fraction) together stay near one 256 KB buffer
-_GL_BLOCK = _BLOCK_CELLS // 8 // _GL_NODES.size
+# about this many node-sized temporaries live in a gauss_legendre
+# integrand (F - G, abs, a continued fraction)
+_GL_TEMPS = 8
+# cells per call of the integrand under the one rule: _BLOCK_CELLS //
+# _GL_TEMPS = 4096 nodes, so 256 cells of 16 nodes
+_GL_BLOCK = _BLOCK_CELLS // _GL_TEMPS // _GL_NODES.size
 
 
 def gauss_legendre(f, lo, hi):

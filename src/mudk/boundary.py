@@ -74,6 +74,35 @@ class BoundaryPolyline:
                 float(self.y.min()), float(self.y.max()))
 
 
+# nudged cells per call of _widest_gap_centres, so that its flat arrays
+# hold 2 _GAP_CELLS ends plus the poles inside those cells
+_GAP_CELLS = 512
+
+
+def _widest_gap_centres(poles, cells, width):
+    """Centre of the widest pole-free gap of each cell (i w, (i + 1) w).
+
+    A cell's edges are its two ends and the sorted poles strictly inside
+    it, found by a sorted search.  The edges of all the cells lie in one
+    flat array, so the gaps are one difference and the widest gap of each
+    cell (the first of equal ones) is a segmented maximum.
+    """
+    lo, hi = cells * width, (cells + 1) * width
+    first = np.searchsorted(poles, lo, side="right")
+    size = np.searchsorted(poles, hi) - first + 2
+    at = np.cumsum(size) - size
+    # edge k of a cell is its pole first + k - 1, or one of its two ends
+    edges = poles[(np.arange(at[-1] + size[-1])
+                   + np.repeat(first - at - 1, size)).clip(0, poles.size - 1)]
+    edges[at] = lo
+    edges[at + size - 1] = hi
+    gaps = np.diff(edges)
+    gaps[at[1:] - 1] = -1.0     # from one cell's right end to the next cell's left end
+    hits = np.flatnonzero(gaps == np.repeat(np.maximum.reduceat(gaps, at), size)[:-1])
+    g = hits[np.searchsorted(hits, at)]
+    return 0.5 * (edges[g] + edges[g + 1])
+
+
 def parameter_grid(sq: StepQuantile, num_points: int) -> np.ndarray:
     """Midpoint grid on (0, 1), kept clear of the transform's poles.
 
@@ -93,12 +122,10 @@ def parameter_grid(sq: StepQuantile, num_points: int) -> np.ndarray:
         j = np.searchsorted(poles, t)
         dist = np.minimum(np.abs(t - poles[np.clip(j - 1, 0, poles.size - 1)]),
                           np.abs(poles[np.clip(j, 0, poles.size - 1)] - t))
-        for i in np.nonzero(dist < 0.25 * cell)[0]:
-            lo, hi = i * cell, (i + 1) * cell
-            inner = poles[(poles > lo) & (poles < hi)]
-            edges = np.concatenate(([lo], inner, [hi]))
-            g = int(np.argmax(np.diff(edges)))
-            t[i] = 0.5 * (edges[g] + edges[g + 1])
+        near = np.nonzero(dist < 0.25 * cell)[0]
+        for i in range(0, near.size, _GAP_CELLS):
+            run = near[i:i + _GAP_CELLS]
+            t[run] = _widest_gap_centres(poles, run, cell)
     if np.any(np.diff(t) <= 0) or t[0] <= 0 or t[-1] >= 1:
         raise ValueError("internal error: pole avoidance broke the grid")
     return t

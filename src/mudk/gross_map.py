@@ -59,32 +59,76 @@ def fourier_coefficients(sq: StepQuantile, num_terms: int | None = None) -> Four
     """Cosine coefficients of the step quantile's even circle extension.
 
     a_k = -(2/(k pi)) sum_j c_j sin(k t_j) over the jumps (s_j, c_j) of
-    `StepQuantile.jumps`, t_j = pi s_j, by angle addition: with
-    k = k0 + r for B = ceil(K/R) starts k0 and R = isqrt(K) offsets r,
-    sin(k t) = sin(k0 t) cos(r t) + cos(k0 t) sin(r t), so each chunk of
-    jumps costs two GEMMs into one B x R array and O(sqrt(K)) sines per
-    jump instead of K.  sin(k0 t) is evaluated directly, not by
-    recurrence, so rounding does not build up with k.  Operands hold at
-    most _BLOCK_CELLS float64 cells: memory is O(terms + jumps).
+    `StepQuantile.jumps`, t_j = pi s_j; `_sine_sums` forms the sums.
     `num_terms` defaults to max(256, 8 * number of steps).
     """
     if num_terms is None:
         num_terms = max(256, 8 * sq.num_steps)
     if num_terms < 1:
         raise ValueError(f"num_terms must be >= 1, got {num_terms}")
-    levels, jumps = sq.jumps()
-    k = np.arange(1, num_terms + 1)
-    R = math.isqrt(num_terms)
-    sums = np.zeros((-(-num_terms // R), R))
-    chunk = max(1, _BLOCK_CELLS // max(sums.shape))
-    for j in range(0, levels.size, chunk):
-        s, c = levels[j:j + chunk], jumps[j:j + chunk]
-        start = np.pi * np.multiply.outer(k[::R], s)
-        off = np.pi * np.multiply.outer(s, np.arange(R))
-        sums += (c * np.sin(start)) @ np.cos(off)
-        sums += (c * np.cos(start)) @ np.sin(off)
-    coeffs = sums.ravel()[:num_terms] * (-2.0 / (np.pi * k))
-    return FourierCoefficients(coeffs=coeffs, source_l1_norm=sq.l1_norm())
+    sums = _sine_sums(*sq.jumps(), num_terms)
+    scale = np.arange(1.0, num_terms + 1)
+    scale *= np.pi
+    sums *= np.divide(-2.0, scale, out=scale)
+    del scale   # the coefficients' validation holds a copy and |a_k| next
+    return FourierCoefficients(coeffs=sums, source_l1_norm=sq.l1_norm())
+
+
+def _layout(num_terms):
+    """Centres B, offsets R and jumps per chunk m of `_sine_sums` for K terms."""
+    R = max(1, math.isqrt(-(-num_terms // 2)))
+    B = -(-num_terms // (2 * R))
+    return B, R, max(1, _BLOCK_CELLS // (2 * (B + R + 1)))
+
+
+def _sine_sums(levels, jumps, num_terms):
+    """sum_j c_j sin(k t_j) for k = 1..K, t_j = pi s_j, by angle addition.
+
+    The terms fall in B runs of 2R around the centres k0 = R, 3R, 5R, ...,
+    as k = k0 + r and k = k0 - r, and sin((k0 +- r) t) = sin(k0 t) cos(r t)
+    +- cos(k0 t) sin(r t).  So a chunk of m jumps costs two GEMMs of inner
+    dimension m, X = [c sin(k0 t)] @ [cos(r t)] and Y = [c cos(k0 t)] @
+    [sin(r t)] into B x (R + 1) sums, with O(sqrt(K)) sines per jump
+    instead of K; the terms are X + Y and X - Y.  sin(k0 t) is evaluated
+    directly, not by recurrence, so rounding does not build up with k.
+
+    One rule bounds the memory of every blocked kernel: the temporaries of
+    one loop step hold at most _BLOCK_CELLS float64 cells.  Here they are
+    the chunk's operands, 2m (B + R + 1) cells, computed in place in
+    scratch allocated once.  The sums and the product hold about K/2
+    cells each, so memory is O(terms + jumps).
+    """
+    B, R, m = _layout(num_terms)
+    sx, sy, prod = np.zeros((B, R + 1)), np.zeros((B, R + 1)), np.empty((B, R + 1))
+    # a chunk's operands, stored transposed: [c sin(k0 t); c cos(k0 t)] and
+    # [cos(r t); sin(r t)], one row per jump
+    lhs = np.empty((2 * m, B))
+    rhs = np.empty((2 * m, R + 1))
+    k0, r = np.arange(R, 2 * R * B, 2.0 * R), np.arange(R + 1)
+    for j in range(0, levels.size, m):
+        s, c = levels[j:j + m, None], jumps[j:j + m, None]
+        w = s.size
+        start, off = lhs[:2 * w], rhs[:2 * w]
+        np.copyto(start[:w], k0)
+        start[:w] *= s
+        start[:w] *= np.pi
+        np.cos(start[:w], out=start[w:])
+        np.sin(start[:w], out=start[:w])
+        start[:w] *= c
+        start[w:] *= c
+        np.copyto(off[:w], r)
+        off[:w] *= s
+        off[:w] *= np.pi
+        np.sin(off[:w], out=off[w:])
+        np.cos(off[:w], out=off[:w])
+        sx += np.dot(start[:w].T, off[:w], out=prod)
+        sy += np.dot(start[w:].T, off[w:], out=prod)
+    del start, off, lhs, rhs, prod   # the scratch goes before the terms come
+    # run b holds k0 - R + 1 .. k0 (r = R - 1 .. 0), then k0 + 1 .. k0 + R
+    terms = np.empty((B, 2 * R))
+    np.subtract(sx[:, R - 1::-1], sy[:, R - 1::-1], out=terms[:, :R])
+    np.add(sx[:, 1:], sy[:, 1:], out=terms[:, R:])
+    return terms.ravel()[:num_terms]
 
 
 def evaluate_map(fc: FourierCoefficients, z):

@@ -30,10 +30,9 @@ class OracleConvergenceError(RuntimeError):
     """The principal-value quadrature failed to extrapolate consistently."""
 
 
-def _log_abs_sin_half(t, out=None):
-    """log|sin(t/2)|; with `out`, computed in place there."""
-    half = np.multiply(t, 0.5, out=out)
-    return np.log(np.abs(np.sin(half, out=out), out=out), out=out)
+def _log_abs_sin(t, out):
+    """log|sin(t)|, computed in place in `out`."""
+    return np.log(np.abs(np.sin(t, out=out), out=out), out=out)
 
 
 def _wrap_distance(u, poles):
@@ -64,30 +63,90 @@ def _check_poles(u, poles):
             f"evaluation within {POLE_RADIUS} of a logarithmic pole at u={bad}")
 
 
+# Cells of _jump_sum whose jump angle lies within this distance of the
+# point's folded angle take the direct two-log form: beyond it the
+# angle-addition quotient loses at most about 12 ulp / _NEAR_POLE of D.
+_NEAR_POLE = 1e-2
+
+
+def _block_shape(jumps):
+    """Rows and columns of a `_jump_sum` block for `jumps` jump angles.
+
+    Three rows x columns buffers hold at most _BLOCK_CELLS cells together;
+    a row is split into column blocks only past _BLOCK_CELLS // 3 jumps.
+    """
+    cols = min(jumps, _BLOCK_CELLS // 3)
+    return max(1, _BLOCK_CELLS // (3 * cols)), cols
+
+
+def _near_pole_columns(pts, theta, rows):
+    """Per block of `rows` points, the columns [lo, hi) of ascending theta
+    within _NEAR_POLE of some point's folded angle |u| (mod 2 pi) in [0, pi].
+
+    For theta in [0, pi], the nearer of a cell's two poles, u = +-theta
+    (mod 2 pi), lies |theta - fold(u)| from u: the range holds exactly the
+    cells within _NEAR_POLE of a pole, for a block the union over its rows.
+    """
+    fold = np.abs(np.mod(pts + np.pi, 2.0 * np.pi) - np.pi)
+    starts = np.arange(0, pts.size, rows)
+    lo = np.minimum.reduceat(np.searchsorted(theta, fold - _NEAR_POLE), starts)
+    hi = np.maximum.reduceat(np.searchsorted(theta, fold + _NEAR_POLE, side="right"), starts)
+    return lo, hi
+
+
 def _jump_sum(u, theta, coeff):
     """sum_j coeff_j D(u, theta_j) / pi at angles u, for jump angles theta.
 
-    D(u, t) = log|sin((u-t)/2)| - log|sin((u+t)/2)|, one log pair per
-    jump, with logarithmic poles at +-theta_j; angles within POLE_RADIUS
-    of one are refused.  The sum runs in blocks of points through two
-    (rows x jumps) buffers of at most _BLOCK_CELLS float64 cells,
-    allocated once: each block's log|sin| chain runs in place and its
-    matrix-vector product is written straight into the result.  Memory
-    is O(points + jumps).  A scalar u gives a float.
+    D(u, t) = log|sin((u-t)/2) / sin((u+t)/2)|, with logarithmic poles at
+    +-theta_j; angles within POLE_RADIUS of one are refused.  `theta` is
+    ascending in (0, pi).  By angle addition, sin((u -+ t)/2) =
+    sin(u/2)cos(t/2) -+ cos(u/2)sin(t/2): sines and cosines are taken once
+    per point and once per jump, and each cell costs two products, an add,
+    a subtract, a divide and one log.  Near a pole the difference cancels,
+    so the cells whose jump lies within _NEAR_POLE of the point's folded
+    angle |u| (mod 2 pi) take the direct form log|sin((u-t)/2)| -
+    log|sin((u+t)/2)| instead.  For ascending theta those cells are one
+    column range per point, found by a sorted search; each block recomputes
+    the range that covers its rows, so sorted points recompute about
+    2 _NEAR_POLE / pi of the cells.
+
+    One rule bounds the memory of every blocked kernel: the temporaries of
+    one loop step hold at most _BLOCK_CELLS float64 cells.  Here the sum
+    runs over blocks of rows x columns through three buffers of a third of
+    that each, allocated once, and each block's matrix-vector product is
+    added into the result.  Memory is O(points + jumps).  A scalar u gives
+    a float.
     """
     arr = np.asarray(u, dtype=float)
     pts = np.atleast_1d(arr).ravel()
     _check_poles(pts, np.concatenate((theta, -theta)))
     out = np.zeros(pts.size)
-    if theta.size:
-        rows = max(1, min(pts.size, _BLOCK_CELLS // theta.size))
-        buf = np.empty((2, rows, theta.size))
-        for i in range(0, pts.size, rows):
-            blk = pts[i:i + rows, None]
-            D, P = buf[:, :blk.shape[0]]
-            _log_abs_sin_half(np.subtract(blk, theta, out=D), out=D)
-            D -= _log_abs_sin_half(np.add(blk, theta, out=P), out=P)
-            np.dot(D, coeff, out=out[i:i + rows])
+    if theta.size and pts.size:
+        rows, cols = _block_shape(theta.size)
+        rows = min(rows, pts.size)
+        near_lo, near_hi = _near_pole_columns(pts, theta, rows)
+        su, cu = np.sin(0.5 * pts[:, None]), np.cos(0.5 * pts[:, None])
+        st, ct = np.sin(0.5 * theta), np.cos(0.5 * theta)
+        buf = np.empty((3, rows * cols))
+        for j in range(0, theta.size, cols):
+            c = min(cols, theta.size - j)
+            tile = buf[:, :rows * c].reshape(3, rows, c)
+            for blk, i in enumerate(range(0, pts.size, rows)):
+                r = min(rows, pts.size - i)
+                P, Q, D = tile[:, :r]
+                np.multiply(su[i:i + r], ct[j:j + c], out=P)
+                np.multiply(cu[i:i + r], st[j:j + c], out=Q)
+                np.add(P, Q, out=D)
+                np.subtract(P, Q, out=P)
+                np.log(np.abs(np.divide(P, D, out=D), out=D), out=D)
+                a, b = max(near_lo[blk], j), min(near_hi[blk], j + c)
+                if a < b:
+                    P, Q = (x[:r * (b - a)].reshape(r, b - a) for x in buf[:2])
+                    hu, ht = 0.5 * pts[i:i + r, None], 0.5 * theta[a:b]
+                    _log_abs_sin(np.subtract(hu, ht, out=P), out=P)
+                    _log_abs_sin(np.add(hu, ht, out=Q), out=Q)
+                    np.subtract(P, Q, out=D[:, a - j:b - j])
+                out[i:i + r] += D @ coeff[j:j + c]
         out /= np.pi
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mudk.boundary import (BoundaryPolyline, boundary_points, export_csv,
                            export_svg, load_csv, normalize_support,
                            parameter_grid, scale_domain, svg_point_count)
-from mudk.discretize import build_measure
-from mudk.distributions import Beta, Discrete, Mixture, Uniform
+from mudk.discretize import StepQuantile, build_measure
+from mudk.distributions import (Beta, Discrete, Exponential, Mixture,
+                                TruncatedNormal, Uniform)
 from mudk.hilbert import pole_levels
 
 
@@ -31,6 +34,75 @@ def test_parameter_grid_survives_clustered_pole_levels():
     poles = np.sort([s for s in pole_levels(sq) if 0 < s < 1])
     gap = np.min(np.abs(t[:, None] - poles[None, :]))
     assert gap > 1e-6
+
+
+def _loop_parameter_grid(sq, m):
+    """Reference: the per-cell loop that masked every pole for each cell."""
+    cell = 1.0 / m
+    t = (np.arange(1, m + 1) - 0.5) * cell
+    poles = pole_levels(sq)
+    if poles.size:
+        j = np.searchsorted(poles, t)
+        dist = np.minimum(np.abs(t - poles[np.clip(j - 1, 0, poles.size - 1)]),
+                          np.abs(poles[np.clip(j, 0, poles.size - 1)] - t))
+        for i in np.nonzero(dist < 0.25 * cell)[0]:
+            lo, hi = i * cell, (i + 1) * cell
+            inner = poles[(poles > lo) & (poles < hi)]
+            edges = np.concatenate(([lo], inner, [hi]))
+            g = int(np.argmax(np.diff(edges)))
+            t[i] = 0.5 * (edges[g] + edges[g + 1])
+    return t
+
+
+MIXTURE = Mixture([(0.5, Uniform(-1.0, 1.0)), (0.5, Discrete([(0.0, 1.0)]))])
+REFERENCE_LAWS = {
+    "uniform": Uniform(-1.0, 1.0).center(),
+    "beta": Beta(2.0, 5.0).center(),
+    "truncated_normal": TruncatedNormal(0.0, 1.0, -2.0, 2.0).center(),
+    "truncated_exponential": Exponential(1.0).center().truncate(3.0),
+    "mixture": MIXTURE.center(),
+}
+
+
+@pytest.mark.parametrize("law", sorted(REFERENCE_LAWS))
+@pytest.mark.parametrize("n", [200, 2000, 20000])
+def test_parameter_grid_matches_the_cell_loop(law, n):
+    sq = build_measure(REFERENCE_LAWS[law], n)
+    for m in (64, 2048, 8192):
+        np.testing.assert_array_equal(parameter_grid(sq, m), _loop_parameter_grid(sq, m))
+
+
+@st.composite
+def step_quantiles(draw):
+    """Levels drawn uniformly, clustered near 1 (a vanishing density) or
+    equal to grid cell edges and midpoints; some jumps are zero."""
+    m = draw(st.sampled_from([1, 2, 7, 64, 1000]))
+    kind = draw(st.sampled_from(["uniform", "cluster", "grid"]))
+    count = draw(st.integers(1, 300))
+    if kind == "uniform":
+        levels = draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=count, max_size=count))
+    elif kind == "cluster":
+        levels = list(1.0 - np.geomspace(1e-7, 0.5, count))
+    else:
+        levels = [k / (2 * m) for k in draw(st.lists(st.integers(1, 2 * m - 1),
+                                                     min_size=1, max_size=count))]
+    levels = np.unique(levels)
+    jumps = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                          min_size=levels.size, max_size=levels.size))
+    values = np.concatenate(([0.0], np.cumsum(jumps)))
+    return StepQuantile(np.concatenate(([0.0], levels, [1.0])), values), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=step_quantiles())
+def test_parameter_grid_matches_the_cell_loop_on_step_quantiles(case):
+    sq, m = case
+    ref = _loop_parameter_grid(sq, m)
+    if np.all(np.diff(ref) > 0) and 0.0 < ref[0] and ref[-1] < 1.0:
+        np.testing.assert_array_equal(parameter_grid(sq, m), ref)
+    else:
+        with pytest.raises(ValueError):
+            parameter_grid(sq, m)
 
 
 def test_boundary_shape_and_symmetry():

@@ -10,9 +10,8 @@ import pytest
 from mudk.cli import build_distribution
 from mudk.discretize import StepQuantile, build_measure, step_l1_distance
 from mudk.distributions import Beta, Discrete, Mixture, Uniform
-from mudk.gross_map import (FourierCoefficients, evaluate_map,
+from mudk.gross_map import (FourierCoefficients, _layout, evaluate_map,
                             fourier_coefficients, map_distance_bound)
-from mudk.hilbert import _BLOCK_CELLS
 
 
 def strip_quantile():
@@ -150,14 +149,18 @@ def _oracle_gap(sq, terms):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
-# K terms are summed as B = ceil(K/R) block starts times R = isqrt(K)
-# offsets, so R*R terms tile the layout exactly and R*R +- 1 sit on
-# either side of that edge; 1009 is prime.
+# K terms are summed as B = ceil(K/2R) runs of 2R terms around their
+# centres, R = isqrt(ceil(K/2)), so 2R*R terms tile the layout exactly and
+# 2R*R +- 1 sit on either side of that edge; 1599-1601 leave a short last
+# run and 1009 is prime.
 _R = 40
-EDGE_TERMS = (1, _R * _R - 1, _R * _R, _R * _R + 1, 1009)
-# At R*R terms a jump chunk holds _BLOCK_CELLS // _R jumps; a uniform
-# law on this many cells has one jump more, so it takes two chunks.
-BEYOND_CHUNK = _BLOCK_CELLS // _R + 2
+_EDGE = 2 * _R * _R
+EDGE_TERMS = (1, 2, 3, 1599, 1600, 1601, _EDGE - 1, _EDGE, _EDGE + 1, 1009)
+# At 2R*R terms a jump chunk holds m jumps, so that its operands of
+# 2m (B + R + 1) cells fit one block; a uniform law on m + 2 cells has
+# one jump more, so it takes two chunks.
+_M = _layout(_EDGE)[2]
+BEYOND_CHUNK = _M + 2
 
 LAWS = {
     "uniform": build_measure(Uniform(-1.0, 1.0), 200),
@@ -169,7 +172,7 @@ LAWS = {
 
 @pytest.mark.parametrize("sq", LAWS.values(), ids=LAWS.keys())
 def test_blocked_coefficients_match_dense_oracle(sq):
-    for terms in (_R * _R - 1, _R * _R, _R * _R + 1, 2 * _R * _R + 1):
+    for terms in (_EDGE - 1, _EDGE, _EDGE + 1, 2 * _EDGE + 1):
         assert _oracle_gap(sq, terms) <= 1e-13
 
 

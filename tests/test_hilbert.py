@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from mudk.boundary import parameter_grid
 from mudk.discretize import StepQuantile, build_measure
 from mudk.distributions import Beta, Discrete, Mixture, Uniform
-from mudk.hilbert import (_BLOCK_CELLS, OracleConvergenceError, PoleError,
-                          _wrap_distance, hilbert_indicator,
-                          hilbert_pv_oracle, hilbert_step_quantile,
-                          pole_levels)
+from mudk.hilbert import (_BLOCK_CELLS, _NEAR_POLE, OracleConvergenceError,
+                          PoleError, _block_shape, _wrap_distance,
+                          hilbert_indicator, hilbert_pv_oracle,
+                          hilbert_step_quantile, pole_levels)
 
 # independently frozen: adaptive PV quadrature agrees to ~5e-11
 INDICATOR_AT_HALF_ONE_TWO = 0.12788601940419692
@@ -248,10 +248,53 @@ def test_pole_levels_skip_zero_jumps():
                            (0.5, Discrete([(0.0, 1.0)]))]), 150),
 ], ids=["uniform", "beta-pdf", "atom"])
 def test_blocked_kernel_matches_dense_oracle(sq):
-    jumps = pole_levels(sq).size
-    rows = _BLOCK_CELLS // jumps
+    rows, cols = _block_shape(pole_levels(sq).size)
+    assert cols == pole_levels(sq).size
     for m in (rows - 1, rows, rows + 1, 2 * rows + 1):
         u = np.pi * parameter_grid(sq, m)
         ref = _dense_hilbert(sq, u)
         got = hilbert_step_quantile(sq, u)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_column_blocks_match_dense_oracle():
+    """Past _BLOCK_CELLS // 3 jumps a row is summed in two column blocks."""
+    sq = build_measure(Uniform(-1.0, 1.0), _BLOCK_CELLS // 3 + 2)
+    rows, cols = _block_shape(pole_levels(sq).size)
+    assert (rows, cols) == (1, _BLOCK_CELLS // 3) and pole_levels(sq).size == cols + 1
+    u = np.pi * parameter_grid(sq, 3)
+    ref = _dense_hilbert(sq, u)
+    got = hilbert_step_quantile(sq, u)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_near_pole_cells_match_the_two_log_form():
+    """Angle addition cancels near a pole; those cells take the direct form.
+
+    Points 1e-8 to 1e-2 from every pole of the atom mixture, on both sides
+    of +theta and of -theta.  Without the direct form the error is about
+    5e-11 of max|H|.
+    """
+    sq = build_measure(Mixture([(0.5, Uniform(-1.0, 1.0)),
+                                (0.5, Discrete([(0.0, 1.0)]))]), 150)
+    theta = np.pi * pole_levels(sq)
+    gap = 10.0 ** -np.arange(2.0, 9.0)
+    assert gap.max() <= _NEAR_POLE
+    u = (theta[:, None, None] + np.array([-1.0, 1.0])[:, None] * gap).ravel()
+    u = np.concatenate((u, -u))
+    ref = _dense_hilbert(sq, u)
+    got = hilbert_step_quantile(sq, u)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_pole_free_band_ends_contribute_exactly_zero():
+    """a = 0 and b = pi add no term, near a pole of the other end or not."""
+    u = np.concatenate((np.linspace(-3.0, 3.0, 60), [0.0, np.pi, -np.pi],
+                        1.0 + np.array([-1e-8, 1e-3, 0.02])))
+    left = hilbert_indicator(0.0, 1.0, u)
+    np.testing.assert_array_equal(left, -hilbert_indicator(1.0, np.pi, u))
+    # one jump at b = 1 with weight -1, in the direct two-log form
+    ref = -(np.log(np.abs(np.sin(0.5 * (u - 1.0)))) -
+            np.log(np.abs(np.sin(0.5 * (u + 1.0))))) / np.pi
+    assert np.max(np.abs(left - ref)) <= 1e-14 * np.max(np.abs(ref))
+    np.testing.assert_array_equal(hilbert_indicator(0.0, np.pi, u), 0.0)

@@ -1,8 +1,9 @@
 """Peak-memory ceilings of the map layer, the exit sampler, the file layer
 and the L1 layer.
 
-tracemalloc peaks, beta(2,5) at n=2000: the blocked kernels hold a few
-cache-sized buffers, so none of them may reach 4 MB.  The file layer
+tracemalloc peaks, beta(2,5) at n=2000 unless stated: the blocked kernels
+keep the temporaries of one loop step within one 256 KB block, so their
+peaks sit just above their O(input) arrays.  The file layer
 streams: a read holds the float array, not one object per row, and a
 write holds one chunk of text, not the whole file.  The L1 gaps call
 their integrand on one block of quadrature cells at a time, so the
@@ -38,11 +39,20 @@ def _peak_mb(fn):
 
 
 def test_boundary_points_memory_is_bounded(beta_2000):
-    assert _peak_mb(lambda: boundary_points(beta_2000, 8192)) < CEILING_MB
+    """0.94 MB, set by the 2 x 8192-row polyline and its validated copy."""
+    assert _peak_mb(lambda: boundary_points(beta_2000, 8192)) < 1.0
 
 
 def test_fourier_coefficients_memory_is_bounded(beta_2000):
-    assert _peak_mb(lambda: fourier_coefficients(beta_2000)) < CEILING_MB
+    """0.53 MB at 16000 terms; two GEMMs per jump chunk, each with its own
+    operand and product temporaries, took 1.39 MB."""
+    assert _peak_mb(lambda: fourier_coefficients(beta_2000)) < 0.6
+
+
+def test_fourier_coefficients_memory_is_bounded_at_n20000():
+    """2.9 MB at 160000 terms; the two-GEMM layout took 5.7 MB."""
+    sq = build_measure(Beta(2.0, 5.0), 20000)
+    assert _peak_mb(lambda: fourier_coefficients(sq)) < 3.1
 
 
 def test_simulate_exit_memory_is_bounded():
