@@ -74,18 +74,14 @@ class BoundaryPolyline:
                 float(self.y.min()), float(self.y.max()))
 
 
-# nudged cells per call of _widest_gap_centres, so that its flat arrays
-# hold 2 _GAP_CELLS ends plus the poles inside those cells
-_GAP_CELLS = 512
-
-
 def _widest_gap_centres(poles, cells, width):
     """Centre of the widest pole-free gap of each cell (i w, (i + 1) w).
 
     A cell's edges are its two ends and the sorted poles strictly inside
     it, found by a sorted search.  The edges of all the cells lie in one
     flat array, so the gaps are one difference and the widest gap of each
-    cell (the first of equal ones) is a segmented maximum.
+    cell (the first of equal ones) is a segmented maximum.  Memory is
+    O(cells + poles), like the grid and the pole levels themselves.
     """
     lo, hi = cells * width, (cells + 1) * width
     first = np.searchsorted(poles, lo, side="right")
@@ -123,9 +119,8 @@ def parameter_grid(sq: StepQuantile, num_points: int) -> np.ndarray:
         dist = np.minimum(np.abs(t - poles[np.clip(j - 1, 0, poles.size - 1)]),
                           np.abs(poles[np.clip(j, 0, poles.size - 1)] - t))
         near = np.nonzero(dist < 0.25 * cell)[0]
-        for i in range(0, near.size, _GAP_CELLS):
-            run = near[i:i + _GAP_CELLS]
-            t[run] = _widest_gap_centres(poles, run, cell)
+        if near.size:
+            t[near] = _widest_gap_centres(poles, near, cell)
     if np.any(np.diff(t) <= 0) or t[0] <= 0 or t[-1] >= 1:
         raise ValueError("internal error: pole avoidance broke the grid")
     return t

@@ -99,6 +99,20 @@ def _sine_sums(levels, jumps, num_terms):
     cells each, so memory is O(terms + jumps).
     """
     B, R, m = _layout(num_terms)
+    sx, sy = _centre_sums(levels, jumps, B, R, m)
+    # run b holds k0 - R + 1 .. k0 (r = R - 1 .. 0), then k0 + 1 .. k0 + R
+    terms = np.empty((B, 2 * R))
+    np.subtract(sx[:, R - 1::-1], sy[:, R - 1::-1], out=terms[:, :R])
+    np.add(sx[:, 1:], sy[:, 1:], out=terms[:, R:])
+    return terms.ravel()[:num_terms]
+
+
+def _centre_sums(levels, jumps, B, R, m):
+    """The B x (R + 1) sums X and Y of `_sine_sums`, in chunks of m jumps.
+
+    The scratch lives only in this call, so it is freed before the terms
+    are assembled.  No jumps give zero sums.
+    """
     sx, sy, prod = np.zeros((B, R + 1)), np.zeros((B, R + 1)), np.empty((B, R + 1))
     # a chunk's operands, stored transposed: [c sin(k0 t); c cos(k0 t)] and
     # [cos(r t); sin(r t)], one row per jump
@@ -123,12 +137,7 @@ def _sine_sums(levels, jumps, num_terms):
         np.cos(off[:w], out=off[:w])
         sx += np.dot(start[:w].T, off[:w], out=prod)
         sy += np.dot(start[w:].T, off[w:], out=prod)
-    del start, off, lhs, rhs, prod   # the scratch goes before the terms come
-    # run b holds k0 - R + 1 .. k0 (r = R - 1 .. 0), then k0 + 1 .. k0 + R
-    terms = np.empty((B, 2 * R))
-    np.subtract(sx[:, R - 1::-1], sy[:, R - 1::-1], out=terms[:, :R])
-    np.add(sx[:, 1:], sy[:, 1:], out=terms[:, R:])
-    return terms.ravel()[:num_terms]
+    return sx, sy
 
 
 def evaluate_map(fc: FourierCoefficients, z):

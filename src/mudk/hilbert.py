@@ -79,19 +79,19 @@ def _block_shape(jumps):
     return max(1, _BLOCK_CELLS // (3 * cols)), cols
 
 
-def _near_pole_columns(pts, theta, rows):
+def _near_pole_columns(fold, theta, rows):
     """Per block of `rows` points, the columns [lo, hi) of ascending theta
-    within _NEAR_POLE of some point's folded angle |u| (mod 2 pi) in [0, pi].
+    within _NEAR_POLE of some point's folded angle, for ascending `fold`.
 
     For theta in [0, pi], the nearer of a cell's two poles, u = +-theta
-    (mod 2 pi), lies |theta - fold(u)| from u: the range holds exactly the
-    cells within _NEAR_POLE of a pole, for a block the union over its rows.
+    (mod 2 pi), lies |theta - fold(u)| from u, with fold(u) = |u| (mod 2 pi)
+    in [0, pi]: the range holds the cells within _NEAR_POLE of a pole, for
+    a block those of its first through its last row.
     """
-    fold = np.abs(np.mod(pts + np.pi, 2.0 * np.pi) - np.pi)
-    starts = np.arange(0, pts.size, rows)
-    lo = np.minimum.reduceat(np.searchsorted(theta, fold - _NEAR_POLE), starts)
-    hi = np.maximum.reduceat(np.searchsorted(theta, fold + _NEAR_POLE, side="right"), starts)
-    return lo, hi
+    first = fold[::rows]
+    last = fold[np.minimum(np.arange(rows, fold.size + rows, rows), fold.size) - 1]
+    return (np.searchsorted(theta, first - _NEAR_POLE),
+            np.searchsorted(theta, last + _NEAR_POLE, side="right"))
 
 
 def _jump_sum(u, theta, coeff):
@@ -106,9 +106,10 @@ def _jump_sum(u, theta, coeff):
     so the cells whose jump lies within _NEAR_POLE of the point's folded
     angle |u| (mod 2 pi) take the direct form log|sin((u-t)/2)| -
     log|sin((u+t)/2)| instead.  For ascending theta those cells are one
-    column range per point, found by a sorted search; each block recomputes
-    the range that covers its rows, so sorted points recompute about
-    2 _NEAR_POLE / pi of the cells.
+    column range per point, found by a sorted search.  The points are taken
+    in ascending folded angle (reordered only when they are not), so each
+    block recomputes the range from its first to its last row, about
+    2 _NEAR_POLE / pi of the cells plus the block's own spread.
 
     One rule bounds the memory of every blocked kernel: the temporaries of
     one loop step hold at most _BLOCK_CELLS float64 cells.  Here the sum
@@ -124,7 +125,12 @@ def _jump_sum(u, theta, coeff):
     if theta.size and pts.size:
         rows, cols = _block_shape(theta.size)
         rows = min(rows, pts.size)
-        near_lo, near_hi = _near_pole_columns(pts, theta, rows)
+        fold = np.abs(np.mod(pts + np.pi, 2.0 * np.pi) - np.pi)
+        order = None if np.all(fold[:-1] <= fold[1:]) else np.argsort(fold)
+        if order is not None:
+            pts, fold = pts[order], fold[order]
+        near_lo, near_hi = _near_pole_columns(fold, theta, rows)
+        del fold
         su, cu = np.sin(0.5 * pts[:, None]), np.cos(0.5 * pts[:, None])
         st, ct = np.sin(0.5 * theta), np.cos(0.5 * theta)
         buf = np.empty((3, rows * cols))
@@ -148,6 +154,8 @@ def _jump_sum(u, theta, coeff):
                     np.subtract(P, Q, out=D[:, a - j:b - j])
                 out[i:i + r] += D @ coeff[j:j + c]
         out /= np.pi
+        if order is not None:
+            out[order] = out.copy()
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -189,6 +189,17 @@ def test_default_terms_match_dense_oracle_at_n2000():
     assert _oracle_gap(sq, fourier_coefficients(sq).order) <= 1e-14
 
 
+@pytest.mark.parametrize("sq", [
+    build_measure(Uniform(-1.0, 1.0), 1), StepQuantile([0.0, 1.0], [0.0]),
+], ids=["one-step", "constant-zero"])
+@pytest.mark.parametrize("terms", (None, 1, _EDGE + 1))
+def test_quantile_without_jumps_has_zero_coefficients(sq, terms):
+    assert sq.jumps()[0].size == 0
+    fc = fourier_coefficients(sq, num_terms=terms)
+    assert fc.order == (terms or 256)
+    assert not np.any(fc.coeffs)
+
+
 def _beta_map():
     return fourier_coefficients(build_measure(Beta(2.0, 5.0).center(), 200))
 

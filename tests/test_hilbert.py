@@ -298,3 +298,18 @@ def test_pole_free_band_ends_contribute_exactly_zero():
             np.log(np.abs(np.sin(0.5 * (u + 1.0))))) / np.pi
     assert np.max(np.abs(left - ref)) <= 1e-14 * np.max(np.abs(ref))
     np.testing.assert_array_equal(hilbert_indicator(0.0, np.pi, u), 0.0)
+
+
+def test_point_order_does_not_change_the_values():
+    """Points are summed in ascending folded angle, whatever their order."""
+    sq = build_measure(Beta(2.0, 5.0).center(), 300, scheme="pdf")
+    rows = _block_shape(pole_levels(sq).size)[0]
+    u = np.pi * parameter_grid(sq, 2 * rows + 1)
+    want = hilbert_step_quantile(sq, u)
+    perm = np.random.default_rng(3).permutation(u.size)
+    np.testing.assert_array_equal(hilbert_step_quantile(sq, u[perm]), want[perm])
+    # -u and u - 2 pi fold onto u: interleaved, they are far from sorted
+    mixed = np.stack((u, -u, u - 2.0 * np.pi)).T.ravel()
+    ref = _dense_hilbert(sq, mixed)
+    got = hilbert_step_quantile(sq, mixed)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
