@@ -9,7 +9,14 @@ counts a point as inside when it lies strictly between the outer walls
 and farther than a round-off tolerance from every tooth.  The sampler
 runs walk on spheres (Muller 1956) from the origin, all walks in numpy
 lockstep, until each walk is within `step` of a tooth; it exits at that
-tooth's abscissa.  The exits are compared against the target law with
+tooth's abscissa.  `_nearest_tooth` finds every walk's nearest tooth in
+one vectorized pass: the teeth of the two walls around the walk bound
+the distance, two sorted searches find the walls within that bound, and
+the candidates of many walks are gathered into one flat array and
+reduced per walk, an exact tie going to the nearest wall on the left.
+Walks are taken in blocks and candidates in chunks, so that one loop
+step holds at most `_quad._BLOCK_CELLS` cells, the memory rule of every
+blocked kernel.  The exits are compared against the target law with
 the two-sided Kolmogorov-Smirnov statistic.  Angles are a counter-based
 hash of (seed, walk, sweep), so a walk's exit does not depend on how
 many walks run.
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quad import _BLOCK_CELLS
 from .boundary import BoundaryPolyline
 from .distributions import Distribution
 
@@ -101,30 +109,78 @@ def _clearance(bp, locs, tips, point) -> float:
     return dist if dist > tol else 0.0
 
 
-def _nearest_tooth(locs, tips, x, y):
-    """Distance from each (x, y) to the nearest tooth, and that tooth's index.
+# The nearest-tooth search under the memory rule of `_quad`: a block of
+# _WALK_BLOCK walks keeps about a dozen per-walk arrays (6K cells) and one
+# gather about six arrays of _GATHER_CELLS candidates (24K cells), so one
+# loop step stays within _BLOCK_CELLS cells.
+_WALK_BLOCK = _BLOCK_CELLS // 64
+_GATHER_CELLS = _BLOCK_CELLS // 8
+# The candidate search reaches this far beyond its bound, relative to
+# |x| + bound: more than the round-off of x -+ bound, so no wall whose
+# rounded gap equals the bound is left out.
+_REACH = 4 * np.finfo(float).eps
 
-    Tooth j is the pair of rays {x = locs[j], |y| >= tips[j]}.  From the
-    two walls around x (sorted search) the scan moves outward one wall
-    per pass, on the points whose horizontal gap to that wall is still
-    below their best distance.
+
+def _nearest_tooth(locs, tips, x, y):
+    """Distance from each finite (x, y) to the nearest tooth, and its index.
+
+    Tooth j is the pair of rays {x = locs[j], |y| >= tips[j]}, at distance
+    hypot(locs[j] - x, max(tips[j] - |y|, 0)) from (x, y).  The nearer of
+    the teeth of the two walls around x bounds that distance, so the
+    candidates are the walls whose gap to x is within the bound, found by
+    two sorted searches.  Points are taken in blocks of _WALK_BLOCK; the
+    candidates of consecutive points of a block are gathered together, at
+    most _GATHER_CELLS at a time, and a point with more candidates than
+    that is gathered on its own (O(walls) cells).  On an exact tie the
+    nearest wall left of x wins, else the nearest wall at or right of x.
     """
-    best = np.full(x.size, np.inf)
-    near = np.zeros(x.size, dtype=int)
-    right = np.searchsorted(locs, x)
-    for move, j in ((-1, right - 1), (1, right)):
-        scan = np.arange(x.size)
-        while scan.size:
-            clipped = np.clip(j, 0, locs.size - 1)
-            gap = locs[clipped] - x[scan]
-            keep = (clipped == j) & (np.abs(gap) < best[scan])
-            scan, j, gap = scan[keep], j[keep], gap[keep]
-            d = np.hypot(gap, np.maximum(tips[j] - np.abs(y[scan]), 0.0))
-            better = d < best[scan]
-            best[scan[better]] = d[better]
-            near[scan[better]] = j[better]
-            j = j + move
+    best = np.empty(x.size)
+    near = np.empty(x.size, dtype=int)
+    for i in range(0, x.size, _WALK_BLOCK):
+        block = slice(i, i + _WALK_BLOCK)
+        px, ay = x[block], np.abs(y[block])
+        right = np.searchsorted(locs, px)
+        bound = np.minimum(
+            _tooth_distance(locs, tips, np.maximum(right - 1, 0), px, ay),
+            _tooth_distance(locs, tips, np.minimum(right, locs.size - 1), px, ay))
+        reach = bound + _REACH * (np.abs(px) + bound)
+        lo = np.searchsorted(locs, px - reach)
+        hi = np.searchsorted(locs, px + reach, side="right")
+        counts = hi - lo
+        ends = np.cumsum(counts)
+        a = 0
+        while a < px.size:
+            b = max(a + 1, int(np.searchsorted(
+                ends, ends[a] - counts[a] + _GATHER_CELLS, side="right")))
+            best[i + a:i + b], near[i + a:i + b] = _nearest_candidate(
+                locs, tips, px[a:b], ay[a:b], right[a:b], lo[a:b], hi[a:b])
+            a = b
     return best, near
+
+
+def _tooth_distance(locs, tips, j, x, ay):
+    """Distance from (x, y) to tooth j, given ay = |y|."""
+    return np.hypot(locs[j] - x, np.maximum(tips[j] - ay, 0.0))
+
+
+def _nearest_candidate(locs, tips, x, ay, right, lo, hi):
+    """Nearest tooth of each point among its walls lo..hi-1, in one gather.
+
+    A point's candidates are laid out as the walls left of x (below
+    `right`), nearest first, then the walls at or right of x, nearest
+    first: the order of a scan outward from x.  The first candidate that
+    attains the point's minimum is the one that scan keeps on a tie.
+    """
+    counts = hi - lo
+    starts = np.cumsum(counts) - counts
+    # position p of a left run holds wall c - p, of a right run wall p - c
+    runs = np.column_stack((right - lo, hi - right)).ravel()
+    pivots = np.column_stack((starts + right - 1, starts - lo)).ravel()
+    j = np.abs(np.arange(starts[-1] + counts[-1]) - np.repeat(pivots, runs))
+    d = _tooth_distance(locs, tips, j, np.repeat(x, counts), np.repeat(ay, counts))
+    best = np.minimum.reduceat(d, starts)
+    hits = np.flatnonzero(d == np.repeat(best, counts))
+    return best, j[hits[np.searchsorted(hits, starts)]]
 
 
 _GAMMA = 0x9E3779B97F4A7C15

@@ -7,7 +7,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "bench_grid.py")
-LAYERS = {"parameter_grid", "boundary_points", "fourier_coefficients"}
+LAYERS = {"parameter_grid", "boundary_points", "fourier_coefficients",
+          "simulate_exit"}
 
 
 def _run(out, label):
@@ -31,6 +32,9 @@ def test_bench_grid_writes_every_law_size_and_layer(tmp_path):
     for row in rows:
         assert row["points"] == 64 and row["terms"] == max(256, 8 * row["steps"])
         assert 0 < row["jumps"] <= row["steps"]
+        # the comb has a wall per distinct rendered abscissa: at most one
+        # per step value and one per boundary point
+        assert 2 <= row["walls"] <= min(row["steps"], row["points"])
         assert set(row["layers"]) == LAYERS
         for m in row["layers"].values():
             assert m["median_s"] > 0 and m["peak_mb"] > 0

@@ -55,10 +55,23 @@ def test_fourier_coefficients_memory_is_bounded_at_n20000():
     assert _peak_mb(lambda: fourier_coefficients(sq)) < 3.1
 
 
+def _simulate_peak_mb(n):
+    bp = boundary_points(build_measure(Beta(2.0, 5.0).center(), n), 2048)
+    return _peak_mb(lambda: simulate_exit(bp, walks=4000, step=1e-4, seed=0))
+
+
 def test_simulate_exit_memory_is_bounded():
-    bp = boundary_points(build_measure(Beta(2.0, 5.0).center(), 2000), 2048)
-    peak = _peak_mb(lambda: simulate_exit(bp, walks=4000, step=1e-4, seed=0))
-    assert peak < CEILING_MB
+    """0.53 MB at 4000 walks: the nearest-tooth search takes blocks of walks
+    and gathers their candidates in chunks under the memory rule.  Chunks
+    of 2**15 candidates, past the rule, read 1.8 MB, and one gather of all
+    the candidates of a sweep 33 MB."""
+    assert _simulate_peak_mb(2000) < 1.0
+
+
+def test_simulate_exit_memory_is_bounded_at_n20000():
+    """0.53 MB, as at n=2000: the chunks do not grow with the walls (one
+    gather of all the candidates of a sweep read 54 MB)."""
+    assert _simulate_peak_mb(20000) < 1.0
 
 
 def test_load_csv_memory_is_bounded(beta_2000, tmp_path):

@@ -9,6 +9,7 @@ from mudk.boundary import (BoundaryPolyline, boundary_points,
                            normalize_support, scale_domain)
 from mudk.discretize import build_measure
 from mudk.distributions import Beta, Discrete, Exponential, Mixture, Uniform
+import mudk.verify_mc as verify_mc
 from mudk.verify_mc import (ExitSampleSet, TopologyError, _comb, _lower_chain,
                             _nearest_tooth, ks_distance, point_in_domain,
                             simulate_exit)
@@ -129,6 +130,126 @@ def test_membership_matches_brute_force_comb(membership_domains, data):
     assert point_in_domain(bp, (px, py)) == inside
 
 
+def _nearest_tooth_by_scan(locs, tips, x, y):
+    """Oracle for _nearest_tooth: from the two walls around x (sorted
+    search) scan outward one wall per pass, left side first, on the points
+    whose horizontal gap to that wall is still below their best distance;
+    a wall replaces the best only when strictly nearer."""
+    best = np.full(x.size, np.inf)
+    near = np.zeros(x.size, dtype=int)
+    right = np.searchsorted(locs, x)
+    for move, j in ((-1, right - 1), (1, right)):
+        scan = np.arange(x.size)
+        while scan.size:
+            clipped = np.clip(j, 0, locs.size - 1)
+            gap = locs[clipped] - x[scan]
+            keep = (clipped == j) & (np.abs(gap) < best[scan])
+            scan, j, gap = scan[keep], j[keep], gap[keep]
+            d = np.hypot(gap, np.maximum(tips[j] - np.abs(y[scan]), 0.0))
+            better = d < best[scan]
+            best[scan[better]] = d[better]
+            near[scan[better]] = j[better]
+            j = j + move
+    return best, near
+
+
+def _probe_points(locs, tips, rng, size):
+    """Points on walls, one ulp off them, at midpoints of neighbouring
+    walls, beyond the outer walls and anywhere between, each at a height
+    of 0, a tip, one ulp off a tip, the taller tip of the two walls or
+    above it, or anywhere, with either sign."""
+    i = rng.integers(0, locs.size, size)
+    k = np.minimum(i + 1, locs.size - 1)
+    top = np.maximum(tips[i], tips[k])
+    xs = np.stack([locs[i], np.nextafter(locs[i], -np.inf),
+                   np.nextafter(locs[i], np.inf), 0.5 * (locs[i] + locs[k]),
+                   locs[0] - rng.uniform(0.0, 1.0, size),
+                   locs[-1] + rng.uniform(0.0, 1.0, size),
+                   rng.uniform(locs[0], locs[-1], size)])
+    ys = np.stack([np.zeros(size), tips[i], np.nextafter(tips[i], -np.inf),
+                   np.nextafter(tips[i], np.inf), top, 2.0 * top + 1.0,
+                   rng.uniform(0.0, 2.0 * top + 1.0)])
+    cols = np.arange(size)
+    x = xs[rng.integers(0, len(xs), size), cols]
+    y = ys[rng.integers(0, len(ys), size), cols] * rng.choice([-1.0, 1.0], size)
+    return x, y
+
+
+def _assert_matches_scan(locs, tips, x, y):
+    best, near = _nearest_tooth(locs, tips, x, y)
+    ref_best, ref_near = _nearest_tooth_by_scan(locs, tips, x, y)
+    assert np.array_equal(best, ref_best)
+    assert np.array_equal(near, ref_near)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_nearest_tooth_matches_the_scan(membership_domains, data):
+    """Bit for bit, on batches of one point up to several walk blocks."""
+    bp = data.draw(st.sampled_from(membership_domains), label="domain")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    size = data.draw(st.sampled_from([1, 2, 37, 600, 1500]), label="size")
+    locs, tips = _comb(bp)
+    _assert_matches_scan(locs, tips, *_probe_points(locs, tips,
+                                                    np.random.default_rng(seed), size))
+
+
+@pytest.mark.parametrize("locs, tips, point, near", [
+    # equal distances on either side of x: the left wall wins
+    ([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 0.25, 0.0], (0.25, 0.75), 2),
+    ([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 0.25, 0.0], (0.25, -0.75), 2),
+    ([-1.0, 1.0], [0.0, 0.0], (0.0, 3.0), 0),
+    # two walls on one side at distance 5 (a 3-4-5 triangle): the nearer wins
+    ([0.0, 3.0, 5.0, 16.0], [0.0, 0.0, 4.0, 0.0], (8.0, 0.0), 2),
+    ([-16.0, -5.0, -3.0, 0.0], [0.0, 4.0, 0.0, 0.0], (-8.0, 0.0), 1),
+], ids=["left-right", "left-right-below", "box-centre", "left-pair", "right-pair"])
+def test_exact_ties_follow_the_scan_order(locs, tips, point, near):
+    locs, tips = np.array(locs), np.array(tips)
+    x, y = np.array([point[0]]), np.array([point[1]])
+    assert _nearest_tooth(locs, tips, x, y)[1][0] == near
+    _assert_matches_scan(locs, tips, x, y)
+
+
+def _count_gathers(monkeypatch):
+    """Record the candidate count of every point of every gather."""
+    gathers = []
+    gather = verify_mc._nearest_candidate
+
+    def counted(locs, tips, x, ay, right, lo, hi):
+        gathers.append(hi - lo)
+        return gather(locs, tips, x, ay, right, lo, hi)
+    monkeypatch.setattr(verify_mc, "_nearest_candidate", counted)
+    return gathers
+
+
+def test_batch_spans_several_gathers(membership_domains, monkeypatch):
+    """Points on the axis, below the tall middle tips, have most walls
+    within their bound, so a walk block needs several gathers; each holds
+    at most _GATHER_CELLS candidates."""
+    locs, tips = _comb(membership_domains[0])
+    x, y = _probe_points(locs, tips, np.random.default_rng(0), 1500)
+    y[:] = 0.0
+    gathers = _count_gathers(monkeypatch)
+    _assert_matches_scan(locs, tips, x, y)
+    assert len(gathers) >= 2 * -(-x.size // verify_mc._WALK_BLOCK)
+    assert all(c.sum() <= verify_mc._GATHER_CELLS for c in gathers)
+    assert sum(c.size for c in gathers) == x.size
+
+
+def test_one_wide_point_is_gathered_alone(monkeypatch):
+    """The centre of the axis of a uniform n=20000 comb, whose middle tips
+    stand 5000 wall gaps high, has half the walls within its bound: more
+    than one gather holds, so it takes a gather of its own."""
+    locs = np.linspace(-1.0, 1.0, 20001)
+    tips = 0.5 * np.sqrt(1.0 - locs ** 2)
+    x = np.array([-0.3, 0.0, 0.2, 0.5])
+    y = np.array([0.6, 0.0, 0.6, 0.5])
+    gathers = _count_gathers(monkeypatch)
+    _assert_matches_scan(locs, tips, x, y)
+    wide = [c for c in gathers if c.sum() > verify_mc._GATHER_CELLS]
+    assert len(wide) == 1 and wide[0].size == 1 and wide[0][0] > 10000
+
+
 def test_topology_rejects_non_monotone_chain():
     pts = np.array([
         [-0.75, 1.0, 0.5],
@@ -247,6 +368,22 @@ def test_simulation_reads_the_comb_once(uniform_bp, monkeypatch):
     res = simulate_exit(uniform_bp, walks=8, step=1e-3, seed=4, max_steps=1)
     assert calls == {"_comb": 1, "_nearest_tooth": 2}
     assert res.walks == 8
+
+
+@pytest.mark.parametrize("dist, n", [
+    (Uniform(-1.0, 1.0), 200),
+    (Beta(2.0, 5.0).center(), 2000),
+    (Exponential(1.0).center().truncate(3.0), 200),
+], ids=["uniform", "beta", "truncated_exponential"])
+def test_exit_samples_match_the_scan_sampler(dist, n, monkeypatch):
+    bp, _ = _centered_domain(dist, n, 2048)
+    fast = [simulate_exit(bp, walks=1000, step=1e-4, seed=s) for s in (20, 21, 22)]
+    monkeypatch.setattr(verify_mc, "_nearest_tooth", _nearest_tooth_by_scan)
+    for s, res in zip((20, 21, 22), fast):
+        ref = simulate_exit(bp, walks=1000, step=1e-4, seed=s)
+        assert np.array_equal(res.samples, ref.samples)
+        assert np.array_equal(res.walk_ids, ref.walk_ids)
+        assert res.truncated_walks == ref.truncated_walks
 
 
 def test_simulation_argument_validation(uniform_bp):

@@ -1,4 +1,4 @@
-"""Time and trace the map layer over the scenario grid of five laws.
+"""Time and trace the map layer and the exit sampler over the scenario grid.
 
     python tools/bench_grid.py ROOT OUT --label NAME [--n 200,2000,20000]
                                [--points 8192] [--repeat 3]
@@ -8,19 +8,23 @@ package that is measured, so two checkouts are compared by running the
 tool once on each with different labels into the same OUT file.  For
 every law (uniform, centred beta(2,5), truncated normal, truncated
 exponential, uniform+atom mixture) and every n, the step quantile of the
-c.d.f. scheme is built once, untimed, and three layers are measured:
+c.d.f. scheme and its boundary are built once, untimed, and four layers
+are measured:
 
 - `parameter_grid(sq, points)`;
 - `boundary_points(sq, points)`, which includes the grid and the Hilbert
   kernel;
-- `fourier_coefficients(sq)` at the default term count.
+- `fourier_coefficients(sq)` at the default term count;
+- `simulate_exit` on that boundary, with 4000 walks, step 1e-4 and
+  seed 3.
 
 The timing pass takes the median wall time of `--repeat` calls.  A
 separate pass takes the tracemalloc peak of one call, because tracing
 slows the layers down.  OUT is a JSON object keyed by label; an existing
 file keeps its other labels.  Each entry records the machine line, the
-settings and per (law, n) the problem sizes and, per layer, `median_s`
-and `peak_mb`.
+settings and per (law, n) the problem sizes (steps, jumps, points,
+terms and the walls of the sampled comb) and, per layer, `median_s` and
+`peak_mb`.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from importlib import metadata
 from time import perf_counter
 
 LAWS = ("uniform", "beta", "truncated_normal", "truncated_exponential", "mixture")
+# the exit-sampling layer: walks, shell width and seed of `simulate_exit`
+WALKS, STEP, SEED = 4000, 1e-4, 3
 
 
 def reference_laws(dist):
@@ -82,20 +88,24 @@ def grid(root: str, sizes, points: int, repeat: int) -> list:
     from mudk.discretize import build_measure
     from mudk.gross_map import fourier_coefficients
     from mudk.hilbert import pole_levels
+    from mudk.verify_mc import _comb, simulate_exit
 
     laws = reference_laws(distributions)
     rows = []
     for law in LAWS:
         for n in sizes:
             sq = build_measure(laws[law], n)
+            bp = boundary_points(sq, points)
             layers = {
                 "parameter_grid": lambda: parameter_grid(sq, points),
                 "boundary_points": lambda: boundary_points(sq, points),
                 "fourier_coefficients": lambda: fourier_coefficients(sq),
+                "simulate_exit": lambda: simulate_exit(bp, WALKS, STEP, SEED),
             }
             row = {"law": law, "n": n, "steps": sq.num_steps,
                    "jumps": int(pole_levels(sq).size), "points": points,
-                   "terms": fourier_coefficients(sq).order}
+                   "terms": fourier_coefficients(sq).order,
+                   "walls": int(_comb(bp)[0].size)}
             row["layers"] = {name: measure(fn, repeat) for name, fn in layers.items()}
             rows.append(row)
             print(f"{law} n={n}: " + ", ".join(
