@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,7 +35,6 @@ class UnboundedSupportError(ValueError):
 _WIDTH_FLOOR = 1e-15        # level widths below this are unrepresentable
 _LEVEL_TOL = 1e-9           # level slack: of s_0, and of dropped-cell pieces
                             # (one this thin merges into the next step)
-_TAIL_STEPS = 2.0 ** np.arange(-64, 64)   # tail cuts: resolve scales 5e-20 to 9e18
 
 
 @dataclass(frozen=True)
@@ -127,6 +125,10 @@ class StepQuantile:
 
     def mean(self) -> float:
         return float(self.values @ np.diff(self._levels()))
+
+    def mass_cuts(self) -> np.ndarray:
+        """The step values: the c.d.f. is constant between them."""
+        return self.values
 
 
 def grid(a: float, b: float, n: int) -> np.ndarray:
@@ -276,25 +278,27 @@ def _end_signs(a, b, cuts):
     return np.sign(fa - ga), np.sign(fb - gb), (fa != fb) & (ga != gb)
 
 
-def _cdf_gap(a, b, cuts):
-    """Integral of |F - G| over (min(cuts), max(cuts)).
+def _cdf_gap(a, b):
+    """Integral of |F - G| over the cells of both laws' `mass_cuts`.
 
     F and G are the c.d.f.s of `a` and `b`, read with their left limits
     (`cdf_left`).  The L1 distances below all reduce to this integral
     through the identity int_0^1 |q - q'| du = int |F - F'| dx (Villani,
-    Topics in Optimal Transportation, 2.2).  `cuts` must hold every x
-    where F or G jumps or loses smoothness, so that F - G changes sign at
-    most once per cell.  A cell is split at the smallest float where
-    (F - G) s > 0 (`bisect_smallest`), s the sign after the change, when
-    F - G at its left end and F- - G- at its right end have opposite
-    signs, or when one of them is 0 and both laws vary on the cell: s
-    then comes from the other end, and a cell with both ends 0 is halved
-    first.  Every other cell stays whole: with one law constant on a cell
-    F - G is monotone there, so a zero end rules a change out.  The left
-    limits read an atom at a cut exactly.  Each piece gets the
-    Gauss-Legendre cell rule, one bounded block of cells at a time.
+    Topics in Optimal Transportation, 2.2).  The cuts of each law hold
+    every x where its F jumps or loses smoothness and leave each cell at
+    most 1/64 of its mass, so F - G changes sign at most once per cell; an
+    unbounded tail is left out past the quantile of 2^-52 (or 1 - 2^-52).
+    A cell is split at the smallest float where (F - G) s > 0
+    (`bisect_smallest`), s the sign after the change, when F - G at its
+    left end and F- - G- at its right end have opposite signs, or when one
+    of them is 0 and both laws vary on the cell: s then comes from the
+    other end, and a cell with both ends 0 is halved first.  Every other
+    cell stays whole: with one law constant on a cell F - G is monotone
+    there, so a zero end rules a change out.  The left limits read an atom
+    at a cut exactly.  Each piece gets the Gauss-Legendre cell rule, one
+    bounded block of cells at a time.
     """
-    cuts = cell_edges(cuts)
+    cuts = cell_edges(np.concatenate((a.mass_cuts(), b.mass_cuts())))
     left, right, vary = _end_signs(a, b, cuts)
     blind = vary & (left == 0) & (right == 0)
     if blind.any():
@@ -318,51 +322,17 @@ def l1_distance(dist: Distribution, sq: StepQuantile) -> float:
     support.
     """
     _finite_support(dist)
-    cuts = np.concatenate((sq.values, dist.cdf_breakpoints()))
-    return _cdf_gap(dist, sq, cuts)
-
-
-def tail_defect(dist: Distribution, sq: StepQuantile, delta: float) -> float:
-    """Larger of the two end-tail contributions to the L1 gap.
-
-    Levels (0, delta) are the x-integral of |min(F, delta) - min(F_n, delta)|,
-    levels (1 - delta, 1) the same with max(., 1 - delta).
-    """
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
-    _finite_support(dist)
-    cuts = np.concatenate((sq.values, dist.cdf_breakpoints(),
-                           dist.quantile([delta, 1.0 - delta])))
-
-    def clipped(law, clip):
-        return SimpleNamespace(cdf=lambda x: clip(law.cdf(x)),
-                               cdf_left=lambda x: clip(law.cdf_left(x)))
-
-    low, high = (lambda p: np.minimum(p, delta)), (lambda p: np.maximum(p, 1.0 - delta))
-    return max(_cdf_gap(clipped(dist, clip), clipped(sq, clip), cuts) for clip in (low, high))
+    return _cdf_gap(dist, sq)
 
 
 def step_l1_distance(sq1: StepQuantile, sq2: StepQuantile) -> float:
     """Exact L1 distance between two step quantiles on the levels (0, 1]."""
-    return _cdf_gap(sq1, sq2, np.concatenate((sq1.values, sq2.values)))
+    return _cdf_gap(sq1, sq2)
 
 
 def quantile_l1(dist_a: Distribution, dist_b: Distribution) -> float:
-    """L1 distance between two exact quantiles over (0, 1).
-
-    Cells between the breakpoints of both laws need F_a - F_b to change
-    sign at most once each, as for a law and its truncation.  An unbounded
-    side is cut at distances 2^k, k = -64..63, beyond the outermost
-    breakpoint, so its tail gets the same cell rule on cells that double
-    in width; mass more than 2^63 beyond that breakpoint is left out.
-    """
-    cuts = np.concatenate((dist_a.cdf_breakpoints(), dist_b.cdf_breakpoints()))
-    (a1, b1), (a2, b2) = dist_a.support(), dist_b.support()
-    if not np.isfinite(min(a1, a2)):
-        cuts = np.concatenate((cuts, cuts.min() - _TAIL_STEPS))
-    if not np.isfinite(max(b1, b2)):
-        cuts = np.concatenate((cuts, cuts.max() + _TAIL_STEPS))
-    return _cdf_gap(dist_a, dist_b, cuts)
+    """L1 distance between two exact quantiles over (0, 1); supports may be unbounded."""
+    return _cdf_gap(dist_a, dist_b)
 
 
 # ------------------------------------------------------------- rate bounds
@@ -422,9 +392,11 @@ def rate_bound(dist: Distribution, n: int) -> RateBound:
 
     alpha = beta = None
     if dist.has_density:
-        # the sup of f on each piece between breakpoints, from 1023 interior points
-        edges = dist.cdf_breakpoints()
-        sups = [float(np.max(dist.pdf(np.linspace(lo, hi, 1025)[1:-1])))
+        # the sup of f on each piece between breakpoints, from 1023 interior
+        # points and the law's mass cuts inside it, which find a narrow peak
+        edges, cuts = dist.cdf_breakpoints(), dist.mass_cuts()
+        sups = [float(np.max(dist.pdf(np.concatenate((np.linspace(lo, hi, 1025)[1:-1],
+                                                      cuts[(cuts > lo) & (cuts < hi)])))))
                 for lo, hi in zip(edges[:-1], edges[1:])]
         alpha = (b - a) / 2.0
         beta = (b - a) ** 2 * sum(sups) / 2.0

@@ -18,7 +18,7 @@ from mudk._quad import _GL_BLOCK, _GL_NODES, _GL_WEIGHTS, gauss_legendre
 from mudk.discretize import (StepQuantile, UnboundedSupportError, _cdf_gap,
                              build_measure, build_measure_cdf,
                              build_measure_pdf, grid, l1_distance, quantile_l1,
-                             rate_bound, step_l1_distance, tail_defect)
+                             rate_bound, step_l1_distance)
 from mudk.distributions import (AffineDistribution, Beta, Discrete,
                                 Exponential, Mixture, TruncatedNormal, Uniform)
 from mudk.hilbert import pole_levels
@@ -166,6 +166,13 @@ def test_step_l1_distance_extends_shorter_mass():
     assert step_l1_distance(a, b) == pytest.approx(1.0, abs=1e-12)
 
 
+class _OneCellBeta(Beta):
+    """A Beta law cut only at its support edges, so (0, 1) is one cell."""
+
+    def mass_cuts(self):
+        return np.array([0.0, 1.0])
+
+
 @pytest.mark.parametrize("swap", [False, True], ids=["minus-to-plus", "plus-to-minus"])
 @pytest.mark.parametrize("level", [0.1, 0.5, 0.9])
 def test_cdf_gap_splits_a_cell_where_the_sign_changes(level, swap):
@@ -174,9 +181,9 @@ def test_cdf_gap_splits_a_cell_where_the_sign_changes(level, swap):
     Its c.d.f. 1 - (1-x)^6 - 6x(1-x)^5 is a polynomial, so the reference
     integrates F - level exactly on each side of the crossing.
     """
-    beta = Beta(2.0, 5.0)
+    beta = _OneCellBeta(2.0, 5.0)
     sq = StepQuantile([0.0, level, 1.0], [0.0, 1.0])
-    got = _cdf_gap(*(sq, beta) if swap else (beta, sq), [0.0, 1.0])
+    got = _cdf_gap(*(sq, beta) if swap else (beta, sq))
     cross = float(special.betaincinv(2.0, 5.0, level))
     rest = Polynomial([1.0, -1.0])
     P = (1.0 - level - rest ** 6 - 6.0 * Polynomial([0.0, 1.0]) * rest ** 5).integ()
@@ -204,15 +211,6 @@ def test_quantile_l1_splits_a_cell_whose_ends_agree(a, b, swap):
     assert quantile_l1(*laws[::-1] if swap else laws) == pytest.approx(expect, abs=1e-14)
     if (a, b) == (2, 2):
         assert expect == pytest.approx(0.0625, abs=1e-15)
-
-
-def test_tail_defect_uniform():
-    d = Uniform(-1.0, 1.0)
-    sq = build_measure(d, 4)
-    # all cells contribute (b-a)/(2 n^2) = 1/16; the quarter tails get one each
-    assert tail_defect(d, sq, 0.25) == pytest.approx(1.0 / 16.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        tail_defect(d, sq, 0.75)
 
 
 @pytest.mark.parametrize("r, expect", [(2.0, 3.0 * np.exp(-2.0)),
@@ -339,6 +337,8 @@ def _refined_bound_laws(count=16, seed=1):
         pytest.param(Mixture([(0.8, Beta(2.0, 5.0)), (0.2, Discrete([(0.5, 1.0)]))]).center(),
                      id="beta+atom"),
         pytest.param(Exponential(2.0).center().truncate(1.5), id="truncated-exponential"),
+        # a peak far narrower than the 1023-point density sample
+        pytest.param(TruncatedNormal(0.3, 0.0002, -1.0, 1.0), id="sharp-normal"),
     ]
 
 
@@ -400,15 +400,27 @@ REFERENCE_LAWS = {
 }
 
 
-def level_oracle(dist, sq, quantile, lo=0.0, hi=1.0):
-    """Integral of |q - q_n| over the levels (lo, hi) by adaptive quadrature.
+def _sharp_normal(sigma):
+    """TruncatedNormal(0, sigma, -1, 1), whose c.d.f. rises within a few
+    sigma of 0, inside one grid cell at n = 200, and its quantile."""
+    lo, hi = special.ndtr(-1.0 / sigma), special.ndtr(1.0 / sigma)
+    return (TruncatedNormal(0.0, sigma, -1.0, 1.0),
+            lambda u: sigma * float(special.ndtri(lo + u * (hi - lo))))
+
+
+SHARP_LAWS = {"sharp_normal_0.002": _sharp_normal(0.002),
+              "sharp_normal_0.0005": _sharp_normal(0.0005)}
+
+
+def level_oracle(dist, sq, quantile):
+    """Integral of |q - q_n| over the levels (0, 1) by adaptive quadrature.
 
     Level cells are cut at the step breakpoints and at the levels where q
     jumps or kinks; q_n is constant on each cell, held at its final value
     past the total mass, and q - q_n changes sign at F(c).
     """
     kinks = [f(p) for p in dist.cdf_breakpoints() for f in (dist.cdf_left, dist.cdf)]
-    levels = np.unique(np.clip(np.concatenate((sq.breakpoints, kinks, [lo, hi])), lo, hi))
+    levels = np.unique(np.clip(np.concatenate((sq.breakpoints, kinks, [0.0, 1.0])), 0.0, 1.0))
     total = 0.0
     for l, r in zip(levels[:-1], levels[1:]):
         step = np.searchsorted(sq.breakpoints, 0.5 * (l + r)) - 1
@@ -425,24 +437,13 @@ def level_oracle(dist, sq, quantile, lo=0.0, hi=1.0):
 @pytest.mark.parametrize("scheme", ["cdf", "pdf"])
 @pytest.mark.parametrize("law, n", [(law, n) for law in sorted(REFERENCE_LAWS)
                                     for n in (200, 2000)
-                                    if (law, n) != ("truncated_normal", 2000)])
+                                    if (law, n) != ("truncated_normal", 2000)]
+                         + [(law, 200) for law in sorted(SHARP_LAWS)])
 def test_l1_distance_matches_level_space_oracle(law, n, scheme):
-    dist, quantile = REFERENCE_LAWS[law]
+    dist, quantile = {**REFERENCE_LAWS, **SHARP_LAWS}[law]
     sq = build_measure(dist, n, scheme)
     assert l1_distance(dist, sq) == pytest.approx(
         level_oracle(dist, sq, quantile), abs=1e-12)
-
-
-@pytest.mark.filterwarnings("ignore", category=IntegrationWarning)
-@pytest.mark.parametrize("scheme", ["cdf", "pdf"])
-@pytest.mark.parametrize("law", sorted(REFERENCE_LAWS))
-def test_tail_defect_matches_level_space_oracle(law, scheme):
-    dist, quantile = REFERENCE_LAWS[law]
-    sq = build_measure(dist, 200, scheme)
-    for delta in (0.05, 0.25):
-        expect = max(level_oracle(dist, sq, quantile, 0.0, delta),
-                     level_oracle(dist, sq, quantile, 1.0 - delta, 1.0))
-        assert tail_defect(dist, sq, delta) == pytest.approx(expect, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

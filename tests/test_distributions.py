@@ -464,6 +464,73 @@ def test_quantile_galois_inequalities(u):
     assert d.cdf_left(q) <= u + 1e-9
 
 
+# ------------------------------------------------ mass cuts
+
+
+def _cell_masses(law, cuts):
+    """Mass inside each open cell between neighbouring cuts."""
+    return law.cdf_left(cuts[1:]) - law.cdf(cuts[:-1])
+
+
+@pytest.mark.parametrize("law", [
+    pytest.param(Beta(2.0, 5.0), id="beta"),
+    pytest.param(Beta(0.5, 0.5), id="arcsine"),
+    pytest.param(TruncatedNormal(0.0, 1.0, -2.0, 2.0), id="normal"),
+    pytest.param(TruncatedNormal(0.0, 0.0005, -1.0, 1.0), id="sharp-normal"),
+    pytest.param(Exponential(1.0), id="exponential"),
+    pytest.param(Exponential(1000.0), id="exponential-1000"),
+])
+def test_mass_cuts_leave_each_cell_at_most_a_64th_of_the_mass(law):
+    """F rises by at most 1/64 between neighbouring cuts, and an open tail
+    holds at most 2^-52 past the outermost cut."""
+    cuts = law.mass_cuts()
+    assert np.all(np.diff(cuts) > 0)
+    assert set(law.cdf_breakpoints()) <= set(cuts.tolist())
+    assert np.max(_cell_masses(law, cuts)) <= 1.0 / 64.0 + 1e-15
+    assert law.cdf(cuts[0]) <= 2.0 ** -52 and 1.0 - law.cdf(cuts[-1]) <= 2.0 ** -52
+    assert law.mass_cuts() is cuts          # computed once, kept on the law
+
+
+def test_affine_mass_cuts_are_the_base_cuts_mapped():
+    base = Beta(2.0, 5.0)
+    law = AffineDistribution(base, 2.0, -0.5)
+    np.testing.assert_array_equal(law.mass_cuts(), 2.0 * base.mass_cuts() - 0.5)
+
+
+def test_mixture_mass_cuts_are_the_union_of_its_components():
+    beta, normal = Beta(2.0, 5.0), TruncatedNormal(0.0, 0.1, -1.0, 1.0)
+    law = Mixture([(0.5, beta), (0.5, normal)])
+    expect = np.union1d(beta.mass_cuts(), normal.mass_cuts())
+    np.testing.assert_array_equal(law.mass_cuts(), expect)
+    assert np.max(_cell_masses(law, law.mass_cuts())) <= 1.0 / 64.0 + 1e-15
+
+
+def test_linear_laws_are_cut_only_where_f_bends():
+    """Gauss-Legendre is exact on a linear F, so more cells would only round."""
+    assert Uniform(-1.0, 2.0).mass_cuts().tolist() == [-1.0, 2.0]
+    steps = build_measure(Uniform(-1.0, 1.0), 4)
+    assert steps.mass_cuts().tolist() == steps.values.tolist()
+
+
+@pytest.mark.parametrize("base, bound", [
+    (Exponential(1.0).center(), 1.5),
+    (Exponential(1.0), 3.0),
+    (TruncatedNormal(0.3, 0.01, -5.0, 5.0), 4.0),
+    (Beta(2.0, 5.0).center(), 0.1),
+])
+def test_truncated_mass_cuts_lie_inside_the_window(base, bound):
+    """The base's cuts inside the window plus the truncated law's own
+    breakpoints; off the origin atom a cell holds at most 1/64."""
+    law = base.truncate(bound)
+    cuts = law.mass_cuts()
+    assert -bound <= cuts[0] and cuts[-1] <= bound
+    assert (cuts[0], cuts[-1]) == law.support()
+    own = base.mass_cuts()
+    assert set(own[np.abs(own) <= bound].tolist()) | set(law.cdf_breakpoints()) == set(cuts.tolist())
+    # the fold adds a few ulp to F
+    assert np.max(_cell_masses(law, cuts)) <= 1.0 / 64.0 + 1e-14
+
+
 def test_distribution_is_abstract():
     with pytest.raises(TypeError):
         Distribution()

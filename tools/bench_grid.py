@@ -1,4 +1,4 @@
-"""Time and trace the map layer and the exit sampler over the scenario grid.
+"""Time and trace the L1 gap, the map layer and the exit sampler over the scenario grid.
 
     python tools/bench_grid.py ROOT OUT --label NAME [--n 200,2000,20000]
                                [--points 8192] [--repeat 3]
@@ -8,9 +8,11 @@ package that is measured, so two checkouts are compared by running the
 tool once on each with different labels into the same OUT file.  For
 every law (uniform, centred beta(2,5), truncated normal, truncated
 exponential, uniform+atom mixture) and every n, the step quantile of the
-c.d.f. scheme and its boundary are built once, untimed, and four layers
+c.d.f. scheme and its boundary are built once, untimed, and five layers
 are measured:
 
+- `l1_distance(law, sq)` on a law built afresh for each call, so that the
+  one-off cost of the law's mass cuts is counted;
 - `parameter_grid(sq, points)`;
 - `boundary_points(sq, points)`, which includes the grid and the Hilbert
   kernel;
@@ -45,15 +47,14 @@ WALKS, STEP, SEED = 4000, 1e-4, 3
 
 
 def reference_laws(dist):
-    """The five laws of the scenario grid, built from the module `dist`."""
-    uniform = dist.Uniform(-1.0, 1.0)
-    atom = dist.Mixture([(0.5, uniform), (0.5, dist.Discrete([(0.0, 1.0)]))])
+    """Builders of the five laws of the scenario grid, from the module `dist`."""
     return {
-        "uniform": uniform.center(),
-        "beta": dist.Beta(2.0, 5.0).center(),
-        "truncated_normal": dist.TruncatedNormal(0.0, 1.0, -2.0, 2.0).center(),
-        "truncated_exponential": dist.Exponential(1.0).center().truncate(3.0),
-        "mixture": atom.center(),
+        "uniform": lambda: dist.Uniform(-1.0, 1.0).center(),
+        "beta": lambda: dist.Beta(2.0, 5.0).center(),
+        "truncated_normal": lambda: dist.TruncatedNormal(0.0, 1.0, -2.0, 2.0).center(),
+        "truncated_exponential": lambda: dist.Exponential(1.0).center().truncate(3.0),
+        "mixture": lambda: dist.Mixture([(0.5, dist.Uniform(-1.0, 1.0)),
+                                         (0.5, dist.Discrete([(0.0, 1.0)]))]).center(),
     }
 
 
@@ -85,7 +86,7 @@ def grid(root: str, sizes, points: int, repeat: int) -> list:
     sys.path.insert(0, os.path.join(root, "src"))
     from mudk import distributions
     from mudk.boundary import boundary_points, parameter_grid
-    from mudk.discretize import build_measure
+    from mudk.discretize import build_measure, l1_distance
     from mudk.gross_map import fourier_coefficients
     from mudk.hilbert import pole_levels
     from mudk.verify_mc import _comb, simulate_exit
@@ -94,9 +95,11 @@ def grid(root: str, sizes, points: int, repeat: int) -> list:
     rows = []
     for law in LAWS:
         for n in sizes:
-            sq = build_measure(laws[law], n)
+            make = laws[law]
+            sq = build_measure(make(), n)
             bp = boundary_points(sq, points)
             layers = {
+                "l1_distance": lambda: l1_distance(make(), sq),
                 "parameter_grid": lambda: parameter_grid(sq, points),
                 "boundary_points": lambda: boundary_points(sq, points),
                 "fourier_coefficients": lambda: fourier_coefficients(sq),
