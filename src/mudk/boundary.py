@@ -36,19 +36,26 @@ class BoundaryPolyline:
         k = pts.shape[0]
         if k:
             t = pts[:, 0]
-            if np.any(np.diff(t) <= 0):
+            if np.any(t[1:] <= t[:-1]):
                 raise ValueError("t must be strictly increasing")
-            if np.any(t <= -1.0) or np.any(t >= 1.0):
+            if not (-1.0 < t.min() and t.max() < 1.0):
                 raise ValueError("t must lie strictly inside (-1, 1)")
-            scale = 1.0 + float(np.max(np.abs(pts[:, 1:]))) if k else 1.0
-            mirror = pts[::-1]
-            sym = (np.max(np.abs(t + mirror[:, 0])) +
-                   np.max(np.abs(pts[:, 1] - mirror[:, 1])) +
-                   np.max(np.abs(pts[:, 2] + mirror[:, 2])))
+            xy = pts[:, 1:]
+            scale = 1.0 + max(float(xy.max()), -float(xy.min()))
+            # row i against its mirror k-1-i: the halves give the same maxima
+            half, mirror = k // 2, pts[::-1]
+            row = np.empty(half)
+            sym = 0.0
+            for op, col in ((np.add, 0), (np.subtract, 1), (np.add, 2)):
+                op(pts[:half, col], mirror[:half, col], out=row)
+                sym += max(float(row.max()), -float(row.min()))
             if sym > 1e-9 * scale:
                 raise ValueError("rows must be mirror-symmetric about the real axis")
-        pts = pts.copy()
-        pts.flags.writeable = False
+        # a frozen array that owns its data is kept; any other is copied,
+        # so a caller's writeable array is never frozen in place
+        if pts.flags.writeable or not pts.flags.owndata:
+            pts = pts.copy()
+            pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
@@ -149,6 +156,7 @@ def boundary_points(sq: StepQuantile, num_points: int = 2048) -> BoundaryPolylin
     pts[num_points:, 0] = t
     pts[num_points:, 1] = x
     pts[num_points:, 2] = y
+    pts.flags.writeable = False
     return BoundaryPolyline(points=pts)
 
 
@@ -161,13 +169,16 @@ def scale_domain(bp: BoundaryPolyline, alpha: float, beta: float) -> BoundaryPol
     alpha, beta = float(alpha), float(beta)
     if alpha == 0.0 or not (np.isfinite(alpha) and np.isfinite(beta)):
         raise ValueError(f"need finite alpha != 0 and finite beta, got ({alpha}, {beta})")
-    pts = bp.points.copy()
-    pts[:, 1] = alpha * pts[:, 1] + beta
-    pts[:, 2] = alpha * pts[:, 2]
     if alpha < 0:
         # mirror in t to keep rows sorted and symmetric
-        pts = pts[::-1]
-        pts[:, 0] = -pts[:, 0]
+        pts = bp.points[::-1].copy()
+        pts[:, 0] *= -1.0
+    else:
+        pts = bp.points.copy()
+    # in place, with the two roundings of alpha * x + beta
+    pts[:, 1:] *= alpha
+    pts[:, 1] += beta
+    pts.flags.writeable = False
     return BoundaryPolyline(points=pts)
 
 

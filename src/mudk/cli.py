@@ -39,6 +39,7 @@ boundary).  A samples file with no rows is exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -455,7 +456,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `mudk` argument parser, built once per process and shared by
+    every `main` call, so a caller must not change it.
+
+    argparse links its parsers, actions and formatters in reference
+    cycles, so a parser built per `main` call would wait for the cyclic
+    collector every time.  Parsing keeps no state in the parser: every
+    `parse_args` call starts from a fresh namespace.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", nargs="?", default=None,
                         help="JSON config file; flags override its entries")
@@ -502,6 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; callable any number of
+    times in one process."""
     args = build_parser().parse_args(argv)
     try:
         file_cfg = _load_json_arg(args.config, "config") if args.config else {}

@@ -149,6 +149,18 @@ def test_scale_domain_offset_and_negative_factor():
         scale_domain(bp, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.7, -0.3), (-0.9, 0.45)])
+def test_scale_domain_rounds_as_the_affine_formula(alpha, beta):
+    """In-place `*= alpha`, `+= beta` give the bits of alpha * x + beta."""
+    bp = boundary_points(build_measure(Beta(2.0, 5.0), 50), 64)
+    scaled = scale_domain(bp, alpha, beta)
+    rows = bp.points[::-1] if alpha < 0 else bp.points
+    want = np.column_stack([-rows[:, 0] if alpha < 0 else rows[:, 0],
+                            alpha * rows[:, 1] + beta, alpha * rows[:, 2]])
+    assert np.array_equal(scaled.points, want)
+    assert not scaled.points.flags.writeable
+
+
 def test_scale_domain_composes_transform():
     bp = boundary_points(build_measure(Uniform(-1.0, 1.0), 4), 32)
     twice = scale_domain(scale_domain(bp, 2.0, 1.0), 3.0, -2.0)
@@ -252,3 +264,20 @@ def test_boundary_points_are_immutable():
     bp = boundary_points(build_measure(Uniform(-1.0, 1.0), 4), 16)
     with pytest.raises(ValueError):
         bp.points[0, 0] = 99.0
+
+
+def test_polyline_copies_a_writeable_array_and_keeps_a_frozen_one():
+    rows = np.array([[-0.5, 1.0, 0.25], [0.5, 1.0, -0.25]])
+    frozen = rows.copy()
+    frozen.flags.writeable = False
+    assert BoundaryPolyline(points=frozen).points is frozen
+    # a read-only view of the caller's array is copied
+    view = rows[:]
+    view.flags.writeable = False
+    assert not np.shares_memory(BoundaryPolyline(points=view).points, rows)
+    # and a writeable array is copied, not frozen in place
+    bp = BoundaryPolyline(points=rows)
+    assert rows.flags.writeable
+    assert not np.shares_memory(bp.points, rows)
+    rows[0, 1] = 7.0
+    assert bp.points[0, 1] == 1.0

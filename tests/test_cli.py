@@ -1,5 +1,6 @@
 """End-to-end tests of the mudk command line interface."""
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -669,3 +671,91 @@ def test_python_m_mudk_runs_the_cli(tmp_path):
     assert proc.returncode == 0
     assert main([*args, "--out", str(direct)]) == 0
     assert via_m.read_bytes() == direct.read_bytes()
+
+
+# ------------------------------------------------- one parser, many calls
+
+def test_main_called_repeatedly_in_one_process(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; no call leaves a flag or an
+    error behind for the next one."""
+    args = ["rates", "--dist", UNIFORM, "--n-list", "10,20"]
+    with pytest.raises(SystemExit) as exc:
+        run(*args, "--no-such-flag")
+    assert exc.value.code == 2
+    assert run("rates", "--dist", '{"family": "no-such-family"}') == 2
+    assert "config error" in capsys.readouterr().err
+    out = tmp_path / "out.csv"
+    assert run(*args, "--out", str(out)) == 0
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert run(*args) == 0
+    assert sorted(p.name for p in cwd.iterdir()) == ["rates.csv"]
+    # the bytes of a first call in a fresh process
+    clean = tmp_path / "clean.csv"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-m", "mudk", *args, "--out", str(clean)],
+                   env=env, check=True)
+    assert (cwd / "rates.csv").read_bytes() == clean.read_bytes()
+    assert out.read_bytes() == clean.read_bytes()
+
+
+def _second_call_garbage(argv, capsys):
+    """The count that `gc.collect()` returns after a second `main(argv)`,
+    and the objects it found unreachable; the first call builds the parser."""
+    assert main(argv) == 0
+    gc.collect()
+    saved = len(gc.garbage)
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        found = gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.enable()
+    garbage = gc.garbage[saved:]
+    del gc.garbage[saved:]
+    capsys.readouterr()
+    return found, garbage
+
+
+def _built_inputs(tmp_path):
+    """A beta(2,5) boundary and exit samples from it, in tmp_path."""
+    assert run("build", "--dist", BETA, "--n", "20", "--points", "64",
+               "--out", str(tmp_path / "b.csv")) == 0
+    assert run("simulate", "--dist", BETA, "--boundary", str(tmp_path / "b.csv"),
+               "--walks", "50", "--out", str(tmp_path / "s.csv")) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["rates", "--dist", BETA, "--n-list", "10,20"],
+    ["build", "--dist", BETA, "--n", "20", "--points", "64", "--svg", "b.svg"],
+    ["map", "--dist", BETA, "--n", "20"],
+], ids=lambda argv: argv[0])
+def test_command_leaves_no_cyclic_garbage(tmp_path, monkeypatch, capsys, command):
+    """A parser built per call left 225 objects in reference cycles."""
+    monkeypatch.chdir(tmp_path)
+    found, _ = _second_call_garbage(command, capsys)
+    assert found == 0
+
+
+def _from_argparse(obj) -> bool:
+    return (type(obj).__module__ == "argparse"
+            or isinstance(obj, types.FunctionType) and obj.__module__ == "argparse")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--dist", BETA, "--boundary", "b.csv", "--walks", "50",
+     "--out", "s2.csv"],
+    ["check", "--dist", BETA, "--samples", "s.csv"],
+], ids=lambda argv: argv[0])
+def test_json_writing_command_leaves_no_argparse_garbage(tmp_path, monkeypatch,
+                                                         capsys, command):
+    """`simulate` and `check` leave 33 objects in cycles: the closures of the
+    pure-Python encoder that `json.dump(..., indent=2)` builds per call.
+    None of them comes from argparse."""
+    monkeypatch.chdir(tmp_path)
+    _built_inputs(tmp_path)
+    _, garbage = _second_call_garbage(command, capsys)
+    assert not [obj for obj in garbage if _from_argparse(obj)]

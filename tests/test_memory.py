@@ -39,8 +39,10 @@ def _peak_mb(fn):
 
 
 def test_boundary_points_memory_is_bounded(beta_2000):
-    """0.94 MB, set by the 2 x 8192-row polyline and its validated copy."""
-    assert _peak_mb(lambda: boundary_points(beta_2000, 8192)) < 1.0
+    """0.84 MB: the polyline keeps the 2 x 8192 rows it is built from and
+    validates them without row-sized temporaries.  A validated copy of the
+    rows took 0.94 MB."""
+    assert _peak_mb(lambda: boundary_points(beta_2000, 8192)) < 0.9
 
 
 def test_fourier_coefficients_memory_is_bounded(beta_2000):
@@ -85,6 +87,19 @@ def test_export_svg_memory_is_bounded(beta_2000, tmp_path):
     """The path at 2 x 8192 vertices is 0.4 MB of text, written in chunks."""
     bp = boundary_points(beta_2000, 8192)
     assert _peak_mb(lambda: export_svg(bp, tmp_path / "d.svg")) < 1.0
+
+
+def test_build_command_memory_is_bounded(tmp_path):
+    """`mudk build --svg` at 8192 points: 0.91 MB after a warm-up call.
+    Copying the rows into every `BoundaryPolyline` took 1.19 MB."""
+    def argv(points, name):
+        return ["build", "--dist", '{"family": "beta", "alpha": 2, "beta": 5}',
+                "--n", "2000", "--points", str(points),
+                "--out", str(tmp_path / f"{name}.csv"),
+                "--svg", str(tmp_path / f"{name}.svg")]
+    # the first command of a process also builds the parser
+    assert cli.main(argv(16, "warm")) == 0
+    assert _peak_mb(lambda: cli.main(argv(8192, "b"))) < 1.0
 
 
 def test_map_command_memory_is_bounded(tmp_path):
