@@ -23,7 +23,7 @@ _EXPORTS = {
     "discretize": (
         "RateBound", "StepQuantile", "UnboundedSupportError", "build_measure",
         "build_measure_cdf", "build_measure_pdf", "grid", "l1_distance",
-        "quantile_l1", "rate_bound", "step_l1_distance",
+        "rate_bound",
     ),
     "hilbert": (
         "OracleConvergenceError", "PoleError", "hilbert_indicator",

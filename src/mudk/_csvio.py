@@ -32,11 +32,12 @@ def write_csv(path, header_comment, columns, rows) -> None:
 
 def read_floats(path, columns) -> np.ndarray:
     """The rows under the column row, which must be `columns`, as a
-    (rows, len(columns)) float array; blank lines and `#` comment lines are
-    skipped, and every cell must be a finite number."""
+    (rows, len(columns)) float array that owns its data; blank lines and
+    `#` comment lines are skipped, and every cell must be a finite number."""
     with open(path) as fh:
         values = np.fromiter(_cells(fh, columns), dtype=float)
-    values = values.reshape(-1, len(columns))
+    # in place: the size is unchanged, so nothing is reallocated or copied
+    values.resize((values.size // len(columns), len(columns)), refcheck=False)
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         raise ValueError(f"row {int(np.argmax(bad)) + 1} holds a cell that is "

@@ -18,7 +18,7 @@ import numpy as np
 from ._csvio import float_cell, read_floats, write_csv
 from .discretize import StepQuantile
 from .distributions import AffineDistribution, Distribution
-from .hilbert import hilbert_step_quantile, pole_levels
+from .hilbert import hilbert_step_quantile, pole_gap, pole_levels
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,9 @@ def parameter_grid(sq: StepQuantile, num_points: int) -> np.ndarray:
     cell = 1.0 / m
     t = (np.arange(1, m + 1) - 0.5) * cell
     poles = pole_levels(sq)
-    if poles.size:
-        j = np.searchsorted(poles, t)
-        dist = np.minimum(np.abs(t - poles[np.clip(j - 1, 0, poles.size - 1)]),
-                          np.abs(poles[np.clip(j, 0, poles.size - 1)] - t))
-        near = np.nonzero(dist < 0.25 * cell)[0]
-        if near.size:
-            t[near] = _widest_gap_centres(poles, near, cell)
+    near = np.flatnonzero(pole_gap(t, poles) < 0.25 * cell)
+    if near.size:
+        t[near] = _widest_gap_centres(poles, near, cell)
     if np.any(np.diff(t) <= 0) or t[0] <= 0 or t[-1] >= 1:
         raise ValueError("internal error: pole avoidance broke the grid")
     return t
@@ -208,11 +204,13 @@ def export_csv(bp: BoundaryPolyline, path, header_comment: str | None = None) ->
 def load_csv(path) -> BoundaryPolyline:
     """Read a polyline written by export_csv (comment lines ignored).
 
-    A file without rows is refused: no domain has an empty boundary.
+    A file without rows is refused: no domain has an empty boundary.  The
+    rows are read into one array that the polyline keeps, frozen.
     """
     pts = read_floats(path, ("t", "x", "y"))
     if not pts.size:
         raise ValueError("no boundary rows under the column row")
+    pts.flags.writeable = False
     return BoundaryPolyline(points=pts)
 
 

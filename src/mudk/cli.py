@@ -294,15 +294,6 @@ def _as_int_tuple(value, key) -> tuple[int, ...]:
         raise ConfigError(f"{key} must be a list of integers, got {value!r}")
 
 
-def _as_float(value, key) -> float:
-    try:
-        if not isinstance(value, bool):    # as for the integer fields
-            return float(value)
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{key} must be a number, got {value!r}")
-
-
 # the parser of each RunConfig field, by its annotation
 _PARSE = {
     "dict": lambda value, key: (_load_json_arg(value, key) if isinstance(value, str)
@@ -310,7 +301,7 @@ _PARSE = {
     "int": _as_int,
     "int | None": _as_int,
     "tuple[int, ...]": _as_int_tuple,
-    "float": _as_float,
+    "float": _number,
     "str": lambda value, key: str(value),
     "str | None": lambda value, key: str(value),
 }

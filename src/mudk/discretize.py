@@ -10,11 +10,11 @@ cell width h and sup_u |q(u) - q_n(u)| <= h; the p.d.f. scheme uses
 left-endpoint density weights (b-a)/n * f(x_{k-1}) for the kept cells
 and need not carry total mass one.
 
-The resulting quantile is a step function.  `l1_distance` measures its
-L1 gap to the exact quantile, int_0^1 |q - q_n| du, as the equal x-space
-integral int |F - F_n| dx against the step c.d.f. F_n, and `rate_bound`
-evaluates the a priori estimate (b-a)/n plus the atom correction term,
-which vanishes for atomless laws.
+The resulting quantile is a step function.  `l1_distance` measures the
+L1 gap int_0^1 |q - q'| du between any two laws or step quantiles, its
+exact quantile and q_n among them, as the equal x-space integral
+int |F - F'| dx, and `rate_bound` evaluates the a priori estimate
+(b-a)/n plus the atom correction term, which vanishes for atomless laws.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ def build_measure(dist: Distribution, n: int, scheme: str = "cdf") -> StepQuanti
     raise ValueError(f"unknown scheme {scheme!r}; expected 'cdf' or 'pdf'")
 
 
-# ------------------------------------------------------------- L1 distances
+# -------------------------------------------------------------- L1 distance
 
 
 def _end_signs(a, b, cuts):
@@ -278,25 +278,25 @@ def _end_signs(a, b, cuts):
     return np.sign(fa - ga), np.sign(fb - gb), (fa != fb) & (ga != gb)
 
 
-def _cdf_gap(a, b):
-    """Integral of |F - G| over the cells of both laws' `mass_cuts`.
+def l1_distance(a, b) -> float:
+    """L1 gap int_0^1 |q_a - q_b| du between the quantiles of `a` and `b`.
 
-    F and G are the c.d.f.s of `a` and `b`, read with their left limits
-    (`cdf_left`).  The L1 distances below all reduce to this integral
-    through the identity int_0^1 |q - q'| du = int |F - F'| dx (Villani,
-    Topics in Optimal Transportation, 2.2).  The cuts of each law hold
-    every x where its F jumps or loses smoothness and leave each cell at
-    most 1/64 of its mass, so F - G changes sign at most once per cell; an
-    unbounded tail is left out past the quantile of 2^-52 (or 1 - 2^-52).
-    A cell is split at the smallest float where (F - G) s > 0
-    (`bisect_smallest`), s the sign after the change, when F - G at its
-    left end and F- - G- at its right end have opposite signs, or when one
-    of them is 0 and both laws vary on the cell: s then comes from the
-    other end, and a cell with both ends 0 is halved first.  Every other
-    cell stays whole: with one law constant on a cell F - G is monotone
-    there, so a zero end rules a change out.  The left limits read an atom
-    at a cut exactly.  Each piece gets the Gauss-Legendre cell rule, one
-    bounded block of cells at a time.
+    Each of `a` and `b` is a law or a step quantile, the latter read by the
+    `StepQuantile` rule; supports may be unbounded.  The gap is taken as
+    int |F - G| dx (Villani, Topics in Optimal Transportation, 2.2), F and
+    G the c.d.f.s of `a` and `b` read with their left limits (`cdf_left`),
+    over the cells of both `mass_cuts`.  The cuts of each law hold every x
+    where its F jumps or loses smoothness and leave each cell at most 1/64
+    of its mass, so F - G changes sign at most once per cell; an unbounded
+    tail is left out past the quantile of 2^-52 (or 1 - 2^-52).  A cell is
+    split at the smallest float where (F - G) s > 0 (`bisect_smallest`), s
+    the sign after the change, when F - G at its left end and F- - G- at
+    its right end have opposite signs, or when one of them is 0 and both
+    laws vary on the cell: s then comes from the other end, and a cell with
+    both ends 0 is halved first.  Every other cell stays whole: with one
+    law constant on a cell F - G is monotone there, so a zero end rules a
+    change out.  The left limits read an atom at a cut exactly.  Each piece
+    gets the Gauss-Legendre cell rule, one bounded block of cells at a time.
     """
     cuts = cell_edges(np.concatenate((a.mass_cuts(), b.mass_cuts())))
     left, right, vary = _end_signs(a, b, cuts)
@@ -313,26 +313,6 @@ def _cdf_gap(a, b):
                          np.concatenate((lo[~cross], lo[cross], split)),
                          np.concatenate((hi[~cross], split, hi[cross])))
     return math.fsum(gap)
-
-
-def l1_distance(dist: Distribution, sq: StepQuantile) -> float:
-    """L1 gap between the exact quantile and a step quantile over (0, 1).
-
-    The step quantile is read by the `StepQuantile` rule.  Needs bounded
-    support.
-    """
-    _finite_support(dist)
-    return _cdf_gap(dist, sq)
-
-
-def step_l1_distance(sq1: StepQuantile, sq2: StepQuantile) -> float:
-    """Exact L1 distance between two step quantiles on the levels (0, 1]."""
-    return _cdf_gap(sq1, sq2)
-
-
-def quantile_l1(dist_a: Distribution, dist_b: Distribution) -> float:
-    """L1 distance between two exact quantiles over (0, 1); supports may be unbounded."""
-    return _cdf_gap(dist_a, dist_b)
 
 
 # ------------------------------------------------------------- rate bounds

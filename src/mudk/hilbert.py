@@ -7,6 +7,8 @@ bands {a < |x| < b} the transform reduces to four log|sin| terms, so the
 transform of any even step function is a finite sum of such terms.  The
 closed form blows up logarithmically at the band edges; evaluation near
 those poles is refused rather than returning huge cancel-prone values.
+One sorted search, `pole_gap`, measures how far points lie from the
+poles, both for that refusal and for the boundary's sample grid.
 
 A direct principal-value quadrature of the defining integral is included
 as an independent cross-check oracle.
@@ -35,32 +37,28 @@ def _log_abs_sin(t, out):
     return np.log(np.abs(np.sin(t, out=out), out=out), out=out)
 
 
-def _wrap_distance(u, poles):
-    """Min distance from each u to the pole set, modulo 2*pi.
+def pole_gap(points, poles):
+    """Distance from each of `points` to the nearest of the ascending `poles`.
 
-    Sorted search: the poles are reduced mod 2*pi, sorted and padded
-    with one wrapped copy at each end, so each reduced angle's nearest
-    pole is one of its two neighbours.  O(N + P) memory.  Non-finite
-    angles give NaN.
+    One sorted search: each point's nearest pole is one of its two
+    neighbours in `poles`.  Without poles every distance is inf; a NaN
+    point gives NaN, so it is never within any distance of a pole.
     """
-    arr = np.asarray(u, dtype=float)
-    if len(poles) == 0:
-        return np.full(arr.shape, np.inf)
-    two_pi = 2.0 * np.pi
-    p = np.sort(np.mod(np.asarray(poles, dtype=float), two_pi))
-    p = np.concatenate(([p[-1] - two_pi], p, [p[0] + two_pi]))
-    r = np.mod(arr, two_pi)
-    # NaN sorts past the end; the clip keeps it indexable and NaN propagates
-    j = np.clip(np.searchsorted(p, r), 1, p.size - 1)
-    return np.minimum(r - p[j - 1], p[j] - r)
+    if not poles.size:
+        return np.full(np.shape(points), np.inf)
+    j = np.searchsorted(poles, points)
+    return np.minimum(np.abs(points - poles[np.clip(j - 1, 0, poles.size - 1)]),
+                      np.abs(poles[np.clip(j, 0, poles.size - 1)] - points))
 
 
-def _check_poles(u, poles):
-    d = _wrap_distance(u, poles)
-    if np.any(d < POLE_RADIUS):
-        bad = np.asarray(u)[d < POLE_RADIUS]
-        raise PoleError(
-            f"evaluation within {POLE_RADIUS} of a logarithmic pole at u={bad}")
+def _fold(u):
+    """The folded angle |u| (mod 2 pi), in [0, pi].
+
+    For theta in [0, pi] the nearer of the poles +-theta (mod 2 pi) lies
+    |theta - fold(u)| from u, so `pole_gap(_fold(u), theta)` is u's
+    distance to the pole set +-theta modulo 2 pi.
+    """
+    return np.abs(np.mod(u + np.pi, 2.0 * np.pi) - np.pi)
 
 
 # Cells of _jump_sum whose jump angle lies within this distance of the
@@ -83,10 +81,9 @@ def _near_pole_columns(fold, theta, rows):
     """Per block of `rows` points, the columns [lo, hi) of ascending theta
     within _NEAR_POLE of some point's folded angle, for ascending `fold`.
 
-    For theta in [0, pi], the nearer of a cell's two poles, u = +-theta
-    (mod 2 pi), lies |theta - fold(u)| from u, with fold(u) = |u| (mod 2 pi)
-    in [0, pi]: the range holds the cells within _NEAR_POLE of a pole, for
-    a block those of its first through its last row.
+    A cell's nearer pole lies |theta - fold(u)| from u (see `_jump_sum`),
+    so the range holds the cells within _NEAR_POLE of a pole, for a block
+    those of its first through its last row.
     """
     first = fold[::rows]
     last = fold[np.minimum(np.arange(rows, fold.size + rows, rows), fold.size) - 1]
@@ -98,17 +95,19 @@ def _jump_sum(u, theta, coeff):
     """sum_j coeff_j D(u, theta_j) / pi at angles u, for jump angles theta.
 
     D(u, t) = log|sin((u-t)/2) / sin((u+t)/2)|, with logarithmic poles at
-    +-theta_j; angles within POLE_RADIUS of one are refused.  `theta` is
-    ascending in (0, pi).  By angle addition, sin((u -+ t)/2) =
-    sin(u/2)cos(t/2) -+ cos(u/2)sin(t/2): sines and cosines are taken once
-    per point and once per jump, and each cell costs two products, an add,
-    a subtract, a divide and one log.  Near a pole the difference cancels,
-    so the cells whose jump lies within _NEAR_POLE of the point's folded
-    angle |u| (mod 2 pi) take the direct form log|sin((u-t)/2)| -
+    +-theta_j.  `theta` is ascending in (0, pi), so the nearer of u's two
+    poles lies |theta_j - fold(u)| from u, with the folded angle fold(u) =
+    |u| (mod 2 pi) in [0, pi]; an angle whose fold lies within POLE_RADIUS
+    of some theta_j (`pole_gap`) is refused.  By angle addition,
+    sin((u -+ t)/2) = sin(u/2)cos(t/2) -+ cos(u/2)sin(t/2): sines and
+    cosines are taken once per point and once per jump, and each cell
+    costs two products, an add, a subtract, a divide and one log.  Near a
+    pole the difference cancels, so the cells whose jump lies within
+    _NEAR_POLE of the point's fold take the direct form log|sin((u-t)/2)| -
     log|sin((u+t)/2)| instead.  For ascending theta those cells are one
     column range per point, found by a sorted search.  The points are taken
-    in ascending folded angle (reordered only when they are not), so each
-    block recomputes the range from its first to its last row, about
+    in ascending fold (reordered only when they are not), so each block
+    recomputes the range from its first to its last row, about
     2 _NEAR_POLE / pi of the cells plus the block's own spread.
 
     One rule bounds the memory of every blocked kernel: the temporaries of
@@ -120,12 +119,15 @@ def _jump_sum(u, theta, coeff):
     """
     arr = np.asarray(u, dtype=float)
     pts = np.atleast_1d(arr).ravel()
-    _check_poles(pts, np.concatenate((theta, -theta)))
+    fold = _fold(pts)
+    near = pole_gap(fold, theta) < POLE_RADIUS
+    if near.any():
+        raise PoleError(
+            f"evaluation within {POLE_RADIUS} of a logarithmic pole at u={pts[near]}")
     out = np.zeros(pts.size)
     if theta.size and pts.size:
         rows, cols = _block_shape(theta.size)
         rows = min(rows, pts.size)
-        fold = np.abs(np.mod(pts + np.pi, 2.0 * np.pi) - np.pi)
         order = None if np.all(fold[:-1] <= fold[1:]) else np.argsort(fold)
         if order is not None:
             pts, fold = pts[order], fold[order]

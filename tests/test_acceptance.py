@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from mudk.boundary import boundary_points, export_svg, scale_domain, svg_point_count
-from mudk.discretize import (build_measure, l1_distance, quantile_l1,
-                             rate_bound, step_l1_distance)
+from mudk.discretize import build_measure, l1_distance, rate_bound
 from mudk.distributions import Beta, Discrete, Exponential, Mixture, Uniform
 from mudk.gross_map import evaluate_map, fourier_coefficients, map_distance_bound
 from mudk.hilbert import hilbert_indicator, hilbert_pv_oracle
@@ -104,9 +103,9 @@ def test_criterion_05_map_distance_bound(capsys):
             for m in NS[i + 1:]:
                 gap = np.max(np.abs(evaluate_map(fcs[n], z)
                                     - evaluate_map(fcs[m], z)))
-                bound = map_distance_bound(step_l1_distance(sqs[n], sqs[m]), 0.5)
+                bound = map_distance_bound(l1_distance(sqs[n], sqs[m]), 0.5)
                 assert bound == pytest.approx(
-                    2.0 * step_l1_distance(sqs[n], sqs[m]))
+                    2.0 * l1_distance(sqs[n], sqs[m]))
                 assert gap <= bound + 1e-12
 
 
@@ -149,7 +148,7 @@ def test_criterion_09_truncation_convergence(capsys):
             lump = np.exp(-r)
             expect = np.where(u <= lump, 0.0, -np.log1p(-(u - lump)))
             np.testing.assert_allclose(trunc.quantile(u), expect, atol=1e-12)
-            gap = quantile_l1(trunc, base)
+            gap = l1_distance(trunc, base)
             assert gap == pytest.approx(np.exp(-r) * (1.0 + r), rel=1e-5)
             assert gap < last
             last = gap

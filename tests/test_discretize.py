@@ -15,10 +15,9 @@ from scipy import special
 from scipy.integrate import IntegrationWarning, quad
 
 from mudk._quad import _GL_BLOCK, _GL_NODES, _GL_WEIGHTS, gauss_legendre
-from mudk.discretize import (StepQuantile, UnboundedSupportError, _cdf_gap,
+from mudk.discretize import (StepQuantile, UnboundedSupportError,
                              build_measure, build_measure_cdf,
-                             build_measure_pdf, grid, l1_distance, quantile_l1,
-                             rate_bound, step_l1_distance)
+                             build_measure_pdf, grid, l1_distance, rate_bound)
 from mudk.distributions import (AffineDistribution, Beta, Discrete,
                                 Exponential, Mixture, TruncatedNormal, Uniform)
 from mudk.hilbert import pole_levels
@@ -49,7 +48,7 @@ def test_l1_error_within_the_simple_bound():
         for n in (7, 23, 64):
             rb = rate_bound(d, n)
             assert rb.varpi == 0.0  # atomless
-            assert l1_distance(d, sq=build_measure(d, n)) <= rb.bound + 1e-12
+            assert l1_distance(d, build_measure(d, n)) <= rb.bound + 1e-12
 
 
 def test_atom_mixture_correction_term():
@@ -155,15 +154,15 @@ def test_step_quantile_readings_follow_one_rule(sq):
 def test_step_l1_distance_small_case():
     a = StepQuantile(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0]))
     b = StepQuantile(np.array([0.0, 1.0]), np.array([0.5]))
-    assert step_l1_distance(a, b) == pytest.approx(0.5, abs=1e-12)
-    assert step_l1_distance(a, a) == 0.0
+    assert l1_distance(a, b) == pytest.approx(0.5, abs=1e-12)
+    assert l1_distance(a, a) == 0.0
 
 
 def test_step_l1_distance_extends_shorter_mass():
     a = StepQuantile(np.array([0.0, 1.0]), np.array([2.0]))
     b = StepQuantile(np.array([0.0, 0.5]), np.array([1.0]))
     # b is held at its final value 1.0 on (0.5, 1.0)
-    assert step_l1_distance(a, b) == pytest.approx(1.0, abs=1e-12)
+    assert l1_distance(a, b) == pytest.approx(1.0, abs=1e-12)
 
 
 class _OneCellBeta(Beta):
@@ -183,7 +182,7 @@ def test_cdf_gap_splits_a_cell_where_the_sign_changes(level, swap):
     """
     beta = _OneCellBeta(2.0, 5.0)
     sq = StepQuantile([0.0, level, 1.0], [0.0, 1.0])
-    got = _cdf_gap(*(sq, beta) if swap else (beta, sq))
+    got = l1_distance(*(sq, beta) if swap else (beta, sq))
     cross = float(special.betaincinv(2.0, 5.0, level))
     rest = Polynomial([1.0, -1.0])
     P = (1.0 - level - rest ** 6 - 6.0 * Polynomial([0.0, 1.0]) * rest ** 5).integ()
@@ -208,7 +207,7 @@ def test_quantile_l1_splits_a_cell_whose_ends_agree(a, b, swap):
     P, ends = gap.integ(), [0.0] + roots + [1.0]
     expect = sum(abs(P(hi) - P(lo)) for lo, hi in zip(ends, ends[1:]))
     laws = (Beta(float(a), float(b)), Uniform(0.0, 1.0))
-    assert quantile_l1(*laws[::-1] if swap else laws) == pytest.approx(expect, abs=1e-14)
+    assert l1_distance(*laws[::-1] if swap else laws) == pytest.approx(expect, abs=1e-14)
     if (a, b) == (2, 2):
         assert expect == pytest.approx(0.0625, abs=1e-15)
 
@@ -219,7 +218,7 @@ def test_quantile_l1_splits_a_cell_whose_ends_agree(a, b, swap):
 def test_truncated_exponential_quantile_gap(r, expect):
     """||q_r - q||_1 = e^-r (1 + r) for the unit exponential."""
     base = Exponential(1.0)
-    got = quantile_l1(base.truncate(r), base)
+    got = l1_distance(base.truncate(r), base)
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -249,7 +248,7 @@ def _quad_quantile_l1(dist_a, dist_b):
 def test_quantile_l1_tails_match_quad(law, r):
     """The geometric tail cuts give what adaptive quadrature gives."""
     base = TAIL_LAWS[law]
-    got = quantile_l1(base.truncate(r), base)
+    got = l1_distance(base.truncate(r), base)
     assert got == pytest.approx(_quad_quantile_l1(base.truncate(r), base),
                                 rel=1e-12, abs=1e-14)
 
@@ -259,14 +258,14 @@ def test_quantile_l1_tails_match_quad(law, r):
 def test_quantile_l1_resolves_tails_of_any_scale(rate_a, rate_b):
     """||q_a - q_b||_1 = 1/rate_a - 1/rate_b, also when the whole gap lies
     within 1e-3 of the last breakpoint."""
-    got = quantile_l1(Exponential(rate_a), Exponential(rate_b))
+    got = l1_distance(Exponential(rate_a), Exponential(rate_b))
     assert got == pytest.approx(1.0 / rate_a - 1.0 / rate_b, rel=1e-12)
 
 
 def test_quantile_l1_runs_without_scipy():
     code = ("import sys; sys.modules['scipy'] = None\n"
-            "from mudk import Exponential, quantile_l1\n"
-            "print(quantile_l1(Exponential(1.0).truncate(4.0), Exponential(1.0)))")
+            "from mudk import Exponential, l1_distance\n"
+            "print(l1_distance(Exponential(1.0).truncate(4.0), Exponential(1.0)))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
@@ -462,7 +461,7 @@ def test_l1_distance_of_discrete_law_equals_step_distance(atoms, steps, mass):
     widths = np.array([w for _, w in steps])
     sq = StepQuantile(np.concatenate(([0.0], np.cumsum(widths) * mass / widths.sum())),
                       np.sort([x / 10.0 for x, _ in steps]))
-    assert l1_distance(dist, sq) == pytest.approx(step_l1_distance(own, sq), abs=1e-14)
+    assert l1_distance(dist, sq) == pytest.approx(l1_distance(own, sq), abs=1e-14)
 
 
 # ------------------------------------------------ atoms in the c.d.f. scheme

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mudk.cli import build_distribution
-from mudk.discretize import StepQuantile, build_measure, step_l1_distance
+from mudk.discretize import StepQuantile, build_measure, l1_distance
 from mudk.distributions import Beta, Discrete, Mixture, Uniform
 from mudk.gross_map import (FourierCoefficients, _layout, evaluate_map,
                             fourier_coefficients, map_distance_bound)
@@ -87,7 +87,7 @@ def test_pairwise_map_gap_respects_l1_bound():
         for m in quantiles:
             gap = np.max(np.abs(maps[n] - maps[m]))
             bound = map_distance_bound(
-                step_l1_distance(quantiles[n], quantiles[m]), 0.5)
+                l1_distance(quantiles[n], quantiles[m]), 0.5)
             assert gap <= bound + 1e-12
 
 
@@ -98,7 +98,7 @@ def test_map_gap_bound_holds_past_the_total_mass():
     z = 0.5 * np.exp(2j * np.pi * np.arange(64) / 64.0)
     gap = np.max(np.abs(evaluate_map(fourier_coefficients(s1), z)
                         - evaluate_map(fourier_coefficients(s2), z)))
-    assert gap <= map_distance_bound(step_l1_distance(s1, s2), 0.5) + 1e-12
+    assert gap <= map_distance_bound(l1_distance(s1, s2), 0.5) + 1e-12
 
 
 def test_pdf_map_past_level_one_matches_midpoint_cosine_sum():

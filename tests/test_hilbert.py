@@ -1,17 +1,20 @@
 """Tests of the conjugate-function formulas against the PV oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mudk.boundary import parameter_grid
 from mudk.discretize import StepQuantile, build_measure
 from mudk.distributions import Beta, Discrete, Mixture, Uniform
-from mudk.hilbert import (_BLOCK_CELLS, _NEAR_POLE, OracleConvergenceError,
-                          PoleError, _block_shape, _wrap_distance,
-                          hilbert_indicator, hilbert_pv_oracle,
-                          hilbert_step_quantile, pole_levels)
+from mudk.hilbert import (_BLOCK_CELLS, _NEAR_POLE, POLE_RADIUS,
+                          OracleConvergenceError, PoleError, _block_shape,
+                          _fold, _jump_sum, hilbert_indicator,
+                          hilbert_pv_oracle, hilbert_step_quantile, pole_gap,
+                          pole_levels)
 
 # independently frozen: adaptive PV quadrature agrees to ~5e-11
 INDICATOR_AT_HALF_ONE_TWO = 0.12788601940419692
@@ -163,6 +166,18 @@ def _brute_wrap_distance(u, poles):
     return np.min(np.abs((diff + np.pi) % (2.0 * np.pi) - np.pi), axis=-1)
 
 
+def _exact_wrap_distance(u, poles):
+    """Distance from each finite u to the poles modulo the float 2 pi, in
+    exact rational arithmetic: only the final conversion rounds, where the
+    float brute force above errs by up to about 1.1e-15 at u = +-pi."""
+    two_pi = 2 * Fraction(np.pi)
+
+    def gap(x, p):
+        d = abs(Fraction(x) - Fraction(p)) % two_pi
+        return min(d, two_pi - d)
+    return np.array([float(min(gap(x, p) for p in poles)) for x in u])
+
+
 def _dense_hilbert(sq, u):
     """Reference: the whole (points x jumps) log-sin matrix at once.
 
@@ -184,28 +199,102 @@ def _dense_hilbert(sq, u):
 @given(u=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=40),
        levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
 def test_wrap_distance_matches_brute_force(u, levels):
-    # the guard's pole sets are symmetric: +-pi s for levels s in [0, 1]
-    poles = np.pi * np.array(levels)
-    poles = np.concatenate((poles, -poles))
-    np.testing.assert_allclose(_wrap_distance(np.array(u), poles),
-                               _brute_wrap_distance(u, poles), rtol=0, atol=1e-15)
+    # the guard's distance: the fold's gap to the jump angles pi s, s in [0, 1],
+    # is the distance to the symmetric pole set +-pi s modulo 2 pi
+    theta = np.sort(np.pi * np.array(levels))
+    np.testing.assert_allclose(
+        pole_gap(_fold(np.array(u)), theta),
+        _exact_wrap_distance(u, np.concatenate((theta, -theta))), rtol=0, atol=1e-15)
 
 
 def test_wrap_distance_scalar_empty_and_poleless():
-    d = _wrap_distance(0.25, [1.0, -1.0])
+    d = pole_gap(_fold(0.25), np.array([1.0]))
     assert np.shape(d) == () and d == pytest.approx(0.75, abs=1e-15)
-    assert _wrap_distance(np.array([]), [1.0]).shape == (0,)
-    np.testing.assert_array_equal(_wrap_distance(np.array([0.1, 2.0]), []),
+    assert pole_gap(_fold(np.array([])), np.array([1.0])).shape == (0,)
+    np.testing.assert_array_equal(pole_gap(_fold(np.array([0.1, 2.0])), np.array([])),
                                   [np.inf, np.inf])
-    # wraps across +-pi
-    assert _wrap_distance(np.pi - 1e-3, [-np.pi + 1e-3]) == pytest.approx(2e-3)
+    # wraps across +-pi: just past +-pi, the nearer pole is the mirror -+theta
+    d = pole_gap(_fold(np.array([np.pi + 1e-3, -np.pi - 1e-3])), np.array([np.pi - 3e-3]))
+    np.testing.assert_allclose(d, [2e-3, 2e-3], rtol=1e-9)
+
+
+# offsets from a pole, in units of POLE_RADIUS, kept clear of the guard's edge
+_POLE_OFFSETS = (0.0, 1e-3, 0.3, -0.3, 3.0, -3.0, 1e3, -1e6)
+
+
+@st.composite
+def _guard_cases(draw):
+    """Jump levels, and angles: copies of +-pi s_j shifted by 2 pi k and a
+    small offset, free angles and angles that are not finite; a scalar,
+    an empty array or none of the poles among them."""
+    levels = sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=6))))
+    near = st.tuples(st.integers(0, 5), st.sampled_from((1.0, -1.0)),
+                     st.integers(-2, 2), st.sampled_from(_POLE_OFFSETS))
+    free = st.floats(-10.0, 10.0)
+    wild = st.sampled_from((np.nan, np.inf, -np.inf))
+    u = []
+    for kind, value in draw(st.lists(st.one_of(near.map(lambda v: ("near", v)),
+                                               free.map(lambda v: ("free", v)),
+                                               wild.map(lambda v: ("wild", v))),
+                                     max_size=12)):
+        if kind != "near":
+            u.append(value)
+        elif levels:
+            j, sign, k, offset = value
+            u.append(sign * np.pi * levels[j % len(levels)] + 2.0 * np.pi * k
+                     + offset * POLE_RADIUS)
+    if u and draw(st.booleans()):
+        return levels, u[0]
+    return levels, np.array(u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_guard_cases())
+@example(([0.4], 0.4 * np.pi + 4.0 * np.pi))             # a wrapped copy, scalar
+@example(([0.4], -0.4 * np.pi - 2.0 * np.pi + 1e-10))    # the mirror pole, wrapped
+@example(([0.2, 0.7], np.array([])))                     # no angles
+@example(([], np.array([0.0, np.pi, 1.0])))              # no poles
+@example(([0.5], np.array([np.nan, np.inf, -np.inf, 0.5 * np.pi])))
+def test_pole_guard_refuses_exactly_the_angles_near_a_pole(case):
+    """`_jump_sum` and `hilbert_step_quantile` refuse an angle within
+    POLE_RADIUS of a pole +-pi s_j (mod 2 pi) and evaluate every other:
+    the brute-force distance to the poles decides which."""
+    levels, u = case
+    theta = np.pi * np.array(levels)
+    with np.errstate(invalid="ignore"):
+        d = (_brute_wrap_distance(u, np.concatenate((theta, -theta))) if levels
+             else np.full(np.shape(u), np.inf))
+    assume(not np.any((d > 0.5 * POLE_RADIUS) & (d < 2.0 * POLE_RADIUS)))
+    sq = StepQuantile(np.concatenate(([0.0], levels, [1.0])),
+                      np.arange(len(levels) + 1.0))
+    for evaluate in (lambda: _jump_sum(u, theta, np.ones(theta.size)),
+                     lambda: hilbert_step_quantile(sq, u)):
+        with np.errstate(invalid="ignore"):
+            if np.any(d < POLE_RADIUS):
+                with pytest.raises(PoleError, match="logarithmic pole"):
+                    evaluate()
+                continue
+            out = evaluate()
+        assert np.shape(out) == np.shape(u)
+        assert isinstance(out, float) == (np.ndim(u) == 0)
+        # without jumps the sum is empty: 0 even at an angle that is not finite
+        np.testing.assert_array_equal(np.isfinite(out), np.isfinite(u) | (not levels))
+
+
+def test_pole_gap_is_the_sorted_neighbour_distance():
+    poles = np.array([0.1, 0.5, 0.9])
+    np.testing.assert_allclose(pole_gap(np.array([0.0, 0.3, 0.52, 2.0]), poles),
+                               [0.1, 0.2, 0.02, 1.1], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(pole_gap(np.array([0.2, 0.7]), np.array([])),
+                                  [np.inf, np.inf])
+    assert pole_gap(np.array([]), poles).shape == (0,)
 
 
 def test_nonfinite_angles_evaluate_to_nan_without_pole_error():
     sq = build_measure(Uniform(-1.0, 1.0), 5)
     u = np.array([np.nan, np.inf, -np.inf, 2.0])
     with np.errstate(invalid="ignore"):
-        d = _wrap_distance(u, [0.4 * np.pi, -0.4 * np.pi])
+        d = pole_gap(_fold(u), np.array([0.4 * np.pi]))
         h = hilbert_step_quantile(sq, u)
         g = hilbert_indicator(0.5, 1.0, u)
     for out in (d, h, g):

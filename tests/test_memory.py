@@ -5,8 +5,8 @@ tracemalloc peaks, beta(2,5) at n=2000 unless stated: the blocked kernels
 keep the temporaries of one loop step within one 256 KB block, so their
 peaks sit just above their O(input) arrays.  The file layer
 streams: a read holds the float array, not one object per row, and a
-write holds one chunk of text, not the whole file.  The L1 gaps call
-their integrand on one block of quadrature cells at a time, so the
+write holds one chunk of text, not the whole file.  The L1 gap calls
+its integrand on one block of quadrature cells at a time, so the
 integrand's temporaries do not grow with the number of cells.
 """
 
@@ -81,6 +81,16 @@ def test_load_csv_memory_is_bounded(beta_2000, tmp_path):
     path = tmp_path / "b.csv"
     export_csv(boundary_points(beta_2000, 8192), path)
     assert _peak_mb(lambda: load_csv(path)) < 1.5
+
+
+def test_load_csv_keeps_the_rows_it_reads(beta_2000, tmp_path):
+    """0.47 MB: the polyline keeps the one array the rows are read into.
+    A reshaped view of it, copied by the polyline, took 0.81 MB."""
+    path = tmp_path / "b.csv"
+    export_csv(boundary_points(beta_2000, 8192), path)
+    assert _peak_mb(lambda: load_csv(path)) < 0.55
+    points = load_csv(path).points
+    assert points.flags.owndata and not points.flags.writeable
 
 
 def test_export_svg_memory_is_bounded(beta_2000, tmp_path):
