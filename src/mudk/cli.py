@@ -44,7 +44,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -106,10 +106,14 @@ _PROCESSING = ("center", "truncate")
 
 
 def _number(value, what) -> float:
-    """A JSON number as a float; a boolean or a string is refused."""
+    """A JSON number as a float; a boolean, a string or an integer beyond
+    the float range is refused."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is beyond the float range") from None
 
 
 def _require(fields: dict, family: str, *names):
@@ -197,87 +201,6 @@ def build_distribution(fields: dict) -> Distribution:
     return dist
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective settings of one command after merging file and flags."""
-
-    dist: dict
-    n: int = 30
-    n_list: tuple[int, ...] = ()
-    scheme: str = "cdf"
-    points: int = 2048
-    coeffs: int | None = None
-    out: str | None = None
-    svg: str | None = None
-    walks: int = 10_000
-    step: float = 1e-4
-    seed: int = 0
-    boundary: str | None = None
-    samples: str | None = None
-    max_steps: int = 10_000_000
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if any(n < 1 for n in self.n_list):
-            raise ConfigError(f"n_list entries must be >= 1, got {self.n_list}")
-        if self.scheme not in ("cdf", "pdf"):
-            raise ConfigError(f"scheme must be cdf or pdf, got {self.scheme!r}")
-        if self.points < 1:
-            raise ConfigError(f"points must be >= 1, got {self.points}")
-        if self.coeffs is not None and self.coeffs < 1:
-            raise ConfigError(f"coeffs must be >= 1, got {self.coeffs}")
-        if self.walks < 1:
-            raise ConfigError(f"walks must be >= 1, got {self.walks}")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ConfigError(f"step must be positive, got {self.step}")
-        if self.max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-
-    def hash(self) -> str:
-        """Digest of every setting and input file content that shapes the output."""
-        payload = {f.name: getattr(self, f.name) for f in fields(self)
-                   if f.name not in _PATH_FIELDS}
-        for key in ("boundary", "samples"):
-            path = getattr(self, key)
-            if path is not None:
-                digest = sha256()
-                with open(path, "rb") as fh:
-                    for block in iter(lambda: fh.read(1 << 16), b""):
-                        digest.update(block)
-                payload[f"{key}_sha256"] = digest.hexdigest()
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return sha256(blob.encode()).hexdigest()[:12]
-
-    def header(self) -> str:
-        return f"mu-domain-kit v{__version__}, config hash {self.hash()}"
-
-
-# where the outputs go and which files come in: not hashed as names
-_PATH_FIELDS = ("out", "svg", "boundary", "samples")
-
-
-def merge_config(file_cfg: dict, args: argparse.Namespace) -> RunConfig:
-    """Fold config file entries and flags into a RunConfig; flags win."""
-    if not isinstance(file_cfg, dict):
-        raise ConfigError("config file must hold a JSON object")
-    merged: dict = dict(file_cfg)
-    unknown = set(merged) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            merged[f.name] = value
-    if "dist" not in merged:
-        raise ConfigError("no distribution given; use --dist or a config file")
-    kwargs: dict = {"dist": merged["dist"]}
-    for f in fields(RunConfig):
-        if merged.get(f.name) is not None:
-            kwargs[f.name] = _PARSE[f.type](merged[f.name], f.name)
-    return RunConfig(**kwargs)
-
-
 def _as_int(value, key) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or isinstance(value, float) and not value.is_integer():
@@ -286,46 +209,144 @@ def _as_int(value, key) -> int:
 
 
 def _as_int_tuple(value, key) -> tuple[int, ...]:
+    """A JSON list of integers; only the --n-list flag takes the comma form."""
+    if isinstance(value, list):
+        try:
+            return tuple(_as_int(part, key) for part in value)
+        except ConfigError:
+            pass
+    raise ConfigError(f"{key} must be a list of integers, got {value!r}")
+
+
+def _comma_ints(text: str):
+    """`--n-list 10,100` as a list; text with a part that is no integer stays
+    text, for `_as_int_tuple` to refuse (argparse would exit on a type error)."""
     try:
-        if isinstance(value, str):
-            value = [int(part) for part in value.split(",") if part.strip()]
-        return tuple(_as_int(part, key) for part in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a list of integers, got {value!r}")
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        return text
 
 
-# the parser of each RunConfig field, by its annotation
-_PARSE = {
-    "dict": lambda value, key: (_load_json_arg(value, key) if isinstance(value, str)
-                                else value),
-    "int": _as_int,
-    "int | None": _as_int,
-    "tuple[int, ...]": _as_int_tuple,
-    "float": _number,
-    "str": lambda value, key: str(value),
-    "str | None": lambda value, key: str(value),
-}
-
-
-def _load_json_arg(text: str, what: str) -> dict:
-    """Interpret a flag value as inline JSON or as a path to a JSON file."""
+def _load_json_arg(text, what: str):
+    """Text as inline JSON or as the path of a JSON file, where any ValueError
+    (a 4301-digit integer too) is a config error; a parsed value as it is."""
+    if not isinstance(text, str):
+        return text
     if text.lstrip().startswith("{"):
         try:
             return json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid inline JSON for {what}: {exc}")
     try:
         with open(text) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid JSON in {what} file {text!r}: {exc}")
 
 
-def _config_call(fn, *args):
-    """fn(*args), with a law or scheme it refuses reported as a config error."""
+def _setting(default=MISSING, *, help, flag=None, parse=lambda value, key: str(value),
+             least=None, role=None):
+    """A RunConfig field that declares one setting: `help` and `flag` (an argparse
+    type, or a tuple of choices) make its `--flag`, `parse` reads its config file
+    entry or flag value, `least` is its least value, and `role` marks a file
+    name: "out" is not hashed, "in" is hashed by its content."""
+    return field(default=default, metadata={"help": help, "flag": flag, "parse": parse,
+                                            "least": least, "role": role})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Effective settings of one command after merging file and flags.
+
+    Each field declares one setting (`_setting`): `build_parser` adds its flag,
+    `merge_config` parses it, `__post_init__` checks it, `hash` reads its role.
+    """
+
+    dist: dict = _setting(help="distribution: JSON file path or inline JSON object; "
+                          "centered before and after any truncation", parse=_load_json_arg)
+    n: int = _setting(30, help="number of discretization cells", flag=int, parse=_as_int,
+                      least=1)
+    n_list: tuple[int, ...] = _setting(
+        (), help="comma separated n values for the rates table", flag=_comma_ints,
+        parse=_as_int_tuple, least=1)
+    scheme: str = _setting("cdf", help="mass assignment scheme (default cdf)",
+                           flag=("cdf", "pdf"))
+    points: int = _setting(2048, help="boundary samples per half (default 2048)",
+                           flag=int, parse=_as_int, least=1)
+    coeffs: int | None = _setting(None, help="number of series coefficients to export",
+                                  flag=int, parse=_as_int, least=1)
+    out: str | None = _setting(None, help="output file path", role="out")
+    svg: str | None = _setting(None, help="also render the boundary to this SVG",
+                               role="out")
+    walks: int = _setting(10_000, help="number of walks", flag=int, parse=_as_int, least=1)
+    step: float = _setting(1e-4, help="walk-on-spheres shell width (default 1e-4)",
+                           flag=float, parse=_number)
+    seed: int = _setting(0, help="base RNG seed", flag=int, parse=_as_int)
+    boundary: str | None = _setting(None, help="boundary CSV for simulate", role="in")
+    samples: str | None = _setting(None, help="samples CSV for check", role="in")
+    max_steps: int = _setting(10_000_000, help="per-walk sweep budget (default 1e7)",
+                              flag=int, parse=_as_int, least=1)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, least, flag = getattr(self, f.name), f.metadata["least"], f.metadata["flag"]
+            entries = value if isinstance(value, tuple) else (value,)
+            if least is not None and value is not None and any(v < least for v in entries):
+                what = f"{f.name} entries" if isinstance(value, tuple) else f.name
+                raise ConfigError(f"{what} must be >= {least}, got {value}")
+            if isinstance(flag, tuple) and value not in flag:
+                raise ConfigError(f"{f.name} must be {' or '.join(flag)}, got {value!r}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ConfigError(f"step must be positive, got {self.step}")
+
+    def hash(self) -> str:
+        """Digest of every setting and input file content that shapes the output."""
+        payload = {}
+        for f in fields(self):
+            value, role = getattr(self, f.name), f.metadata["role"]
+            if role is None:
+                payload[f.name] = value
+            elif role == "in" and value is not None:
+                digest = sha256()
+                with open(value, "rb") as fh:
+                    for block in iter(lambda: fh.read(1 << 16), b""):
+                        digest.update(block)
+                payload[f"{f.name}_sha256"] = digest.hexdigest()
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return sha256(blob.encode()).hexdigest()[:12]
+
+    def header(self) -> str:
+        return f"mu-domain-kit v{__version__}, config hash {self.hash()}"
+
+
+def merge_config(file_cfg: dict, args: argparse.Namespace) -> RunConfig:
+    """Fold config file entries and flags into a RunConfig; flags win."""
+    if not isinstance(file_cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    names = {f.name for f in fields(RunConfig)}
+    unknown = set(file_cfg) - names
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    merged = {**file_cfg, **{name: value for name, value in vars(args).items()
+                             if name in names and value is not None}}
+    if "dist" not in merged:
+        raise ConfigError("no distribution given; use --dist or a config file")
+    kwargs: dict = {"dist": merged["dist"]}
+    for f in fields(RunConfig):
+        if merged.get(f.name) is not None:
+            kwargs[f.name] = f.metadata["parse"](merged[f.name], f.name)
+    return RunConfig(**kwargs)
+
+
+def _config_call(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a law, scheme or size it refuses reported as a
+    config error: numpy refuses a size beyond its index range with a ValueError or
+    an OverflowError.  A pole or a domain off the origin stays numerical."""
     try:
-        return fn(*args)
-    except ValueError as exc:
+        return fn(*args, **kwargs)
+    except (PoleError, TopologyError):
+        raise
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc))
 
 
@@ -343,7 +364,7 @@ def _build_polyline(cfg: RunConfig):
     if not sq.unit_mass:
         raise ConfigError(f"cannot trace a boundary: total mass is {sq.total_mass}, "
                           "not 1; use the c.d.f. scheme")
-    traced = boundary_points(sq, num_points=cfg.points)
+    traced = _config_call(boundary_points, sq, num_points=cfg.points)
     return scale_domain(traced, width, -width * sq.mean())
 
 
@@ -373,7 +394,7 @@ def cmd_map(cfg: RunConfig) -> None:
     out = cfg.out or "map.csv"
     dist = build_distribution(cfg.dist)
     sq = _config_call(build_measure, dist, cfg.n, cfg.scheme)
-    fc = fourier_coefficients(sq, num_terms=cfg.coeffs)
+    fc = _config_call(fourier_coefficients, sq, num_terms=cfg.coeffs)
     rows = ((str(k), float_cell(a))
             for k, a in enumerate(fc.coeffs, start=1))
     write_csv(out, cfg.header(), ("k", "a_k"), rows)
@@ -398,8 +419,8 @@ def cmd_simulate(cfg: RunConfig) -> None:
     out = cfg.out or "samples.csv"
     dist = build_distribution(cfg.dist)
     bp = _read_input(load_csv, cfg.boundary)
-    result = simulate_exit(bp, walks=cfg.walks, step=cfg.step, seed=cfg.seed,
-                           max_steps=cfg.max_steps)
+    result = _config_call(simulate_exit, bp, walks=cfg.walks, step=cfg.step,
+                          seed=cfg.seed, max_steps=cfg.max_steps)
     rows = ((str(w), float_cell(x))
             for w, x in zip(result.walk_ids, result.samples))
     write_csv(out, cfg.header(), ("walk", "x_exit"), rows)
@@ -439,11 +460,11 @@ def cmd_check(cfg: RunConfig) -> None:
 
 
 _COMMANDS = {
-    "build": cmd_build,
-    "rates": cmd_rates,
-    "map": cmd_map,
-    "simulate": cmd_simulate,
-    "check": cmd_check,
+    "build": (cmd_build, "trace a domain boundary to CSV (and optional SVG)"),
+    "rates": (cmd_rates, "tabulate l1 errors and bounds over an n list"),
+    "map": (cmd_map, "export the disc map's power series coefficients"),
+    "simulate": (cmd_simulate, "sample Brownian exits from a built boundary"),
+    "check": (cmd_check, "KS statistic of an existing sample file"),
 }
 
 
@@ -460,27 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", nargs="?", default=None,
                         help="JSON config file; flags override its entries")
-    common.add_argument("--dist", help="distribution: JSON file path or inline "
-                        "JSON object; centered before and after any truncation")
-    common.add_argument("--n", type=int, help="number of discretization cells")
-    common.add_argument("--n-list", dest="n_list",
-                        help="comma separated n values for the rates table")
-    common.add_argument("--scheme", choices=("cdf", "pdf"),
-                        help="mass assignment scheme (default cdf)")
-    common.add_argument("--points", type=int,
-                        help="boundary samples per half (default 2048)")
-    common.add_argument("--coeffs", type=int,
-                        help="number of series coefficients to export")
-    common.add_argument("--out", help="output file path")
-    common.add_argument("--svg", help="also render the boundary to this SVG")
-    common.add_argument("--walks", type=int, help="number of walks")
-    common.add_argument("--step", type=float,
-                        help="walk-on-spheres shell width (default 1e-4)")
-    common.add_argument("--seed", type=int, help="base RNG seed")
-    common.add_argument("--boundary", help="boundary CSV for simulate")
-    common.add_argument("--samples", help="samples CSV for check")
-    common.add_argument("--max-steps", dest="max_steps", type=int,
-                        help="per-walk sweep budget (default 1e7)")
+    for f in fields(RunConfig):
+        flag = f.metadata["flag"]
+        common.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"],
+                            **{"choices" if isinstance(flag, tuple) else "type": flag})
 
     parser = argparse.ArgumentParser(
         prog="mudk",
@@ -489,16 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"mu-domain-kit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("build", parents=[common],
-                   help="trace a domain boundary to CSV (and optional SVG)")
-    sub.add_parser("rates", parents=[common],
-                   help="tabulate l1 errors and bounds over an n list")
-    sub.add_parser("map", parents=[common],
-                   help="export the disc map's power series coefficients")
-    sub.add_parser("simulate", parents=[common],
-                   help="sample Brownian exits from a built boundary")
-    sub.add_parser("check", parents=[common],
-                   help="KS statistic of an existing sample file")
+    for name, (_, line) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=line)
     return parser
 
 
@@ -509,7 +505,7 @@ def main(argv=None) -> int:
     try:
         file_cfg = _load_json_arg(args.config, "config") if args.config else {}
         cfg = merge_config(file_cfg, args)
-        _COMMANDS[args.command](cfg)
+        _COMMANDS[args.command][0](cfg)
     except (ConfigError, UnboundedSupportError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,7 @@
 """End-to-end tests of the mudk command line interface."""
 
+import argparse
+import dataclasses
 import gc
 import hashlib
 import importlib.util
@@ -14,9 +16,10 @@ import numpy as np
 import pytest
 
 from mudk.boundary import export_csv, load_csv, scale_domain, svg_point_count
-from mudk.cli import (ConfigError, RunConfig, _summary_path,
-                      build_distribution, load_samples_csv, main)
+from mudk.cli import (ConfigError, RunConfig, _summary_path, build_distribution,
+                      build_parser, load_samples_csv, main, merge_config)
 from mudk.discretize import UnboundedSupportError
+from mudk.hilbert import PoleError
 
 UNIFORM = '{"family": "uniform", "a": -1, "b": 1}'
 HEADER_RE = re.compile(r"^# mu-domain-kit v0\.1\.0, config hash [0-9a-f]{12}$")
@@ -202,6 +205,35 @@ def test_unknown_config_field_rejected(tmp_path):
     assert run("rates", str(cfg)) == 2
 
 
+def test_every_setting_has_one_flag_and_one_hash_either_way(tmp_path):
+    """Each RunConfig field is one `--flag` of every subcommand, and the same
+    values given by flags or by a config file make the same config."""
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in sub.choices.values():
+        flags = {a.dest: a.option_strings for a in command._actions}
+        assert set(flags) == {*names, "help", "config"}
+        assert all(flags[name] == ["--" + name.replace("_", "-")] for name in names)
+    boundary, samples = tmp_path / "b.csv", tmp_path / "s.csv"
+    boundary.write_text("t,x,y\n0.0,0.0,0.0\n")
+    samples.write_text("walk,x_exit\n0,0.25\n")
+    values = {"dist": json.loads(UNIFORM), "n": 7, "n_list": [10, 20], "scheme": "pdf",
+              "points": 64, "coeffs": 12, "out": "o.csv", "svg": "o.svg", "walks": 50,
+              "step": 0.002, "seed": 9, "boundary": str(boundary),
+              "samples": str(samples), "max_steps": 1000}
+    assert list(values) == names
+    flags = []
+    for name, value in values.items():
+        text = (json.dumps(value) if name == "dist" else
+                ",".join(map(str, value)) if name == "n_list" else str(value))
+        flags += ["--" + name.replace("_", "-"), text]
+    by_flags = merge_config({}, build_parser().parse_args(["rates", *flags]))
+    by_file = merge_config(values, build_parser().parse_args(["rates"]))
+    assert by_flags == by_file
+    assert by_flags.hash() == by_file.hash() != RunConfig(dist=values["dist"]).hash()
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_unknown_family_is_config_error(tmp_path):
@@ -381,6 +413,48 @@ def test_string_step_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "b.csv").exists()
 
 
+@pytest.mark.parametrize("cfg, named", [
+    ({"dist": json.loads(UNIFORM), "step": 10 ** 400}, "step is beyond the float range"),
+    ({"dist": {"family": "uniform", "a": -1, "b": 10 ** 400}},
+     "field 'b' of family 'uniform' is beyond the float range"),
+    ('{"dist": %s, "step": 1%s}' % (UNIFORM, "0" * 5000), "invalid JSON in config file"),
+], ids=["step", "family-field", "beyond-int-digit-limit"])
+def test_huge_json_integer_is_config_error(tmp_path, capsys, cfg, named):
+    """float() of a 401-digit integer overflows; json refuses 5001 digits."""
+    path = tmp_path / "run.json"
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    rc = run("build", str(path), "--n", "4", "--points", "16",
+             "--out", str(tmp_path / "b.csv"))
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("build", "--points"), ("map", "--coeffs"), ("simulate", "--walks")])
+def test_size_numpy_refuses_is_config_error(tmp_path, capsys, command, flag):
+    """Beyond numpy's index range, refused before anything is allocated."""
+    boundary, _ = _built_files(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    rc = run(command, "--dist", UNIFORM, "--n", "4", "--boundary", str(boundary),
+             flag, str(10 ** 23), "--out", str(out))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_pole_in_boundary_points_stays_numerical_failure(tmp_path, capsys, monkeypatch):
+    """PoleError is a ValueError, but not a config error."""
+    def pole(*args, **kwargs):
+        raise PoleError("evaluation point too close to a pole")
+
+    monkeypatch.setattr("mudk.cli.boundary_points", pole)
+    assert run("build", "--dist", UNIFORM, "--n", "4", "--points", "16",
+               "--out", str(tmp_path / "b.csv")) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
 def test_zero_max_steps_is_config_error(tmp_path, capsys):
     boundary = tmp_path / "b.csv"
     assert run("build", "--dist", UNIFORM, "--n", "4", "--points", "16",
@@ -391,19 +465,22 @@ def test_zero_max_steps_is_config_error(tmp_path, capsys):
     assert "max_steps" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "n_list", [[2.5, 4], [True, 4], [float("inf"), 4], "2.5,4", "true,4"],
-    ids=["file-float", "file-bool", "file-inf", "flag-float", "flag-bool"])
-def test_non_integer_n_list_entry_is_config_error(tmp_path, n_list):
-    """Entries are not truncated: 2.5 is not 2, true is not 1, inf is no int."""
+@pytest.mark.parametrize("where, n_list", [
+    ("file", [2.5, 4]), ("file", [True, 4]), ("file", [float("inf"), 4]),
+    ("flag", "2.5,4"), ("flag", "true,4"), ("file", "5,10")],
+    ids=["file-float", "file-bool", "file-inf", "flag-float", "flag-bool", "file-string"])
+def test_non_integer_n_list_entry_is_config_error(tmp_path, capsys, where, n_list):
+    """Entries are not truncated: 2.5 is not 2, true is not 1, inf is no int;
+    only the --n-list flag takes the comma form, a config file a JSON list."""
     out = tmp_path / "r.csv"
-    if isinstance(n_list, str):
+    if where == "flag":
         rc = run("rates", "--dist", UNIFORM, "--n-list", n_list, "--out", str(out))
     else:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"dist": json.loads(UNIFORM), "n_list": n_list}))
         rc = run("rates", str(cfg), "--out", str(out))
     assert rc == 2
+    assert "n_list must be a list of integers" in capsys.readouterr().err
     assert not out.exists()
 
 
