@@ -54,8 +54,8 @@ class StepQuantile:
     values: np.ndarray
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        bp = np.array(self.breakpoints, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if bp.ndim != 1 or vals.ndim != 1 or bp.size != vals.size + 1:
             raise ValueError("need m+1 breakpoints for m step values")
         if vals.size == 0:
@@ -66,7 +66,6 @@ class StepQuantile:
             raise ValueError("breakpoints must be strictly increasing")
         if np.any(np.diff(vals) < -1e-12 * (1.0 + np.max(np.abs(vals)))):
             raise ValueError("step values must be non-decreasing")
-        bp = bp.copy()
         bp[0] = 0.0
         for arr in (bp, vals):
             arr.flags.writeable = False
@@ -159,7 +158,7 @@ def _cells(dist: Distribution, n: int):
     """
     a, b = _finite_support(dist)
     xs = grid(a, b, n)
-    atoms = np.array(dist.atoms(), dtype=float).reshape(-1, 2)
+    atoms = dist.atoms()
     locs = atoms[:, 0]
     near = np.diff(locs) <= 1e-12 * (1.0 + np.maximum(np.abs(locs[:-1]), np.abs(locs[1:])))
     if np.any(near):
@@ -178,7 +177,6 @@ def _nodes_near(xs, points):
 
     Only the two nodes on either side of each point are looked at.
     """
-    points = np.asarray(points, dtype=float)
     atol = 1e-12 * max(1.0, xs[-1] - xs[0])
     right = np.clip(np.searchsorted(xs, points), 1, xs.size - 1)
     for node in (right - 1, right):
@@ -359,16 +357,14 @@ def rate_bound(dist: Distribution, n: int) -> RateBound:
         raise ValueError(f"n must be >= 1, got {n}")
     h = (b - a) / n
     atol = 1e-12 * max(1.0, b - a)
-    atoms = dist.atoms()
-
-    varpi = 0.0
-    for i, (loc, _) in enumerate(atoms):
-        prev_edge = atoms[i - 1][0] if i > 0 else a
-        next_edge = atoms[i + 1][0] if i + 1 < len(atoms) else b
-        if loc > prev_edge + atol:
-            varpi += abs(loc) * (float(dist.cdf_left(loc)) - float(dist.cdf(loc - h)))
-        if loc < next_edge - atol:
-            varpi += abs(loc + h) * (float(dist.cdf(loc + h)) - float(dist.cdf(loc)))
+    # each atom is charged on a side where the next atom or support end is
+    # farther than the atom tolerance; the charges are summed exactly
+    locs = dist.atoms()[:, 0]
+    left = np.where(locs > np.append(a, locs[:-1]) + atol,
+                    np.abs(locs) * (dist.cdf_left(locs) - dist.cdf(locs - h)), 0.0)
+    right = np.where(locs < np.append(locs[1:], b) - atol,
+                     np.abs(locs + h) * (dist.cdf(locs + h) - dist.cdf(locs)), 0.0)
+    varpi = math.fsum(np.concatenate((left, right)))
 
     alpha = beta = None
     if dist.has_density:

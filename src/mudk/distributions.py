@@ -300,7 +300,7 @@ class Distribution(abc.ABC):
         # an open end starts at the largest float: the halving spans the line
         big = np.finfo(float).max
         lo, hi = (np.full(u.shape, end) for end in np.clip(self.support(), -big, big))
-        locs = np.array([loc for loc, _ in self.atoms()])
+        locs = self.atoms()[:, 0]
         if locs.size:
             # a level in (F(a-), F(a)] of an atom a is a itself: lo = hi = a
             top = self._cdf(locs)
@@ -312,19 +312,14 @@ class Distribution(abc.ABC):
 
     # ---- generic structure
 
-    def atoms(self) -> list[tuple[float, float]]:
-        """Atom locations and masses, sorted by location."""
-        return []
+    def atoms(self) -> np.ndarray:
+        """The atoms as (location, mass) rows of a (k, 2) float array, ascending."""
+        return np.empty((0, 2))
 
-    def cdf_breakpoints(self) -> list[float]:
-        """x-locations where F is not smooth (support edges, atoms, kinks)."""
-        pts = [loc for loc, _ in self.atoms()]
-        a, b = self.support()
-        if np.isfinite(a):
-            pts.append(a)
-        if np.isfinite(b):
-            pts.append(b)
-        return sorted(set(pts))
+    def cdf_breakpoints(self) -> np.ndarray:
+        """Ascending, distinct x where F is not smooth: finite ends, atoms, kinks."""
+        pts = np.concatenate((self.atoms()[:, 0], self.support()))
+        return cell_edges(pts[np.isfinite(pts)])
 
     def mass_cuts(self) -> np.ndarray:
         """Ascending cuts on whose cells 16-node Gauss-Legendre resolves F;
@@ -503,12 +498,11 @@ class Discrete(Distribution):
     """Purely atomic law given as (location, mass) pairs."""
 
     def __init__(self, atoms):
-        pairs = [(float(x), float(p)) for x, p in atoms]
-        if not pairs:
+        rows = np.array([(float(x), float(p)) for x, p in atoms]).reshape(-1, 2)
+        if not rows.size:
             raise ValueError("at least one atom is required")
-        pairs.sort()
-        xs = np.array([x for x, _ in pairs])
-        ps = np.array([p for _, p in pairs])
+        order = np.argsort(rows[:, 0], kind="stable")
+        xs, ps = rows[order, 0], rows[order, 1]
         # each check below is written so that NaN fails it
         if not np.all(np.isfinite(xs)):
             raise ValueError("atom locations must be finite")
@@ -525,7 +519,7 @@ class Discrete(Distribution):
         self.cum[-1] = 1.0
 
     def __repr__(self):
-        return f"Discrete({list(zip(self.xs, self.ps))})"
+        return f"Discrete({self.atoms().tolist()})"
 
     def _mass_below(self, x):
         """Mass of the atoms strictly below x."""
@@ -539,7 +533,7 @@ class Discrete(Distribution):
         return self._mass_below(x - 1e-12 * (1.0 + np.abs(x)))
 
     def atoms(self):
-        return list(zip(self.xs.tolist(), self.ps.tolist()))
+        return np.column_stack((self.xs, self.ps))
 
     def support(self):
         return (float(self.xs[0]), float(self.xs[-1]))
@@ -579,11 +573,11 @@ class Mixture(Distribution):
         return sum(w * d.pdf(x) for w, d in self.components if d.has_density)
 
     def atoms(self):
-        merged: dict[float, float] = {}
-        for w, d in self.components:
-            for loc, mass in d.atoms():
-                merged[loc] = merged.get(loc, 0.0) + w * mass
-        return sorted(merged.items())
+        # equal locations of several components merge, masses summed in order
+        rows = np.concatenate([d.atoms() * (1.0, w) for w, d in self.components])
+        locs = cell_edges(rows[:, 0])
+        mass = np.bincount(np.searchsorted(locs, rows[:, 0]), rows[:, 1], locs.size)
+        return np.column_stack((locs, mass))
 
     def support(self):
         los, his = zip(*(d.support() for _, d in self.components))
@@ -593,10 +587,7 @@ class Mixture(Distribution):
         return sum(w * d.mean() for w, d in self.components)
 
     def cdf_breakpoints(self):
-        pts: set[float] = set()
-        for _, d in self.components:
-            pts.update(d.cdf_breakpoints())
-        return sorted(pts)
+        return cell_edges(np.concatenate([d.cdf_breakpoints() for _, d in self.components]))
 
     def mass_cuts(self):
         return cell_edges(np.concatenate([d.mass_cuts() for _, d in self.components]))
@@ -633,7 +624,7 @@ class AffineDistribution(Distribution):
         return self.base.pdf(self._pull(x)) / self._scale
 
     def atoms(self):
-        return [(self._scale * loc + self._offset, mass) for loc, mass in self.base.atoms()]
+        return self.base.atoms() * (self._scale, 1.0) + (self._offset, 0.0)
 
     def support(self):
         a, b = self.base.support()
@@ -643,10 +634,11 @@ class AffineDistribution(Distribution):
         return self._scale * self.base.mean() + self._offset
 
     def cdf_breakpoints(self):
-        return [self._scale * p + self._offset for p in self.base.cdf_breakpoints()]
+        # the map can round two points a few ulp apart to one float; so in mass_cuts
+        return cell_edges(self._scale * self.base.cdf_breakpoints() + self._offset)
 
     def mass_cuts(self):
-        return self._scale * self.base.mass_cuts() + self._offset
+        return cell_edges(self._scale * self.base.mass_cuts() + self._offset)
 
 
 class TruncatedDistribution(Distribution):
@@ -693,14 +685,12 @@ class TruncatedDistribution(Distribution):
         return self._fold(x, self.base.cdf_left(x), np.less_equal)
 
     def atoms(self):
-        out = []
-        for loc, mass in self.base.atoms():
-            if -self.bound <= loc <= self.bound and loc != 0.0:
-                out.append((loc, mass))
+        rows = self.base.atoms()
+        rows = rows[(np.abs(rows[:, 0]) <= self.bound) & (rows[:, 0] != 0.0)]
         lump = self.origin_mass()
         if lump > 1e-15:
-            out.append((0.0, lump))
-        return sorted(out)
+            rows = np.insert(rows, np.searchsorted(rows[:, 0], 0.0), (0.0, lump), axis=0)
+        return rows
 
     def support(self):
         a, b = self.base.support()
@@ -725,10 +715,10 @@ class TruncatedDistribution(Distribution):
         return np.where(inside, self.base.pdf(x), 0.0)
 
     def cdf_breakpoints(self):
-        pts = {p for p in self.base.cdf_breakpoints() if -self.bound <= p <= self.bound}
-        pts.update((-self.bound, 0.0, self.bound))
+        # the support lies inside the window [-bound, bound]
+        pts = np.concatenate((self.base.cdf_breakpoints(), (-self.bound, 0.0, self.bound)))
         a, b = self.support()
-        return sorted(p for p in pts if a <= p <= b)
+        return cell_edges(pts[(pts >= a) & (pts <= b)])
 
     def mass_cuts(self):
         cuts = self.base.mass_cuts()

@@ -116,6 +116,17 @@ def test_step_quantile_validation():
         StepQuantile(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.0]))
 
 
+def test_step_quantile_copies_its_arrays_and_freezes_the_copies():
+    """The caller's arrays stay writeable; the step quantile's own are frozen."""
+    bp, v = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0])
+    sq = StepQuantile(bp, v)
+    assert sq.breakpoints is not bp and sq.values is not v
+    assert bp.flags.writeable and v.flags.writeable
+    assert not (sq.breakpoints.flags.writeable or sq.values.flags.writeable)
+    v[0] = -1.0
+    assert sq.values.tolist() == [0.0, 1.0]
+
+
 def test_step_quantile_eval_left_continuity():
     sq = build_measure(Uniform(-1.0, 1.0), 2)
     assert sq.eval(0.5) == 0.0
@@ -557,4 +568,26 @@ def test_rate_bound_holds_for_atoms_left_of_the_origin(offset, n):
         Mixture([(0.5, Discrete([(-0.4, 1.0)])), (0.5, Uniform(-1.0, 1.0))]), 1.0, offset)
     rb = rate_bound(dist, n)
     assert rb.varpi >= 0.0
+    assert l1_distance(dist, build_measure(dist, n)) <= rb.bound + 1e-12
+
+
+@pytest.mark.parametrize("n", [7, 10, 37, 100])
+def test_rate_bound_sums_the_charges_of_several_atoms(n):
+    """0.4 U(-1, 1) + 0.3 {-0.37: 1/2, 0.21: 1/2} + 0.3 {0.21: 1/4, 0.66: 3/4}.
+
+    The two discrete parts share the atom 0.21 (mass 0.225).  Every gap
+    between atoms and support ends exceeds h = 2/n, so each atom is charged
+    on both sides, and the mass within h of it is the uniform part's 0.2 h.
+    """
+    dist = Mixture([(0.4, Uniform(-1.0, 1.0)),
+                    (0.3, Discrete([(-0.37, 0.5), (0.21, 0.5)])),
+                    (0.3, Discrete([(0.21, 0.25), (0.66, 0.75)]))])
+    np.testing.assert_allclose(dist.atoms(), [[-0.37, 0.15], [0.21, 0.225], [0.66, 0.225]],
+                               rtol=1e-15)
+    h = 2.0 / n
+    varpi = (0.2 * h * (0.37 + 0.21 + 0.66)              # left of each atom
+             + 0.2 * h * (abs(-0.37 + h) + (0.21 + h) + (0.66 + h)))   # right of each atom
+    rb = rate_bound(dist, n)
+    assert rb.varpi == pytest.approx(varpi, rel=1e-12)
+    assert rb.bound == rb.cell_width + rb.varpi
     assert l1_distance(dist, build_measure(dist, n)) <= rb.bound + 1e-12

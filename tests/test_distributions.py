@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mudk.distributions
@@ -41,7 +41,7 @@ def test_only_the_base_class_defines_the_public_methods():
     for cls in LAW_CLASSES:
         assert not set(PUBLIC + ("_quantile", "density_sup")) & set(vars(cls)), cls.__name__
     for law in LAWS:
-        if law.atoms():
+        if law.atoms().size:
             assert "_cdf_left" in vars(type(law)), type(law).__name__
 
 
@@ -77,7 +77,7 @@ def test_uniform_closed_forms():
                                [0.0, 0.5, 0.75, 1.0], atol=1e-15)
     assert d.mean() == 0.0
     assert d.support() == (-1.0, 1.0)
-    assert not d.atoms()
+    assert d.atoms().shape == (0, 2)
 
 
 def test_level_validation_rejects_edges():
@@ -233,6 +233,20 @@ def test_discrete_quantile_and_cdf():
     np.testing.assert_allclose(d.mean(), -0.25 + 0.5)
 
 
+@pytest.mark.parametrize("law", [
+    Discrete([(0, 1)]),
+    Discrete([(2.5, 0.25), (-1, 0.75)]),
+    Mixture([(0.5, Uniform(-1.0, 1.0)), (0.5, Discrete([(0.0, 1.0)]))]),
+], ids=["one-atom", "unsorted", "in-a-mixture"])
+def test_discrete_repr_prints_plain_floats_and_evaluates_to_an_equal_law(law):
+    text = repr(law)
+    assert "np.float64" not in text
+    again = eval(text, vars(mudk.distributions))
+    np.testing.assert_array_equal(again.atoms(), law.atoms())
+    x = np.linspace(-1.5, 3.0, 19)
+    np.testing.assert_array_equal(again.cdf(x), law.cdf(x))
+
+
 def test_discrete_atom_matching_tolerates_roundoff():
     d = Discrete([(0.1, 0.5), (0.3, 0.5)])
     shifted = np.nextafter(0.1, 1.0)
@@ -272,7 +286,7 @@ def test_mixture_cdf_is_weighted_sum():
 
 def test_mixture_with_atom_reports_it():
     mix = Mixture([(0.5, Uniform(-1.0, 1.0)), (0.5, Discrete([(0.0, 1.0)]))])
-    assert mix.atoms() == [(0.0, 0.5)]
+    np.testing.assert_array_equal(mix.atoms(), [[0.0, 0.5]])
     np.testing.assert_allclose(mix.cdf(0.0), 0.75)
     np.testing.assert_allclose(mix.cdf_left(0.0), 0.25)
 
@@ -529,6 +543,59 @@ def test_truncated_mass_cuts_lie_inside_the_window(base, bound):
     assert set(own[np.abs(own) <= bound].tolist()) | set(law.cdf_breakpoints()) == set(cuts.tolist())
     # the fold adds a few ulp to F
     assert np.max(_cell_masses(law, cuts)) <= 1.0 / 64.0 + 1e-14
+
+
+# ------------------------------------------------ atoms and breakpoints
+
+
+def _simple_laws():
+    uniform = st.builds(lambda a, w: Uniform(a / 8.0, (a + w) / 8.0),
+                        st.integers(-16, 16), st.integers(1, 24))
+    discrete = st.lists(st.tuples(st.integers(-16, 16), st.integers(1, 8)),
+                        min_size=1, max_size=4, unique_by=lambda a: a[0]).map(
+        lambda atoms: Discrete([(x / 8.0, p / sum(q for _, q in atoms)) for x, p in atoms]))
+    exponential = st.builds(Exponential, st.sampled_from([0.5, 1.0, 3.0]))
+    return uniform | discrete | exponential
+
+
+def _composite_laws(parts):
+    def mixture(weighted):
+        total = sum(w for w, _ in weighted)
+        return Mixture([(w / total, d) for w, d in weighted])
+    return (st.lists(st.tuples(st.integers(1, 4), parts), min_size=2, max_size=3).map(mixture)
+            | parts.map(lambda d: d.center())
+            | st.builds(lambda d, r: d.truncate(r / 8.0), parts, st.integers(2, 24))
+            | st.builds(lambda d, s, o: AffineDistribution(d, s, o / 8.0),
+                        parts, st.sampled_from([0.5, 1.5, 2.0]), st.integers(-8, 8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.recursive(_simple_laws(), _composite_laws, max_leaves=5))
+# the shift by 0.25 rounds the breakpoints and cuts 0 and 1e-17 to one float
+@example(AffineDistribution(Mixture([(0.5, Discrete([(0.0, 1.0)])),
+                                     (0.5, Uniform(1e-17, 1.0))]), 1.0, 0.25))
+def test_atoms_and_breakpoints_are_float_arrays_the_composites_keep(law):
+    """Rows (location, mass), ascending and positive, each the jump of F at
+    its location; atoms and finite support ends are breakpoints, and the
+    breakpoints are ascending, distinct and among the mass cuts, which
+    are ascending and distinct too."""
+    atoms = law.atoms()
+    assert isinstance(atoms, np.ndarray) and atoms.dtype == float
+    assert atoms.ndim == 2 and atoms.shape[1] == 2
+    locs, masses = atoms[:, 0], atoms[:, 1]
+    # F counts an atom from 1e-12 (1 + |x|) away, so atoms closer than that
+    # share their jumps; the schemes refuse such laws
+    assume(np.all(np.diff(locs) > 1e-9 * (1.0 + np.abs(locs[1:]))))
+    assert np.all(masses > 0.0)
+    np.testing.assert_allclose(law.cdf(locs) - law.cdf_left(locs), masses, rtol=0.0, atol=1e-12)
+    points = law.cdf_breakpoints()
+    assert isinstance(points, np.ndarray) and points.dtype == float and points.ndim == 1
+    assert np.all(np.diff(points) > 0.0)
+    ends = np.array(law.support())
+    assert set(locs.tolist()) | set(ends[np.isfinite(ends)].tolist()) <= set(points.tolist())
+    cuts = law.mass_cuts()
+    assert np.all(np.diff(cuts) > 0.0)
+    assert set(points.tolist()) <= set(cuts.tolist())
 
 
 def test_distribution_is_abstract():

@@ -8,11 +8,12 @@ package that is measured, so two checkouts are compared by running the
 tool once on each with different labels into the same OUT file.  For
 every law (uniform, centred beta(2,5), truncated normal, truncated
 exponential, uniform+atom mixture) and every n, the step quantile of the
-c.d.f. scheme and its boundary are built once, untimed, and five layers
+c.d.f. scheme and its boundary are built once, untimed, and seven layers
 are measured:
 
-- `l1_distance(law, sq)` on a law built afresh for each call, so that the
-  one-off cost of the law's mass cuts is counted;
+- `build_measure(law, n)`, `rate_bound(law, n)` and `l1_distance(law, sq)`,
+  each on a law built afresh for each call, so that what a law computes
+  once and keeps (its mass cuts) is counted;
 - `parameter_grid(sq, points)`;
 - `boundary_points(sq, points)`, which includes the grid and the Hilbert
   kernel;
@@ -86,7 +87,7 @@ def grid(root: str, sizes, points: int, repeat: int) -> list:
     sys.path.insert(0, os.path.join(root, "src"))
     from mudk import distributions
     from mudk.boundary import boundary_points, parameter_grid
-    from mudk.discretize import build_measure, l1_distance
+    from mudk.discretize import build_measure, l1_distance, rate_bound
     from mudk.gross_map import fourier_coefficients
     from mudk.hilbert import pole_levels
     from mudk.verify_mc import _comb, simulate_exit
@@ -99,6 +100,8 @@ def grid(root: str, sizes, points: int, repeat: int) -> list:
             sq = build_measure(make(), n)
             bp = boundary_points(sq, points)
             layers = {
+                "build_measure": lambda: build_measure(make(), n),
+                "rate_bound": lambda: rate_bound(make(), n),
                 "l1_distance": lambda: l1_distance(make(), sq),
                 "parameter_grid": lambda: parameter_grid(sq, points),
                 "boundary_points": lambda: boundary_points(sq, points),
