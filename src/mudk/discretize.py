@@ -54,8 +54,8 @@ class StepQuantile:
     values: np.ndarray
 
     def __post_init__(self):
-        bp = np.array(self.breakpoints, dtype=float)
-        vals = np.array(self.values, dtype=float)
+        bp = np.asarray(self.breakpoints, dtype=float)
+        vals = np.asarray(self.values, dtype=float)
         if bp.ndim != 1 or vals.ndim != 1 or bp.size != vals.size + 1:
             raise ValueError("need m+1 breakpoints for m step values")
         if vals.size == 0:
@@ -66,9 +66,17 @@ class StepQuantile:
             raise ValueError("breakpoints must be strictly increasing")
         if np.any(np.diff(vals) < -1e-12 * (1.0 + np.max(np.abs(vals)))):
             raise ValueError("step values must be non-decreasing")
-        bp[0] = 0.0
-        for arr in (bp, vals):
-            arr.flags.writeable = False
+        # a frozen array that owns its data is kept (the builders hand over
+        # fresh ones); any other is copied, so a caller's writeable array is
+        # never frozen in place.  A copy also snaps s_0 to +0.0.
+        if (bp.flags.writeable or not bp.flags.owndata
+                or bp[0] != 0.0 or np.signbit(bp[0])):
+            bp = bp.copy()
+            bp[0] = 0.0
+            bp.flags.writeable = False
+        if vals.flags.writeable or not vals.flags.owndata:
+            vals = vals.copy()
+            vals.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
@@ -229,7 +237,9 @@ def build_measure_cdf(dist: Distribution, n: int) -> StepQuantile:
         raise ValueError("discretization produced no mass; check the target law")
     bps = np.concatenate(([0.0], levels[keep]))
     bps[-1] = 1.0
-    return StepQuantile(bps, values[keep])
+    values = values[keep]
+    bps.flags.writeable = values.flags.writeable = False
+    return StepQuantile(bps, values)
 
 
 def build_measure_pdf(dist: Distribution, n: int) -> StepQuantile:
@@ -253,7 +263,10 @@ def build_measure_pdf(dist: Distribution, n: int) -> StepQuantile:
     order = order[widths[order] > _WIDTH_FLOOR]
     if not order.size:
         raise ValueError("discretization produced no mass; check the target law")
-    return StepQuantile(np.concatenate(([0.0], np.cumsum(widths[order]))), values[order])
+    bps = np.concatenate(([0.0], np.cumsum(widths[order])))
+    values = values[order]
+    bps.flags.writeable = values.flags.writeable = False
+    return StepQuantile(bps, values)
 
 
 def build_measure(dist: Distribution, n: int, scheme: str = "cdf") -> StepQuantile:

@@ -693,6 +693,8 @@ class TruncatedDistribution(Distribution):
         return rows
 
     def support(self):
+        if self._f_hi - self._f_lo <= 0.0:
+            return (0.0, 0.0)       # no base mass in the window: the origin atom alone
         a, b = self.base.support()
         lo = max(a, -self.bound)
         hi = min(b, self.bound)

@@ -128,7 +128,9 @@ def _jump_sum(u, theta, coeff):
     if theta.size and pts.size:
         rows, cols = _block_shape(theta.size)
         rows = min(rows, pts.size)
-        order = None if np.all(fold[:-1] <= fold[1:]) else np.argsort(fold)
+        # the stable argsort, for the reason `_quad.cell_edges` gives
+        order = (None if np.all(fold[:-1] <= fold[1:])
+                 else np.argsort(fold, kind="stable"))
         if order is not None:
             pts, fold = pts[order], fold[order]
         near_lo, near_hi = _near_pole_columns(fold, theta, rows)

@@ -250,9 +250,11 @@ def ks_distance(samples, dist: Distribution) -> float:
 
     The empirical c.d.f. is compared with F on the right of each sample
     and with the left limit F(x-) below it, so a law with atoms is
-    measured correctly: samples that match its atoms score 0.
+    measured correctly: samples that match its atoms score 0.  The samples
+    are ordered by the stable argsort, for the reason `_quad.cell_edges` gives.
     """
-    arr = np.sort(np.asarray(samples, dtype=float))
+    arr = np.asarray(samples, dtype=float)
+    arr = arr[np.argsort(arr, kind="stable")]
     m = arr.size
     if m == 0:
         raise ValueError("need at least one sample")

@@ -8,7 +8,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "bench_grid.py")
 LAYERS = {"build_measure", "rate_bound", "l1_distance", "parameter_grid",
-          "boundary_points", "fourier_coefficients", "simulate_exit"}
+          "boundary_points", "fourier_coefficients", "simulate_exit",
+          "ks_distance"}
 
 
 def _run(out, label):

@@ -503,6 +503,18 @@ def test_build_of_one_point_law_is_config_error(tmp_path, capsys):
     assert run("check", "--dist", point, "--samples", str(samples)) == 0
 
 
+@pytest.mark.parametrize("law", [
+    '{"family": "discrete", "atoms": [[0, 1]]}',
+    # no base mass inside the window: the truncated law is the atom at 0
+    '{"family": "uniform", "a": 1, "b": 2, "truncate": 0.5, "center": false}',
+], ids=["atom", "empty-window"])
+def test_rates_of_one_point_law_is_config_error(law, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run("rates", "--dist", law, "--n-list", "10", "--out", str(out)) == 2
+    assert not out.exists()
+    assert "grid needs finite a < b, got (0.0, 0.0)" in capsys.readouterr().err
+
+
 def test_build_with_pdf_scheme_is_config_error(tmp_path, capsys):
     """A step quantile whose mass is not 1 is refused before tracing."""
     out = tmp_path / "b.csv"
@@ -734,20 +746,26 @@ def _every_command(out):
     ]
 
 
-def _modules_after_every_command(tmp_path, *packages):
-    """Modules of `packages` loaded in a fresh process that ran every command."""
+def _after_every_command(tmp_path, before, report):
+    """The last line printed by `report` in a fresh process that ran `before`,
+    imported `mudk.cli` and ran every command."""
     code = f"""
-import sys
+{before}
 import mudk.cli
 for argv in {_every_command(str(tmp_path))!r}:
     assert mudk.cli.main(argv) == 0, argv
-print(sorted(m for m in sys.modules
-             if any(m == p or m.startswith(p + ".") for p in {packages!r})))
+print({report})
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     return out.splitlines()[-1]     # after what the commands print
+
+
+def _modules_after_every_command(tmp_path, *packages):
+    """Modules of `packages` loaded in a fresh process that ran every command."""
+    return _after_every_command(tmp_path, "import sys", f"""sorted(
+    m for m in sys.modules if any(m == p or m.startswith(p + ".") for p in {packages!r}))""")
 
 
 def test_no_cli_command_loads_scipy(tmp_path):
@@ -762,6 +780,33 @@ def test_no_cli_command_loads_openssl_numpy_polynomial_or_numpy_ma(tmp_path):
     or numpy.ma (which `np.unique` without index flags imports)."""
     assert _modules_after_every_command(
         tmp_path, "_hashlib", "numpy.polynomial", "numpy.ma") == "[]"
+
+
+# numpy functions that sort, or select by sorting, under their own kernels
+_SORTING = ("sort", "argsort", "unique", "partition", "argpartition", "lexsort",
+            "median", "percentile", "quantile")
+
+
+def test_every_command_sorts_with_the_one_stable_argsort(tmp_path):
+    """Every sort a command runs is `argsort(kind="stable")` or
+    `unique(return_index=True)`, which runs the same stable kernel, so no
+    command maps a second sort kernel.  Spies wrap numpy's module functions
+    before `mudk` is imported; they cannot see ndarray methods such as
+    `a.sort()`, and `src/` calls none."""
+    spies = f"""
+import numpy as np
+calls = set()
+def spy(name, fn):
+    def wrapper(*args, **kwargs):
+        calls.add((name, len(args), tuple(sorted(kwargs.items()))))
+        return fn(*args, **kwargs)
+    return wrapper
+for name in {_SORTING!r}:
+    setattr(np, name, spy(name, getattr(np, name)))
+"""
+    assert _after_every_command(tmp_path, spies, "sorted(calls)") == repr(sorted({
+        ("argsort", 1, (("kind", "stable"),)),
+        ("unique", 1, (("return_index", True),))}))
 
 
 def test_python_m_mudk_runs_the_cli(tmp_path):

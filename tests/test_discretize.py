@@ -14,6 +14,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import special
 from scipy.integrate import IntegrationWarning, quad
 
+import mudk.discretize
 from mudk._quad import _GL_BLOCK, _GL_NODES, _GL_WEIGHTS, gauss_legendre
 from mudk.discretize import (StepQuantile, UnboundedSupportError,
                              build_measure, build_measure_cdf,
@@ -125,6 +126,37 @@ def test_step_quantile_copies_its_arrays_and_freezes_the_copies():
     assert not (sq.breakpoints.flags.writeable or sq.values.flags.writeable)
     v[0] = -1.0
     assert sq.values.tolist() == [0.0, 1.0]
+
+
+def test_step_quantile_keeps_frozen_arrays_that_own_their_data():
+    """Frozen arrays that own their data are kept; frozen views are copied,
+    and so are breakpoints whose s_0 needs the snap to +0.0."""
+    bp, v = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0])
+    for arr in (bp, v):
+        arr.flags.writeable = False
+    sq = StepQuantile(bp, v)
+    assert sq.breakpoints is bp and sq.values is v
+    views = StepQuantile(bp[:], v[:])
+    assert views.breakpoints.flags.owndata and views.values.flags.owndata
+    for first in (1e-12, -0.0):
+        off = np.array([first, 0.5, 1.0])
+        off.flags.writeable = False
+        snapped = StepQuantile(off, v).breakpoints
+        assert snapped is not off and snapped[0] == 0.0 and not np.signbit(snapped[0])
+        assert not snapped.flags.writeable
+
+
+@pytest.mark.parametrize("scheme", ["cdf", "pdf"])
+def test_builders_hand_their_arrays_to_the_step_quantile_uncopied(scheme, monkeypatch):
+    handed = []
+
+    def record(bp, values):
+        handed.extend((bp, values))
+        return StepQuantile(bp, values)
+
+    monkeypatch.setattr(mudk.discretize, "StepQuantile", record)
+    sq = build_measure(Beta(2.0, 5.0).center(), 200, scheme)
+    assert sq.breakpoints is handed[0] and sq.values is handed[1]
 
 
 def test_step_quantile_eval_left_continuity():

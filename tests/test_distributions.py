@@ -362,6 +362,17 @@ def test_truncated_mean_is_the_window_partial_mean(base, bound):
     assert base.truncate(bound).mean() == pytest.approx(inside, abs=1e-12)
 
 
+@pytest.mark.parametrize("base", [
+    Uniform(1.0, 2.0),                              # support outside the window
+    Discrete([(-1.0, 0.5), (1.0, 0.5)]),            # support across it, no mass in it
+], ids=["uniform", "discrete"])
+def test_truncation_window_without_base_mass_is_the_origin_atom(base):
+    d = base.truncate(0.5)
+    assert d.support() == (0.0, 0.0)
+    assert d.atoms().tolist() == [[0.0, 1.0]]
+    assert d.cdf_breakpoints().tolist() == d.mass_cuts().tolist() == [0.0]
+
+
 def test_truncation_with_negative_support_uses_lower_branch():
     d = Uniform(-10.0, -2.0).truncate(5.0)
     # kept window (-5, -2) holds mass 3/8; the trimmed 5/8 lands at 0

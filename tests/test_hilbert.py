@@ -402,3 +402,22 @@ def test_point_order_does_not_change_the_values():
     ref = _dense_hilbert(sq, mixed)
     got = hilbert_step_quantile(sq, mixed)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_unsorted_points_are_ordered_by_the_stable_argsort(monkeypatch):
+    """Unsorted points, with ties, take the stable argsort and keep their values."""
+    sq = StepQuantile(np.array([0.0, 0.3, 0.6, 1.0]), np.array([-1.0, 0.0, 2.0]))
+    u = np.array([2.5, -0.4, 0.4, 1.3, 2.5, -2.5, 0.4])
+    kinds = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    order = argsort(np.abs(u), kind="stable")     # |u| < pi is the fold
+    monkeypatch.setattr(np, "argsort", spy)
+    want = hilbert_step_quantile(sq, u[order])    # ascending: not reordered
+    got = hilbert_step_quantile(sq, u)
+    assert kinds == ["stable"]
+    np.testing.assert_array_equal(got[order], want)

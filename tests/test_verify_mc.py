@@ -456,7 +456,11 @@ def test_ks_of_atomless_law_is_unchanged(dist):
     lo, hi = dist.support()
     samples = rng.uniform(lo, hi, size=400)
     samples = np.concatenate([samples, samples[:100]])  # with ties
-    assert ks_distance(samples, dist) == _ks_right_limits_only(samples, dist)
+    zeros = samples.copy()
+    zeros[::7] = np.resize([0.0, -0.0, -0.0], zeros[::7].size)  # -0.0 ties 0.0
+    # as drawn, descending, and with signed zeros
+    for case in (samples, -np.sort(-samples), zeros):
+        assert ks_distance(case, dist) == _ks_right_limits_only(case, dist)
 
 
 def test_ks_requires_samples():

@@ -1,4 +1,4 @@
-"""Time and trace the L1 gap, the map layer and the exit sampler over the scenario grid.
+"""Time and trace the L1 gap, map layer, exit sampler and KS check over the scenario grid.
 
     python tools/bench_grid.py ROOT OUT --label NAME [--n 200,2000,20000]
                                [--points 8192] [--repeat 3]
@@ -8,8 +8,8 @@ package that is measured, so two checkouts are compared by running the
 tool once on each with different labels into the same OUT file.  For
 every law (uniform, centred beta(2,5), truncated normal, truncated
 exponential, uniform+atom mixture) and every n, the step quantile of the
-c.d.f. scheme and its boundary are built once, untimed, and seven layers
-are measured:
+c.d.f. scheme, its boundary and the exit samples of that boundary are
+built once, untimed, and eight layers are measured:
 
 - `build_measure(law, n)`, `rate_bound(law, n)` and `l1_distance(law, sq)`,
   each on a law built afresh for each call, so that what a law computes
@@ -19,7 +19,9 @@ are measured:
   kernel;
 - `fourier_coefficients(sq)` at the default term count;
 - `simulate_exit` on that boundary, with 4000 walks, step 1e-4 and
-  seed 3.
+  seed 3;
+- `ks_distance(exits, law)` of those exit samples, against a law built
+  afresh for each call.
 
 The timing pass takes the median wall time of `--repeat` calls.  A
 separate pass takes the tracemalloc peak of one call, because tracing
@@ -90,7 +92,7 @@ def grid(root: str, sizes, points: int, repeat: int) -> list:
     from mudk.discretize import build_measure, l1_distance, rate_bound
     from mudk.gross_map import fourier_coefficients
     from mudk.hilbert import pole_levels
-    from mudk.verify_mc import _comb, simulate_exit
+    from mudk.verify_mc import _comb, ks_distance, simulate_exit
 
     laws = reference_laws(distributions)
     rows = []
@@ -99,6 +101,7 @@ def grid(root: str, sizes, points: int, repeat: int) -> list:
             make = laws[law]
             sq = build_measure(make(), n)
             bp = boundary_points(sq, points)
+            exits = simulate_exit(bp, WALKS, STEP, SEED).samples
             layers = {
                 "build_measure": lambda: build_measure(make(), n),
                 "rate_bound": lambda: rate_bound(make(), n),
@@ -107,6 +110,7 @@ def grid(root: str, sizes, points: int, repeat: int) -> list:
                 "boundary_points": lambda: boundary_points(sq, points),
                 "fourier_coefficients": lambda: fourier_coefficients(sq),
                 "simulate_exit": lambda: simulate_exit(bp, WALKS, STEP, SEED),
+                "ks_distance": lambda: ks_distance(exits, make()),
             }
             row = {"law": law, "n": n, "steps": sq.num_steps,
                    "jumps": int(pole_levels(sq).size), "points": points,
