@@ -187,7 +187,8 @@ def normalize_support(dist: Distribution) -> tuple[Distribution, float, float]:
     """
     a, b = dist.support()
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError(f"normalization needs bounded support, got ({a}, {b})")
+        raise ValueError("normalization needs bounded support of positive width, "
+                         f"got ({a}, {b})")
     width = b - a
     return AffineDistribution(dist, 1.0 / width, -a / width), width, a
 

@@ -353,19 +353,17 @@ def _config_call(fn, *args, **kwargs):
 def _build_polyline(cfg: RunConfig):
     """The build pipeline: normalize, discretize, trace, scale back.
 
-    The traced domain of the normalized step quantile is mapped back by
-    the support width, and recentered by the step quantile's own mean
-    so that the returned domain contains the origin and embeds the
-    mean-zero discrete law.
+    `scale_domain(traced, width, left)` inverts `normalize_support`, so the
+    domain is the law's own, in the frame `map` and `rates` use.  The round
+    trip is the identity up to rounding; it stays only because perfbench
+    rebinds both names here and its error split reads the affine map
+    (ROADMAP item 18).
     """
     dist = build_distribution(cfg.dist)
-    norm, width, _ = _config_call(normalize_support, dist)
+    norm, width, left = _config_call(normalize_support, dist)
     sq = _config_call(build_measure, norm, cfg.n, cfg.scheme)
-    if not sq.unit_mass:
-        raise ConfigError(f"cannot trace a boundary: total mass is {sq.total_mass}, "
-                          "not 1; use the c.d.f. scheme")
     traced = _config_call(boundary_points, sq, num_points=cfg.points)
-    return scale_domain(traced, width, -width * sq.mean())
+    return scale_domain(traced, width, left)
 
 
 def cmd_build(cfg: RunConfig) -> None:

@@ -15,10 +15,11 @@ import types
 import numpy as np
 import pytest
 
-from mudk.boundary import export_csv, load_csv, scale_domain, svg_point_count
+from mudk.boundary import (boundary_points, export_csv, load_csv, scale_domain,
+                           svg_point_count)
 from mudk.cli import (ConfigError, RunConfig, _summary_path, build_distribution,
                       build_parser, load_samples_csv, main, merge_config)
-from mudk.discretize import UnboundedSupportError
+from mudk.discretize import UnboundedSupportError, build_measure
 from mudk.hilbert import PoleError
 
 UNIFORM = '{"family": "uniform", "a": -1, "b": 1}'
@@ -367,8 +368,6 @@ UNIFORM_AND_ATOM = json.dumps({"family": "mixture", "components": [
     {"weight": 0.5, "dist": {"family": "discrete", "atoms": [[0.0, 1.0]]}}]})
 
 
-@pytest.mark.xfail(strict=True, reason="the build command shifts the domain by "
-                   "-width mean(q_n), which moves the atom off 0 (ROADMAP item 11)")
 def test_atom_stays_where_the_target_puts_it(tmp_path):
     """Half the mass in an atom at 0: `build -> simulate` must exit there."""
     boundary, samples = tmp_path / "b.csv", tmp_path / "s.csv"
@@ -378,6 +377,51 @@ def test_atom_stays_where_the_target_puts_it(tmp_path):
                "--walks", "4000", "--seed", "5", "--out", str(samples)) == 0
     summary = json.loads((tmp_path / "s.summary.json").read_text())
     assert summary["ks"] < 0.05
+
+
+FRAME_LAWS = {
+    "uniform": json.loads(UNIFORM),
+    "beta": {"family": "beta", "alpha": 2, "beta": 5},
+    "truncated_exponential": {"family": "exponential", "rate": 1, "truncate": 3},
+    "uniform_and_atom": json.loads(UNIFORM_AND_ATOM),
+    "uncentred_atom_at_0.3": {"family": "mixture", "center": False, "components": [
+        {"weight": 0.5, "dist": {"family": "uniform", "a": -1, "b": 1}},
+        {"weight": 0.5, "dist": {"family": "discrete", "atoms": [[0.3, 1.0]]}}]},
+    "uncentred_uniform_1_2": {"family": "uniform", "a": 1, "b": 2, "center": False},
+}
+
+
+@pytest.mark.parametrize("spec", FRAME_LAWS.values(), ids=FRAME_LAWS.keys())
+def test_build_writes_the_domain_the_library_traces(tmp_path, spec):
+    """`build` rows are `boundary_points` of the law's own q_n, up to the
+    rounding of the normalize -> scale round trip; a centred law's atoms are
+    walls at their exact abscissas."""
+    boundary = tmp_path / "b.csv"
+    assert run("build", "--dist", json.dumps(spec), "--n", "200", "--points", "2048",
+               "--out", str(boundary)) == 0
+    got = load_csv(boundary).points
+    dist = build_distribution(spec)
+    want = boundary_points(build_measure(dist, 200), 2048).points
+    scale = np.abs(want[:, 1:]).max()
+    assert np.array_equal(got[:, 0], want[:, 0])
+    assert np.abs(got[:, 1] - want[:, 1]).max() <= 4 * np.spacing(scale)
+    assert np.abs(got[:, 2] - want[:, 2]).max() <= 1e-15 * scale
+    if spec.get("center", True):
+        assert np.isin(dist.atoms()[:, 0], got[:, 1]).all()
+
+
+def test_domain_off_the_origin_is_built_but_not_simulated(tmp_path, capsys):
+    """Uniform(1, 2) uncentred: its domain misses the origin, where walks start."""
+    law = json.dumps(FRAME_LAWS["uncentred_uniform_1_2"])
+    boundary, samples = tmp_path / "b.csv", tmp_path / "s.csv"
+    assert run("build", "--dist", law, "--n", "200", "--points", "2048",
+               "--out", str(boundary)) == 0
+    assert load_csv(boundary).x.min() >= 1.0
+    capsys.readouterr()
+    assert run("simulate", "--dist", law, "--boundary", str(boundary),
+               "--walks", "100", "--out", str(samples)) == 3
+    assert "origin is not inside the domain" in capsys.readouterr().err
+    assert not samples.exists()
 
 
 def test_zero_walks_is_config_error(tmp_path):
@@ -497,7 +541,9 @@ def test_build_of_one_point_law_is_config_error(tmp_path, capsys):
     out = tmp_path / "b.csv"
     assert run("build", "--dist", point, "--out", str(out)) == 2
     assert not out.exists()
-    assert "config error: normalization needs bounded support" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: normalization needs bounded support" in err
+    assert "of positive width, got (0.0, 0.0)" in err
     samples = tmp_path / "s.csv"
     samples.write_text("walk,x_exit\n0,0.0\n1,0.0\n")
     assert run("check", "--dist", point, "--samples", str(samples)) == 0
@@ -516,13 +562,13 @@ def test_rates_of_one_point_law_is_config_error(law, tmp_path, capsys):
 
 
 def test_build_with_pdf_scheme_is_config_error(tmp_path, capsys):
-    """A step quantile whose mass is not 1 is refused before tracing."""
+    """A step quantile whose mass is not 1 is refused by the tracer."""
     out = tmp_path / "b.csv"
     rc = run("build", "--dist", '{"family": "beta", "alpha": 2, "beta": 1}',
              "--scheme", "pdf", "--n", "10", "--out", str(out))
     assert rc == 2
     assert not out.exists()
-    assert "cannot trace a boundary: total mass is" in capsys.readouterr().err
+    assert "boundary tracing needs total mass 1" in capsys.readouterr().err
 
 
 def test_missing_boundary_file_is_io_error(tmp_path):

@@ -319,7 +319,8 @@ def test_exits_are_wall_abscissas(uniform_bp):
 
 
 def _centered_domain(dist, n, points):
-    """Domain and step law of dist as the build command makes them."""
+    """Domain and step law of dist, both shifted by -mean(q_n) in the law's
+    frame, so that walks from the origin start at the conformal centre."""
     norm, width, _ = normalize_support(dist)
     sq = build_measure(norm, n)
     shift = -width * sq.mean()

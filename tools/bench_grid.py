@@ -1,4 +1,4 @@
-"""Time and trace the L1 gap, map layer, exit sampler and KS check over the scenario grid.
+"""Time and trace each layer, from the laws to the KS check, over the scenario grid.
 
     python tools/bench_grid.py ROOT OUT --label NAME [--n 200,2000,20000]
                                [--points 8192] [--repeat 3]
@@ -9,8 +9,11 @@ tool once on each with different labels into the same OUT file.  For
 every law (uniform, centred beta(2,5), truncated normal, truncated
 exponential, uniform+atom mixture) and every n, the step quantile of the
 c.d.f. scheme, its boundary and the exit samples of that boundary are
-built once, untimed, and eight layers are measured:
+built once, untimed, and ten layers are measured:
 
+- `cdf` at `points` abscissas evenly spaced over the support, endpoints
+  included, and `quantile` at the `points` levels (i + 1/2)/points, each
+  on a law built afresh for each call;
 - `build_measure(law, n)`, `rate_bound(law, n)` and `l1_distance(law, sq)`,
   each on a law built afresh for each call, so that what a law computes
   once and keeps (its mass cuts) is counted;
@@ -43,6 +46,8 @@ import sys
 import tracemalloc
 from importlib import metadata
 from time import perf_counter
+
+import numpy as np
 
 LAWS = ("uniform", "beta", "truncated_normal", "truncated_exponential", "mixture")
 # the exit-sampling layer: walks, shell width and seed of `simulate_exit`
@@ -95,6 +100,7 @@ def grid(root: str, sizes, points: int, repeat: int) -> list:
     from mudk.verify_mc import _comb, ks_distance, simulate_exit
 
     laws = reference_laws(distributions)
+    levels = (np.arange(points) + 0.5) / points
     rows = []
     for law in LAWS:
         for n in sizes:
@@ -102,7 +108,10 @@ def grid(root: str, sizes, points: int, repeat: int) -> list:
             sq = build_measure(make(), n)
             bp = boundary_points(sq, points)
             exits = simulate_exit(bp, WALKS, STEP, SEED).samples
+            xs = np.linspace(*make().support(), points)
             layers = {
+                "cdf": lambda: make().cdf(xs),
+                "quantile": lambda: make().quantile(levels),
                 "build_measure": lambda: build_measure(make(), n),
                 "rate_bound": lambda: rate_bound(make(), n),
                 "l1_distance": lambda: l1_distance(make(), sq),
