@@ -209,13 +209,14 @@ def _as_int(value, key) -> int:
 
 
 def _as_int_tuple(value, key) -> tuple[int, ...]:
-    """A JSON list of integers; only the --n-list flag takes the comma form."""
-    if isinstance(value, list):
+    """A nonempty JSON list of integers; only the --n-list flag takes the
+    comma form.  An empty list is refused, not read as "use n"."""
+    if isinstance(value, list) and value:
         try:
             return tuple(_as_int(part, key) for part in value)
         except ConfigError:
             pass
-    raise ConfigError(f"{key} must be a list of integers, got {value!r}")
+    raise ConfigError(f"{key} must be a nonempty list of integers, got {value!r}")
 
 
 def _comma_ints(text: str):
@@ -459,7 +460,8 @@ def cmd_check(cfg: RunConfig) -> None:
 
 _COMMANDS = {
     "build": (cmd_build, "trace a domain boundary to CSV (and optional SVG)"),
-    "rates": (cmd_rates, "tabulate l1 errors and bounds over an n list"),
+    "rates": (cmd_rates, "tabulate l1 errors and the c.d.f. scheme's bound over an "
+                          "n list (under --scheme pdf, l1 may exceed it)"),
     "map": (cmd_map, "export the disc map's power series coefficients"),
     "simulate": (cmd_simulate, "sample Brownian exits from a built boundary"),
     "check": (cmd_check, "KS statistic of an existing sample file"),

@@ -66,29 +66,20 @@ def _fold(u):
 # angle-addition quotient loses at most about 12 ulp / _NEAR_POLE of D.
 _NEAR_POLE = 1e-2
 
+# Columns of a `_jump_sum` block.  einsum's row sums are bit for bit those of
+# a one-row block only up to numpy's 8192-element iterator buffer; past it a
+# row's sum depends on how many rows its block has.
+_MAX_COLS = 8192
+
 
 def _block_shape(jumps):
     """Rows and columns of a `_jump_sum` block for `jumps` jump angles.
 
     Three rows x columns buffers hold at most _BLOCK_CELLS cells together;
-    a row is split into column blocks only past _BLOCK_CELLS // 3 jumps.
+    a row is split into column blocks only past _MAX_COLS jumps.
     """
-    cols = min(jumps, _BLOCK_CELLS // 3)
+    cols = min(jumps, _MAX_COLS)
     return max(1, _BLOCK_CELLS // (3 * cols)), cols
-
-
-def _near_pole_columns(fold, theta, rows):
-    """Per block of `rows` points, the columns [lo, hi) of ascending theta
-    within _NEAR_POLE of some point's folded angle, for ascending `fold`.
-
-    A cell's nearer pole lies |theta - fold(u)| from u (see `_jump_sum`),
-    so the range holds the cells within _NEAR_POLE of a pole, for a block
-    those of its first through its last row.
-    """
-    first = fold[::rows]
-    last = fold[np.minimum(np.arange(rows, fold.size + rows, rows), fold.size) - 1]
-    return (np.searchsorted(theta, first - _NEAR_POLE),
-            np.searchsorted(theta, last + _NEAR_POLE, side="right"))
 
 
 def _jump_sum(u, theta, coeff):
@@ -102,20 +93,20 @@ def _jump_sum(u, theta, coeff):
     sin((u -+ t)/2) = sin(u/2)cos(t/2) -+ cos(u/2)sin(t/2): sines and
     cosines are taken once per point and once per jump, and each cell
     costs two products, an add, a subtract, a divide and one log.  Near a
-    pole the difference cancels, so the cells whose jump lies within
-    _NEAR_POLE of the point's fold take the direct form log|sin((u-t)/2)| -
-    log|sin((u+t)/2)| instead.  For ascending theta those cells are one
-    column range per point, found by a sorted search.  The points are taken
-    in ascending fold (reordered only when they are not), so each block
-    recomputes the range from its first to its last row, about
-    2 _NEAR_POLE / pi of the cells plus the block's own spread.
+    pole the difference cancels, so a cell whose jump lies in [fold(u) -
+    _NEAR_POLE, fold(u) + _NEAR_POLE] takes the direct form
+    log|sin((u-t)/2)| - log|sin((u+t)/2)| instead.  Each block of rows
+    computes it on one column range, found by a sorted search from its
+    least to its greatest fold, and keeps it on those cells alone.  A
+    cell's form and a row's einsum sum do not depend on the other rows, so
+    a point's value depends on that point alone; points in no particular
+    order are evaluated alike, only with wider column ranges.
 
     One rule bounds the memory of every blocked kernel: the temporaries of
     one loop step hold at most _BLOCK_CELLS float64 cells.  Here the sum
     runs over blocks of rows x columns through three buffers of a third of
-    that each, allocated once, and each block's matrix-vector product is
-    added into the result.  Memory is O(points + jumps).  A scalar u gives
-    a float.
+    that each, allocated once, and each block's row sums are added into
+    the result.  Memory is O(points + jumps).  A scalar u gives a float.
     """
     arr = np.asarray(u, dtype=float)
     pts = np.atleast_1d(arr).ravel()
@@ -128,12 +119,11 @@ def _jump_sum(u, theta, coeff):
     if theta.size and pts.size:
         rows, cols = _block_shape(theta.size)
         rows = min(rows, pts.size)
-        # the stable argsort, for the reason `_quad.cell_edges` gives
-        order = (None if np.all(fold[:-1] <= fold[1:])
-                 else np.argsort(fold, kind="stable"))
-        if order is not None:
-            pts, fold = pts[order], fold[order]
-        near_lo, near_hi = _near_pole_columns(fold, theta, rows)
+        # fmin and fmax skip a NaN fold, which no column range could hold
+        starts = np.arange(0, pts.size, rows)
+        near_lo = np.searchsorted(theta, np.fmin.reduceat(fold, starts) - _NEAR_POLE)
+        near_hi = np.searchsorted(theta, np.fmax.reduceat(fold, starts) + _NEAR_POLE,
+                                  side="right")
         del fold
         su, cu = np.sin(0.5 * pts[:, None]), np.cos(0.5 * pts[:, None])
         st, ct = np.sin(0.5 * theta), np.cos(0.5 * theta)
@@ -151,15 +141,18 @@ def _jump_sum(u, theta, coeff):
                 np.log(np.abs(np.divide(P, D, out=D), out=D), out=D)
                 a, b = max(near_lo[blk], j), min(near_hi[blk], j + c)
                 if a < b:
-                    P, Q = (x[:r * (b - a)].reshape(r, b - a) for x in buf[:2])
+                    P, Q = buf[:2, :r * (b - a)].reshape(2, r, b - a)
                     hu, ht = 0.5 * pts[i:i + r, None], 0.5 * theta[a:b]
                     _log_abs_sin(np.subtract(hu, ht, out=P), out=P)
                     _log_abs_sin(np.add(hu, ht, out=Q), out=Q)
-                    np.subtract(P, Q, out=D[:, a - j:b - j])
-                out[i:i + r] += D @ coeff[j:j + c]
+                    # fold -+ _NEAR_POLE round monotonically in the fold, so
+                    # every cell these bounds take lies in [a, b)
+                    f = _fold(pts[i:i + r, None])
+                    np.copyto(D[:, a - j:b - j], np.subtract(P, Q, out=P),
+                              where=(f - _NEAR_POLE <= theta[a:b]) &
+                                    (theta[a:b] <= f + _NEAR_POLE))
+                out[i:i + r] += np.einsum("ij,j->i", D, coeff[j:j + c])
         out /= np.pi
-        if order is not None:
-            out[order] = out.copy()
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

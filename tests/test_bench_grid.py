@@ -12,16 +12,16 @@ LAYERS = {"cdf", "quantile", "build_measure", "rate_bound", "l1_distance",
           "simulate_exit", "ks_distance"}
 
 
-def _run(out, label):
+def _run(out, label, *extra):
     subprocess.run([sys.executable, TOOL, ROOT, str(out), "--label", label,
-                    "--n", "20,50", "--points", "64", "--repeat", "2"],
+                    "--points", "64", "--repeat", "2", *extra],
                    check=True, capture_output=True, text=True, timeout=120)
 
 
 def test_bench_grid_writes_every_law_size_and_layer(tmp_path):
     out = tmp_path / "grid.json"
-    _run(out, "before")
-    _run(out, "after")
+    _run(out, "before", "--n", "20,50")
+    _run(out, "after", "--n", "20,50")
     data = json.loads(out.read_text())
     assert set(data) == {"before", "after"}
     entry = data["after"]
@@ -38,4 +38,23 @@ def test_bench_grid_writes_every_law_size_and_layer(tmp_path):
         assert 2 <= row["walls"] <= min(row["steps"], row["points"])
         assert set(row["layers"]) == LAYERS
         for m in row["layers"].values():
-            assert m["median_s"] > 0 and m["peak_mb"] > 0
+            assert 0 < m["best_s"] <= m["median_s"] and m["peak_mb"] > 0
+
+
+def test_compare_mode_writes_both_sides_cell_by_cell(tmp_path):
+    """ROOT against itself: each side gets every requested cell, in order."""
+    out = tmp_path / "grid.json"
+    _run(out, "self", "--n", "20", "--law", "uniform,mixture", "--parent", ROOT)
+    data = json.loads(out.read_text())
+    assert set(data) == {"self_parent", "self_change"}
+    for entry in data.values():
+        assert entry["interleaved"] and entry["repeat"] == 2
+        assert [(r["law"], r["n"]) for r in entry["rows"]] == [("uniform", 20),
+                                                               ("mixture", 20)]
+        for row in entry["rows"]:
+            assert set(row["layers"]) == LAYERS
+    # the same source gives the same problem sizes on both sides
+    sizes = [{k: v for k, v in r.items() if k != "layers"}
+             for r in data["self_parent"]["rows"]]
+    assert sizes == [{k: v for k, v in r.items() if k != "layers"}
+                     for r in data["self_change"]["rows"]]

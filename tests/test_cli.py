@@ -511,11 +511,14 @@ def test_zero_max_steps_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("where, n_list", [
     ("file", [2.5, 4]), ("file", [True, 4]), ("file", [float("inf"), 4]),
-    ("flag", "2.5,4"), ("flag", "true,4"), ("file", "5,10")],
-    ids=["file-float", "file-bool", "file-inf", "flag-float", "flag-bool", "file-string"])
+    ("flag", "2.5,4"), ("flag", "true,4"), ("file", "5,10"),
+    ("file", []), ("flag", ""), ("flag", ",")],
+    ids=["file-float", "file-bool", "file-inf", "flag-float", "flag-bool", "file-string",
+         "file-empty", "flag-empty", "flag-comma"])
 def test_non_integer_n_list_entry_is_config_error(tmp_path, capsys, where, n_list):
     """Entries are not truncated: 2.5 is not 2, true is not 1, inf is no int;
-    only the --n-list flag takes the comma form, a config file a JSON list."""
+    only the --n-list flag takes the comma form, a config file a JSON list.
+    An empty list is refused, not replaced by --n."""
     out = tmp_path / "r.csv"
     if where == "flag":
         rc = run("rates", "--dist", UNIFORM, "--n-list", n_list, "--out", str(out))
@@ -524,7 +527,7 @@ def test_non_integer_n_list_entry_is_config_error(tmp_path, capsys, where, n_lis
         cfg.write_text(json.dumps({"dist": json.loads(UNIFORM), "n_list": n_list}))
         rc = run("rates", str(cfg), "--out", str(out))
     assert rc == 2
-    assert "n_list must be a list of integers" in capsys.readouterr().err
+    assert "n_list must be a nonempty list of integers" in capsys.readouterr().err
     assert not out.exists()
 
 

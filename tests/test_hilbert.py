@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mudk.boundary import parameter_grid
 from mudk.discretize import StepQuantile, build_measure
 from mudk.distributions import Beta, Discrete, Mixture, Uniform
-from mudk.hilbert import (_BLOCK_CELLS, _NEAR_POLE, POLE_RADIUS,
+from mudk.hilbert import (_MAX_COLS, _NEAR_POLE, POLE_RADIUS,
                           OracleConvergenceError, PoleError, _block_shape,
                           _fold, _jump_sum, hilbert_indicator,
                           hilbert_pv_oracle, hilbert_step_quantile, pole_gap,
@@ -347,10 +347,10 @@ def test_blocked_kernel_matches_dense_oracle(sq):
 
 
 def test_column_blocks_match_dense_oracle():
-    """Past _BLOCK_CELLS // 3 jumps a row is summed in two column blocks."""
-    sq = build_measure(Uniform(-1.0, 1.0), _BLOCK_CELLS // 3 + 2)
+    """Past _MAX_COLS jumps a row is summed in two column blocks."""
+    sq = build_measure(Uniform(-1.0, 1.0), _MAX_COLS + 2)
     rows, cols = _block_shape(pole_levels(sq).size)
-    assert (rows, cols) == (1, _BLOCK_CELLS // 3) and pole_levels(sq).size == cols + 1
+    assert (rows, cols) == (1, _MAX_COLS) and pole_levels(sq).size == cols + 1
     u = np.pi * parameter_grid(sq, 3)
     ref = _dense_hilbert(sq, u)
     got = hilbert_step_quantile(sq, u)
@@ -390,7 +390,8 @@ def test_pole_free_band_ends_contribute_exactly_zero():
 
 
 def test_point_order_does_not_change_the_values():
-    """Points are summed in ascending folded angle, whatever their order."""
+    """A permutation of the points permutes their values, bit for bit, and
+    points whose folds are far from sorted still match the dense oracle."""
     sq = build_measure(Beta(2.0, 5.0).center(), 300, scheme="pdf")
     rows = _block_shape(pole_levels(sq).size)[0]
     u = np.pi * parameter_grid(sq, 2 * rows + 1)
@@ -404,20 +405,27 @@ def test_point_order_does_not_change_the_values():
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_unsorted_points_are_ordered_by_the_stable_argsort(monkeypatch):
-    """Unsorted points, with ties, take the stable argsort and keep their values."""
-    sq = StepQuantile(np.array([0.0, 0.3, 0.6, 1.0]), np.array([-1.0, 0.0, 2.0]))
-    u = np.array([2.5, -0.4, 0.4, 1.3, 2.5, -2.5, 0.4])
-    kinds = []
-    argsort = np.argsort
+def _per_point_cases():
+    """Step quantiles and angles: seven points with ties, and their copies
+    2 pi away; 60 of 1024 grid points of centred beta(2,5) at n=2000; 20 of
+    256 grid points of a uniform law with one jump past _MAX_COLS, whose
+    rows are summed in two column blocks."""
+    three = StepQuantile(np.array([0.0, 0.3, 0.6, 1.0]), np.array([-1.0, 0.0, 2.0]))
+    seven = np.array([2.5, -0.4, 0.4, 1.3, 2.5, -2.5, 0.4])
+    beta = build_measure(Beta(2.0, 5.0).center(), 2000)
+    wide = build_measure(Uniform(-1.0, 1.0), _MAX_COLS + 2)
+    pick = np.random.default_rng(5).choice
+    return [(three, np.concatenate((seven, seven + 2.0 * np.pi, seven - 2.0 * np.pi)),
+             np.arange(21)),
+            (beta, np.pi * parameter_grid(beta, 1024), pick(1024, 60, replace=False)),
+            (wide, np.pi * parameter_grid(wide, 256), pick(256, 20, replace=False))]
 
-    def spy(a, *args, **kwargs):
-        kinds.append(kwargs.get("kind"))
-        return argsort(a, *args, **kwargs)
 
-    order = argsort(np.abs(u), kind="stable")     # |u| < pi is the fold
-    monkeypatch.setattr(np, "argsort", spy)
-    want = hilbert_step_quantile(sq, u[order])    # ascending: not reordered
+@pytest.mark.parametrize("sq, u, picked", _per_point_cases(),
+                         ids=["seven-points", "beta-2000", "two-column-blocks"])
+def test_a_points_value_does_not_depend_on_the_call(sq, u, picked):
+    """Each value of one call equals the scalar call at that point, bit for
+    bit: a cell's form and a row's sum do not depend on the other points."""
     got = hilbert_step_quantile(sq, u)
-    assert kinds == ["stable"]
-    np.testing.assert_array_equal(got[order], want)
+    np.testing.assert_array_equal(got[picked],
+                                  [hilbert_step_quantile(sq, x) for x in u[picked]])

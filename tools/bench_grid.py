@@ -1,15 +1,20 @@
 """Time and trace each layer, from the laws to the KS check, over the scenario grid.
 
-    python tools/bench_grid.py ROOT OUT --label NAME [--n 200,2000,20000]
+    python tools/bench_grid.py ROOT OUT --label NAME [--parent PARENT]
+                               [--n 200,2000,20000] [--law uniform,...]
                                [--points 8192] [--repeat 3]
 
 ROOT is a checkout of this repository; its `src/` gives the `mudk`
-package that is measured, so two checkouts are compared by running the
-tool once on each with different labels into the same OUT file.  For
-every law (uniform, centred beta(2,5), truncated normal, truncated
-exponential, uniform+atom mixture) and every n, the step quantile of the
-c.d.f. scheme, its boundary and the exit samples of that boundary are
-built once, untimed, and ten layers are measured:
+package that is measured.  With `--parent PARENT`, a second checkout,
+the tool compares the two: each (law, n) cell of each checkout runs in
+a fresh process, the two sides of a cell one after the other, and which
+side runs first alternates from cell to cell, so a drift of the machine
+during the run falls on both sides alike.  The results go to the labels
+NAME_parent and NAME_change; compare a layer's `best_s`, the best of
+`--repeat` calls.  For every law (uniform, centred beta(2,5), truncated
+normal, truncated exponential, uniform+atom mixture) and every n, the
+step quantile of the c.d.f. scheme, its boundary and the exit samples
+of that boundary are built once, untimed, and ten layers are measured:
 
 - `cdf` at `points` abscissas evenly spaced over the support, endpoints
   included, and `quantile` at the `points` levels (i + 1/2)/points, each
@@ -26,13 +31,13 @@ built once, untimed, and ten layers are measured:
 - `ks_distance(exits, law)` of those exit samples, against a law built
   afresh for each call.
 
-The timing pass takes the median wall time of `--repeat` calls.  A
-separate pass takes the tracemalloc peak of one call, because tracing
-slows the layers down.  OUT is a JSON object keyed by label; an existing
-file keeps its other labels.  Each entry records the machine line, the
-settings and per (law, n) the problem sizes (steps, jumps, points,
-terms and the walls of the sampled comb) and, per layer, `median_s` and
-`peak_mb`.
+The timing pass takes the median and the best wall time of `--repeat`
+calls.  A separate pass takes the tracemalloc peak of one call, because
+tracing slows the layers down.  OUT is a JSON object keyed by label; an
+existing file keeps its other labels.  Each entry records the machine
+line, the settings and per (law, n) the problem sizes (steps, jumps,
+points, terms and the walls of the sampled comb) and, per layer,
+`median_s`, `best_s` and `peak_mb`.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import tempfile
 import tracemalloc
 from importlib import metadata
 from time import perf_counter
@@ -87,10 +94,11 @@ def measure(fn, repeat: int) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return {"median_s": statistics.median(times), "peak_mb": peak / 2 ** 20}
+    return {"median_s": statistics.median(times), "best_s": min(times),
+            "peak_mb": peak / 2 ** 20}
 
 
-def grid(root: str, sizes, points: int, repeat: int) -> list:
+def grid(root: str, laws_run, sizes, points: int, repeat: int) -> list:
     sys.path.insert(0, os.path.join(root, "src"))
     from mudk import distributions
     from mudk.boundary import boundary_points, parameter_grid
@@ -102,7 +110,7 @@ def grid(root: str, sizes, points: int, repeat: int) -> list:
     laws = reference_laws(distributions)
     levels = (np.arange(points) + 0.5) / points
     rows = []
-    for law in LAWS:
+    for law in laws_run:
         for n in sizes:
             make = laws[law]
             sq = build_measure(make(), n)
@@ -133,11 +141,34 @@ def grid(root: str, sizes, points: int, repeat: int) -> list:
     return rows
 
 
+def compare(parent: str, root: str, laws_run, sizes, points: int, repeat: int):
+    """Rows of PARENT and of ROOT, each (law, n) cell of each side in a fresh
+    process, the side that runs first alternating from cell to cell."""
+    sides = {"parent": [], "change": []}
+    cells = [(law, n) for law in laws_run for n in sizes]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "cell.json")
+        for k, (law, n) in enumerate(cells):
+            order = [("parent", parent), ("change", root)]
+            for side, checkout in order[::-1] if k % 2 else order:
+                subprocess.run([sys.executable, os.path.abspath(__file__), checkout, out,
+                                "--label", side, "--law", law, "--n", str(n),
+                                "--points", str(points), "--repeat", str(repeat)],
+                               check=True)
+                with open(out) as fh:
+                    sides[side] += json.load(fh)[side]["rows"]
+    return sides
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("root", help="checkout whose src/ to measure")
     parser.add_argument("out", help="JSON file to write (other labels are kept)")
     parser.add_argument("--label", required=True, help="key of this run in OUT")
+    parser.add_argument("--parent", help="checkout to compare ROOT against, cell by "
+                        "cell in alternating fresh processes")
+    parser.add_argument("--law", default=",".join(LAWS),
+                        help="comma-separated laws (default all five)")
     parser.add_argument("--n", default="200,2000,20000",
                         help="comma-separated step counts (default 200,2000,20000)")
     parser.add_argument("--points", type=int, default=8192,
@@ -147,13 +178,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     sizes = [int(n) for n in args.n.split(",")]
-    entry = {"machine": machine_line(), "points": args.points,
-             "repeat": args.repeat, "rows": grid(root, sizes, args.points, args.repeat)}
+    laws_run = args.law.split(",")
+    unknown = set(laws_run) - set(LAWS)
+    if unknown:
+        parser.error(f"unknown laws {sorted(unknown)}; choose from {', '.join(LAWS)}")
+    head = {"machine": machine_line(), "points": args.points, "repeat": args.repeat}
+    if args.parent:
+        sides = compare(os.path.abspath(args.parent), root, laws_run, sizes,
+                        args.points, args.repeat)
+        entries = {f"{args.label}_{side}": {**head, "interleaved": True, "rows": rows}
+                   for side, rows in sides.items()}
+    else:
+        entries = {args.label: {**head, "rows": grid(root, laws_run, sizes, args.points,
+                                                     args.repeat)}}
     data = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             data = json.load(fh)
-    data[args.label] = entry
+    data.update(entries)
     with open(args.out, "w", newline="\n") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
