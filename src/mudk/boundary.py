@@ -42,6 +42,9 @@ class BoundaryPolyline:
                 raise ValueError("t must lie strictly inside (-1, 1)")
             xy = pts[:, 1:]
             scale = 1.0 + max(float(xy.max()), -float(xy.min()))
+            # a NaN in x or y makes the scale NaN, and a ±inf makes it inf
+            if not np.isfinite(scale):
+                raise ValueError("x and y must be finite")
             # row i against its mirror k-1-i: the halves give the same maxima
             half, mirror = k // 2, pts[::-1]
             row = np.empty(half)

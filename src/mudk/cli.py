@@ -372,7 +372,7 @@ def cmd_build(cfg: RunConfig) -> None:
     bp = _build_polyline(cfg)
     export_csv(bp, out, header_comment=cfg.header())
     if cfg.svg:
-        export_svg(bp, cfg.svg)
+        _config_call(export_svg, bp, cfg.svg)
 
 
 def cmd_rates(cfg: RunConfig) -> None:

@@ -60,11 +60,19 @@ class StepQuantile:
             raise ValueError("need m+1 breakpoints for m step values")
         if vals.size == 0:
             raise ValueError("at least one step is required")
-        if abs(bp[0]) > _LEVEL_TOL:
+        # each check is written so that a NaN fails it; with finite ends,
+        # the order checks leave no inf inside
+        if not abs(bp[0]) <= _LEVEL_TOL:
             raise ValueError(f"first breakpoint must be 0, got {bp[0]}")
-        if np.any(np.diff(bp) <= 0):
+        if not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if np.any(np.diff(vals) < -1e-12 * (1.0 + np.max(np.abs(vals)))):
+        if not np.isfinite(bp[-1]):
+            raise ValueError(f"last breakpoint must be finite, got {bp[-1]}")
+        if not (np.isfinite(vals[0]) and np.isfinite(vals[-1])):
+            raise ValueError("first and last step values must be finite")
+        # a non-decreasing array has its largest magnitude at an end
+        tol = 1e-12 * (1.0 + max(abs(vals[0]), abs(vals[-1])))
+        if not np.all(np.diff(vals) >= -tol):
             raise ValueError("step values must be non-decreasing")
         # a frozen array that owns its data is kept (the builders hand over
         # fresh ones); any other is copied, so a caller's writeable array is

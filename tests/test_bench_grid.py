@@ -1,7 +1,9 @@
 """The scenario-grid tool runs end to end at reduced sizes."""
 
+import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -41,14 +43,47 @@ def test_bench_grid_writes_every_law_size_and_layer(tmp_path):
             assert 0 < m["best_s"] <= m["median_s"] and m["peak_mb"] > 0
 
 
-def test_compare_mode_writes_both_sides_cell_by_cell(tmp_path):
-    """ROOT against itself: each side gets every requested cell, in order."""
+def test_compare_mode_writes_both_sides_cell_by_cell(tmp_path, monkeypatch):
+    """A copy of src/ as PARENT: both sides load in this one process, each from
+    its own checkout, and each gets every requested cell, in order."""
+    parent = tmp_path / "parent"
+    shutil.copytree(os.path.join(ROOT, "src"), parent / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    spec = importlib.util.spec_from_file_location("bench_grid", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def no_child(*args, **kwargs):
+        raise AssertionError("the tool started a child process")
+
+    for name in ("fork", "posix_spawn", "posix_spawnp", "system"):
+        monkeypatch.setattr(os, name, no_child)
+    monkeypatch.setattr(subprocess, "Popen", no_child)
+    # the parent is the first side, the change the second
+    sides = {"mudk_0": str(parent / "src" / "mudk"),
+             "mudk_1": os.path.join(ROOT, "src", "mudk")}
     out = tmp_path / "grid.json"
-    _run(out, "self", "--n", "20", "--law", "uniform,mixture", "--parent", ROOT)
+    try:
+        assert tool.main([ROOT, str(out), "--label", "self", "--points", "64",
+                          "--repeat", "2", "--n", "20", "--law", "uniform,mixture",
+                          "--parent", str(parent)]) == 0
+        loaded = {name: module.__file__ for name, module in sys.modules.items()
+                  if name.partition(".")[0] in sides}
+    finally:
+        for name in [name for name in sys.modules if name.partition(".")[0] in sides]:
+            del sys.modules[name]
+    homes = {side: {} for side in sides}
+    for name, path in loaded.items():
+        side, _, sub = name.partition(".")
+        homes[side][sub] = os.path.dirname(path)
+    # both sides load the same modules, each from its own checkout
+    assert set(homes["mudk_0"]) == set(homes["mudk_1"]) >= {"", "boundary", "verify_mc"}
+    for side, src in sides.items():
+        assert set(homes[side].values()) == {src}
     data = json.loads(out.read_text())
     assert set(data) == {"self_parent", "self_change"}
     for entry in data.values():
-        assert entry["interleaved"] and entry["repeat"] == 2
+        assert entry["repeat"] == 2 and "interleaved" not in entry
         assert [(r["law"], r["n"]) for r in entry["rows"]] == [("uniform", 20),
                                                                ("mixture", 20)]
         for row in entry["rows"]:

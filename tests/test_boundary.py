@@ -258,6 +258,12 @@ def test_polyline_validation():
         BoundaryPolyline(points=broken)
     with pytest.raises(ValueError):  # odd point count
         BoundaryPolyline(points=np.array([[0.5, 1.0, -0.25]]))
+    # non-finite x or y: a NaN x in one row, an inf x in both, y at ±inf
+    for col, values in ((1, (np.nan, 1.0)), (1, (-np.inf, -np.inf)), (2, (np.inf, -np.inf))):
+        broken = good.copy()
+        broken[:, col] = values
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryPolyline(points=broken)
 
 
 def test_boundary_points_are_immutable():

@@ -60,6 +60,14 @@ def test_build_svg_output(tmp_path):
     assert svg_point_count(svg) == 128
 
 
+def test_build_svg_of_degenerate_domain_is_config_error(tmp_path, capsys):
+    """One step of the uniform law traces a domain of zero height."""
+    rc = run("build", "--dist", UNIFORM, "--n", "1", "--out", str(tmp_path / "b.csv"),
+             "--svg", str(tmp_path / "b.svg"))
+    assert rc == 2
+    assert "nondegenerate bounding box" in capsys.readouterr().err
+
+
 def test_dist_file_matches_inline(tmp_path):
     dist_file = tmp_path / "dist.json"
     dist_file.write_text(UNIFORM + "\n")

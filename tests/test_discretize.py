@@ -115,6 +115,14 @@ def test_step_quantile_validation():
         StepQuantile(np.array([0.0, 0.5, 0.4]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         StepQuantile(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.0]))
+    # NaN and inf breakpoints and values, an inf value inside finite ends too
+    nan, inf = np.nan, np.inf
+    for bp, v in (([0.0, 0.5, 1.0], [0.0, nan]), ([0.0, 0.5, 1.0], [nan, 0.0]),
+                  ([nan, 0.5, 1.0], [0.0, 1.0]), ([0.0, nan, 1.0], [0.0, 1.0]),
+                  ([0.0, 0.5, inf], [0.0, 1.0]), ([0.0, 0.5, 1.0], [-inf, 0.0]),
+                  ([0.0, 0.5, 1.0], [0.0, inf]), ([0.0, 0.3, 0.6, 1.0], [0.0, inf, 1.0])):
+        with pytest.raises(ValueError):
+            StepQuantile(np.array(bp), np.array(v))
 
 
 def test_step_quantile_copies_its_arrays_and_freezes_the_copies():
