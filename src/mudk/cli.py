@@ -23,6 +23,11 @@ the mass outside [-R, R] by an atom at the origin and so moves the mean;
 truncation is the only way to handle unbounded supports.  A mixture
 component takes neither key, and any other key is a configuration error.
 
+The command line is ``COMMAND [CONFIG] [--flag VALUE | --flag=VALUE]...``;
+each ``--flag``, spelled in full, is one RunConfig field (``--n-list`` is
+``n_list``).  A usage error (an unknown command or flag, a missing or bad
+value, a second positional argument) is a configuration problem.
+
 Subcommands: build (boundary CSV and optional SVG), rates (l1 error
 and bound table over an n list), map (power series coefficients),
 simulate (exit samples plus summary JSON; needs --boundary from a
@@ -38,8 +43,6 @@ boundary).  A samples file with no rows is exit 2.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
@@ -221,7 +224,7 @@ def _as_int_tuple(value, key) -> tuple[int, ...]:
 
 def _comma_ints(text: str):
     """`--n-list 10,100` as a list; text with a part that is no integer stays
-    text, for `_as_int_tuple` to refuse (argparse would exit on a type error)."""
+    text, for `_as_int_tuple` to refuse with the config file's message."""
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
@@ -247,10 +250,10 @@ def _load_json_arg(text, what: str):
 
 def _setting(default=MISSING, *, help, flag=None, parse=lambda value, key: str(value),
              least=None, role=None):
-    """A RunConfig field that declares one setting: `help` and `flag` (an argparse
-    type, or a tuple of choices) make its `--flag`, `parse` reads its config file
-    entry or flag value, `least` is its least value, and `role` marks a file
-    name: "out" is not hashed, "in" is hashed by its content."""
+    """A RunConfig field that declares one setting: `help` and `flag` (the flag
+    text's converter, or a tuple of choices) make its `--flag`, `parse` reads its
+    config file entry or flag value, `least` is its least value, and `role` marks
+    a file name: "out" is not hashed, "in" is hashed by its content."""
     return field(default=default, metadata={"help": help, "flag": flag, "parse": parse,
                                             "least": least, "role": role})
 
@@ -259,7 +262,7 @@ def _setting(default=MISSING, *, help, flag=None, parse=lambda value, key: str(v
 class RunConfig:
     """Effective settings of one command after merging file and flags.
 
-    Each field declares one setting (`_setting`): `build_parser` adds its flag,
+    Each field declares one setting (`_setting`): `read_argv` reads its flag,
     `merge_config` parses it, `__post_init__` checks it, `hash` reads its role.
     """
 
@@ -320,16 +323,15 @@ class RunConfig:
         return f"mu-domain-kit v{__version__}, config hash {self.hash()}"
 
 
-def merge_config(file_cfg: dict, args: argparse.Namespace) -> RunConfig:
-    """Fold config file entries and flags into a RunConfig; flags win."""
+def merge_config(file_cfg: dict, flags: dict) -> RunConfig:
+    """Fold config file entries and flag values ({field: value}, as `read_argv`
+    gives them) into a RunConfig; flags win."""
     if not isinstance(file_cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    names = {f.name for f in fields(RunConfig)}
-    unknown = set(file_cfg) - names
+    unknown = set(file_cfg) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    merged = {**file_cfg, **{name: value for name, value in vars(args).items()
-                             if name in names and value is not None}}
+    merged = {**file_cfg, **flags}
     if "dist" not in merged:
         raise ConfigError("no distribution given; use --dist or a config file")
     kwargs: dict = {"dist": merged["dist"]}
@@ -370,9 +372,10 @@ def _build_polyline(cfg: RunConfig):
 def cmd_build(cfg: RunConfig) -> None:
     out = cfg.out or "boundary.csv"
     bp = _build_polyline(cfg)
-    export_csv(bp, out, header_comment=cfg.header())
+    # the SVG first: `export_svg` refuses a flat domain before it opens a file
     if cfg.svg:
         _config_call(export_svg, bp, cfg.svg)
+    export_csv(bp, out, header_comment=cfg.header())
 
 
 def cmd_rates(cfg: RunConfig) -> None:
@@ -468,44 +471,63 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The `mudk` argument parser, built once per process and shared by
-    every `main` call, so a caller must not change it.
+_FLAGS = {"--" + f.name.replace("_", "-"): f for f in fields(RunConfig)}
 
-    argparse links its parsers, actions and formatters in reference
-    cycles, so a parser built per `main` call would wait for the cyclic
-    collector every time.  Parsing keeps no state in the parser: every
-    `parse_args` call starts from a fresh namespace.
-    """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("config", nargs="?", default=None,
-                        help="JSON config file; flags override its entries")
-    for f in fields(RunConfig):
-        flag = f.metadata["flag"]
-        common.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"],
-                            **{"choices" if isinstance(flag, tuple) else "type": flag})
 
-    parser = argparse.ArgumentParser(
-        prog="mudk",
-        description="Build and check planar domains whose Brownian exit "
-                    "abscissa follows a prescribed law.")
-    parser.add_argument("--version", action="version",
-                        version=f"mu-domain-kit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, line) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=line)
-    return parser
+def _usage() -> str:
+    """The `--help` text, read off `_COMMANDS` and the RunConfig fields."""
+    return "\n".join([
+        "usage: mudk COMMAND [CONFIG] [--flag VALUE | --flag=VALUE]...",
+        "Build and check planar domains whose Brownian exit abscissa follows a "
+        "prescribed law.\nCONFIG is a JSON config file; flags override its entries.",
+        "\ncommands:", *(f"  {name:<10}{line}" for name, (_, line) in _COMMANDS.items()),
+        "\nflags:", *(f"  {flag:<13}{f.metadata['help']}" for flag, f in _FLAGS.items()),
+        "  -h, --help   print this text", "  --version    print the version"])
+
+
+def read_argv(argv: list[str]) -> tuple[str, str | None, dict]:
+    """`COMMAND [CONFIG] [--flag VALUE | --flag=VALUE]...` as the command, the
+    config file or None, and {field: value}, each value through its field's
+    `flag` converter.  Flags are spelled in full (no prefix abbreviations),
+    and a value that begins with `--` takes the `=` form."""
+    if not argv:
+        raise ConfigError("no command given\n" + _usage())
+    if argv[0] not in _COMMANDS:
+        raise ConfigError(f"unknown command {argv[0]!r}, not one of {', '.join(_COMMANDS)}")
+    config, values, rest = None, {}, iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            if config is not None:
+                raise ConfigError(f"a second positional argument {arg!r} after {config!r}")
+            config = arg
+            continue
+        flag, eq, text = arg.partition("=")
+        if flag not in _FLAGS:
+            raise ConfigError(f"unknown flag {flag!r}")
+        if not eq:
+            text = next(rest, None)
+            if text is None or text.startswith("--"):
+                raise ConfigError(f"{flag} needs a value")
+        convert = _FLAGS[flag].metadata["flag"]
+        try:
+            values[_FLAGS[flag].name] = convert(text) if callable(convert) else text
+        except ValueError:
+            raise ConfigError(f"invalid {convert.__name__} value for {flag}: {text!r}") from None
+    return argv[0], config, values
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code; callable any number of
-    times in one process."""
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code, also after `--help` and
+    `--version`; callable any number of times in one process."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    asked = {"-h", "--help", "--version"} & set(argv)
+    if asked:
+        print(f"mu-domain-kit {__version__}" if asked == {"--version"} else _usage())
+        return 0
     try:
-        file_cfg = _load_json_arg(args.config, "config") if args.config else {}
-        cfg = merge_config(file_cfg, args)
-        _COMMANDS[args.command][0](cfg)
+        command, config, flags = read_argv(argv)
+        file_cfg = _load_json_arg(config, "config") if config else {}
+        _COMMANDS[command][0](merge_config(file_cfg, flags))
     except (ConfigError, UnboundedSupportError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
