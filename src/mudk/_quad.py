@@ -52,6 +52,16 @@ def gauss_legendre(f, lo, hi):
     return out
 
 
+def chunks(counts, cells):
+    """Slices of consecutive entries, in order and covering all, whose `counts`
+    sum to at most `cells`; an entry whose count alone exceeds it stands alone."""
+    ends, a = np.cumsum(counts), 0
+    while a < ends.size:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] + cells, side="right")))
+        yield slice(a, b)
+        a = b
+
+
 def cell_edges(cuts):
     """The distinct values of `cuts`, ascending: the edges of the cells they cut.
 

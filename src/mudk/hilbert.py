@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._quad import _BLOCK_CELLS, simpson_adaptive
+from ._quad import _BLOCK_CELLS, chunks, simpson_adaptive
 from .discretize import StepQuantile
 
 POLE_RADIUS = 1e-9
@@ -30,11 +30,6 @@ class PoleError(ValueError):
 
 class OracleConvergenceError(RuntimeError):
     """The principal-value quadrature failed to extrapolate consistently."""
-
-
-def _log_abs_sin(t, out):
-    """log|sin(t)|, computed in place in `out`."""
-    return np.log(np.abs(np.sin(t, out=out), out=out), out=out)
 
 
 def pole_gap(points, poles):
@@ -71,6 +66,9 @@ _NEAR_POLE = 1e-2
 # row's sum depends on how many rows its block has.
 _MAX_COLS = 8192
 
+# Cells per near-pole gather of `_jump_sum`: its ten or so arrays fit _BLOCK_CELLS.
+_NEAR_CELLS = _BLOCK_CELLS // 16
+
 
 def _block_shape(jumps):
     """Rows and columns of a `_jump_sum` block for `jumps` jump angles.
@@ -80,6 +78,17 @@ def _block_shape(jumps):
     """
     cols = min(jumps, _MAX_COLS)
     return max(1, _BLOCK_CELLS // (3 * cols)), cols
+
+
+def _near_pole_sums(u, lo, k, theta, coeff, st, ct):
+    """Per point, sum_j coeff_j (direct - quotient) over its k > 0 jumps from
+    lo; the quotient takes the tile loop's operations in order, so its bits."""
+    at = np.cumsum(k) - k
+    j = np.arange(at[-1] + k[-1]) + np.repeat(lo - at, k)
+    hu, ht = 0.5 * np.repeat(u, k), 0.5 * theta[j]
+    P, Q = np.sin(hu) * ct[j], np.cos(hu) * st[j]
+    direct = np.log(np.abs(np.sin(hu - ht))) - np.log(np.abs(np.sin(hu + ht)))
+    return np.add.reduceat(coeff[j] * (direct - np.log(np.abs((P - Q) / (P + Q)))), at)
 
 
 def _jump_sum(u, theta, coeff):
@@ -92,21 +101,18 @@ def _jump_sum(u, theta, coeff):
     of some theta_j (`pole_gap`) is refused.  By angle addition,
     sin((u -+ t)/2) = sin(u/2)cos(t/2) -+ cos(u/2)sin(t/2): sines and
     cosines are taken once per point and once per jump, and each cell
-    costs two products, an add, a subtract, a divide and one log.  Near a
-    pole the difference cancels, so a cell whose jump lies in [fold(u) -
-    _NEAR_POLE, fold(u) + _NEAR_POLE] takes the direct form
-    log|sin((u-t)/2)| - log|sin((u+t)/2)| instead.  Each block of rows
-    computes it on one column range, found by a sorted search from its
-    least to its greatest fold, and keeps it on those cells alone.  A
-    cell's form and a row's einsum sum do not depend on the other rows, so
-    a point's value depends on that point alone; points in no particular
-    order are evaluated alike, only with wider column ranges.
+    costs two products, an add, a subtract, a divide and one log.  That
+    quotient cancels near a pole, so a first pass adds coeff_j times the
+    direct form log|sin((u-t)/2)| - log|sin((u+t)/2)| less the quotient
+    on each point's jumps within _NEAR_POLE of its fold (two sorted
+    searches; a NaN fold has none), gathered flat and summed per point, as
+    each einsum row is: a point's value depends on that point alone.
 
-    One rule bounds the memory of every blocked kernel: the temporaries of
-    one loop step hold at most _BLOCK_CELLS float64 cells.  Here the sum
-    runs over blocks of rows x columns through three buffers of a third of
-    that each, allocated once, and each block's row sums are added into
-    the result.  Memory is O(points + jumps).  A scalar u gives a float.
+    Memory is O(points + jumps) under the rule of every blocked kernel, at
+    most _BLOCK_CELLS float64 cells per loop step: the first pass gathers
+    consecutive points' cells _NEAR_CELLS at a time (`_quad.chunks`), a
+    point with more alone (O(jumps) cells), and the sum runs through three
+    buffers of a third of _BLOCK_CELLS each.  A scalar u gives a float.
     """
     arr = np.asarray(u, dtype=float)
     pts = np.atleast_1d(arr).ravel()
@@ -117,21 +123,23 @@ def _jump_sum(u, theta, coeff):
             f"evaluation within {POLE_RADIUS} of a logarithmic pole at u={pts[near]}")
     out = np.zeros(pts.size)
     if theta.size and pts.size:
+        st, ct = np.sin(0.5 * theta), np.cos(0.5 * theta)
+        lo = np.searchsorted(theta, fold - _NEAR_POLE)
+        count = np.searchsorted(theta, fold + _NEAR_POLE, side="right") - lo
+        hit = np.flatnonzero(count)
+        del fold
+        lo, count = lo[hit], count[hit]
+        for s in chunks(count, _NEAR_CELLS):
+            out[hit[s]] = _near_pole_sums(pts[hit[s]], lo[s], count[s], theta, coeff, st, ct)
+        del lo, count, hit
         rows, cols = _block_shape(theta.size)
         rows = min(rows, pts.size)
-        # fmin and fmax skip a NaN fold, which no column range could hold
-        starts = np.arange(0, pts.size, rows)
-        near_lo = np.searchsorted(theta, np.fmin.reduceat(fold, starts) - _NEAR_POLE)
-        near_hi = np.searchsorted(theta, np.fmax.reduceat(fold, starts) + _NEAR_POLE,
-                                  side="right")
-        del fold
         su, cu = np.sin(0.5 * pts[:, None]), np.cos(0.5 * pts[:, None])
-        st, ct = np.sin(0.5 * theta), np.cos(0.5 * theta)
         buf = np.empty((3, rows * cols))
         for j in range(0, theta.size, cols):
             c = min(cols, theta.size - j)
             tile = buf[:, :rows * c].reshape(3, rows, c)
-            for blk, i in enumerate(range(0, pts.size, rows)):
+            for i in range(0, pts.size, rows):
                 r = min(rows, pts.size - i)
                 P, Q, D = tile[:, :r]
                 np.multiply(su[i:i + r], ct[j:j + c], out=P)
@@ -139,18 +147,6 @@ def _jump_sum(u, theta, coeff):
                 np.add(P, Q, out=D)
                 np.subtract(P, Q, out=P)
                 np.log(np.abs(np.divide(P, D, out=D), out=D), out=D)
-                a, b = max(near_lo[blk], j), min(near_hi[blk], j + c)
-                if a < b:
-                    P, Q = buf[:2, :r * (b - a)].reshape(2, r, b - a)
-                    hu, ht = 0.5 * pts[i:i + r, None], 0.5 * theta[a:b]
-                    _log_abs_sin(np.subtract(hu, ht, out=P), out=P)
-                    _log_abs_sin(np.add(hu, ht, out=Q), out=Q)
-                    # fold -+ _NEAR_POLE round monotonically in the fold, so
-                    # every cell these bounds take lies in [a, b)
-                    f = _fold(pts[i:i + r, None])
-                    np.copyto(D[:, a - j:b - j], np.subtract(P, Q, out=P),
-                              where=(f - _NEAR_POLE <= theta[a:b]) &
-                                    (theta[a:b] <= f + _NEAR_POLE))
                 out[i:i + r] += np.einsum("ij,j->i", D, coeff[j:j + c])
         out /= np.pi
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

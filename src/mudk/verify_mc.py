@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _BLOCK_CELLS
+from ._quad import _BLOCK_CELLS, chunks
 from .boundary import BoundaryPolyline
 from .distributions import Distribution
 
@@ -75,14 +75,14 @@ def _lower_chain(bp: BoundaryPolyline):
 def _comb(bp: BoundaryPolyline):
     """Wall locations and tooth tips of the comb read off the polyline.
 
-    The walls are the distinct x of the lower chain; a tip is the wall's
-    closest rendered approach to the axis, and the outer walls have tip 0.
+    The walls start the runs of equal x in the sorted lower chain; a tip is
+    the wall's closest rendered approach to the axis; outer walls have tip 0.
     """
     xs, ys = _lower_chain(bp)
-    locs, start = np.unique(xs, return_index=True)
+    start = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
     tips = -np.maximum.reduceat(ys, start)
     tips[[0, -1]] = 0.0
-    return locs, tips
+    return xs[start], tips
 
 
 def point_in_domain(bp: BoundaryPolyline, point) -> bool:
@@ -128,11 +128,11 @@ def _nearest_tooth(locs, tips, x, y):
     hypot(locs[j] - x, max(tips[j] - |y|, 0)) from (x, y).  The nearer of
     the teeth of the two walls around x bounds that distance, so the
     candidates are the walls whose gap to x is within the bound, found by
-    two sorted searches.  Points are taken in blocks of _WALK_BLOCK; the
-    candidates of consecutive points of a block are gathered together, at
-    most _GATHER_CELLS at a time, and a point with more candidates than
-    that is gathered on its own (O(walls) cells).  On an exact tie the
-    nearest wall left of x wins, else the nearest wall at or right of x.
+    two sorted searches.  Points are taken in blocks of _WALK_BLOCK, and
+    the candidates of consecutive points are gathered at most _GATHER_CELLS
+    at a time (`_quad.chunks`), a point with more on its own (O(walls)
+    cells).  On an exact tie the nearest wall left of x wins, else the
+    nearest wall at or right of x.
     """
     best = np.empty(x.size)
     near = np.empty(x.size, dtype=int)
@@ -146,15 +146,9 @@ def _nearest_tooth(locs, tips, x, y):
         reach = bound + _REACH * (np.abs(px) + bound)
         lo = np.searchsorted(locs, px - reach)
         hi = np.searchsorted(locs, px + reach, side="right")
-        counts = hi - lo
-        ends = np.cumsum(counts)
-        a = 0
-        while a < px.size:
-            b = max(a + 1, int(np.searchsorted(
-                ends, ends[a] - counts[a] + _GATHER_CELLS, side="right")))
-            best[i + a:i + b], near[i + a:i + b] = _nearest_candidate(
-                locs, tips, px[a:b], ay[a:b], right[a:b], lo[a:b], hi[a:b])
-            a = b
+        for s in chunks(hi - lo, _GATHER_CELLS):
+            best[block][s], near[block][s] = _nearest_candidate(
+                locs, tips, px[s], ay[s], right[s], lo[s], hi[s])
     return best, near
 
 

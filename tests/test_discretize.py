@@ -15,7 +15,7 @@ from scipy import special
 from scipy.integrate import IntegrationWarning, quad
 
 import mudk.discretize
-from mudk._quad import _GL_BLOCK, _GL_NODES, _GL_WEIGHTS, gauss_legendre
+from mudk._quad import _GL_BLOCK, _GL_NODES, _GL_WEIGHTS, chunks, gauss_legendre
 from mudk.discretize import (StepQuantile, UnboundedSupportError,
                              build_measure, build_measure_cdf,
                              build_measure_pdf, grid, l1_distance, rate_bound)
@@ -349,6 +349,26 @@ def test_gauss_legendre_blocks_match_the_one_shot_rule(cells):
     assert gauss_legendre(f, lo, hi).tobytes() == one_shot.tobytes()
     assert max(calls) <= _GL_BLOCK * _GL_NODES.size
     assert sum(calls) == cells * _GL_NODES.size
+
+
+@pytest.mark.parametrize("counts, cells", [
+    ([], 4), ([0], 4), ([0, 0, 0], 4), ([5], 4), ([4, 4, 4], 4),
+    ([0, 5, 0, 0, 2, 2, 0, 9, 1, 0], 4), ([3, 0, 1, 0, 0, 7, 0], 4),
+    (np.random.default_rng(7).integers(0, 12, 500), 16)],
+    ids=["empty", "one-zero", "zeros", "one-wide", "exact", "mixed", "wide-inside",
+         "random"])
+def test_chunks_are_consecutive_and_cover_every_entry(counts, cells):
+    """Slices follow one another from entry 0 to the last; each sums to at
+    most `cells` or holds one entry, and none could take its next entry."""
+    counts = np.asarray(counts, dtype=int)
+    slices = list(chunks(counts, cells))
+    bounds = [0] + [s.stop for s in slices]
+    assert [s.start for s in slices] == bounds[:-1] and bounds[-1] == counts.size
+    for s in slices:
+        assert s.stop > s.start and s.step is None
+        assert counts[s].sum() <= cells or s.stop - s.start == 1
+        if s.stop < counts.size:
+            assert counts[s.start:s.stop + 1].sum() > cells
 
 
 def test_rate_bound_uniform_values():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mudk.boundary import parameter_grid
 from mudk.discretize import StepQuantile, build_measure
 from mudk.distributions import Beta, Discrete, Mixture, Uniform
-from mudk.hilbert import (_MAX_COLS, _NEAR_POLE, POLE_RADIUS,
+from mudk.hilbert import (_MAX_COLS, _NEAR_CELLS, _NEAR_POLE, POLE_RADIUS,
                           OracleConvergenceError, PoleError, _block_shape,
                           _fold, _jump_sum, hilbert_indicator,
                           hilbert_pv_oracle, hilbert_step_quantile, pole_gap,
@@ -406,26 +406,46 @@ def test_point_order_does_not_change_the_values():
 
 
 def _per_point_cases():
-    """Step quantiles and angles: seven points with ties, and their copies
-    2 pi away; 60 of 1024 grid points of centred beta(2,5) at n=2000; 20 of
-    256 grid points of a uniform law with one jump past _MAX_COLS, whose
-    rows are summed in two column blocks."""
+    """Step quantiles, angles, the points picked and the least near-pole
+    cell count the widest picked point must have: seven points with ties,
+    and their copies 2 pi away; 60 of 1024 grid points of centred
+    beta(2,5) at n=2000; 20 of 256 grid points of a uniform law with one
+    jump past _MAX_COLS, whose rows are summed in two column blocks; 256
+    grid points of a step quantile with 3000 jumps in (0.5, 0.504) and
+    three points among those jumps, whose near-pole cells fill more than
+    one gather, so each is gathered on its own."""
     three = StepQuantile(np.array([0.0, 0.3, 0.6, 1.0]), np.array([-1.0, 0.0, 2.0]))
     seven = np.array([2.5, -0.4, 0.4, 1.3, 2.5, -2.5, 0.4])
     beta = build_measure(Beta(2.0, 5.0).center(), 2000)
     wide = build_measure(Uniform(-1.0, 1.0), _MAX_COLS + 2)
+    levels = np.concatenate((np.linspace(0.0, 0.5, 50, endpoint=False),
+                             0.5 + 0.004 * np.arange(3000) / 3000,
+                             np.linspace(0.504, 1.0, 50)))
+    cluster = StepQuantile(levels, np.arange(levels.size - 1.0))
+    among = np.pi * (0.5 + 0.004 * np.array([1000.5, 1500.5, 2000.5]) / 3000)
     pick = np.random.default_rng(5).choice
     return [(three, np.concatenate((seven, seven + 2.0 * np.pi, seven - 2.0 * np.pi)),
-             np.arange(21)),
-            (beta, np.pi * parameter_grid(beta, 1024), pick(1024, 60, replace=False)),
-            (wide, np.pi * parameter_grid(wide, 256), pick(256, 20, replace=False))]
+             np.arange(21), 0),
+            (beta, np.pi * parameter_grid(beta, 1024), pick(1024, 60, replace=False), 0),
+            (wide, np.pi * parameter_grid(wide, 256), pick(256, 20, replace=False), 0),
+            (cluster, np.concatenate((np.pi * parameter_grid(cluster, 256), among, -among)),
+             np.arange(256, 262), _NEAR_CELLS + 1)]
 
 
-@pytest.mark.parametrize("sq, u, picked", _per_point_cases(),
-                         ids=["seven-points", "beta-2000", "two-column-blocks"])
-def test_a_points_value_does_not_depend_on_the_call(sq, u, picked):
+@pytest.mark.parametrize("sq, u, picked, cells", _per_point_cases(),
+                         ids=["seven-points", "beta-2000", "two-column-blocks",
+                              "gathered-alone"])
+def test_a_points_value_does_not_depend_on_the_call(sq, u, picked, cells):
     """Each value of one call equals the scalar call at that point, bit for
-    bit: a cell's form and a row's sum do not depend on the other points."""
+    bit: a point's near-pole cells are summed on their own, in a gather of
+    their own when they fill one, and a row's sum does not depend on the
+    other rows."""
+    theta, fold = np.pi * pole_levels(sq), _fold(u[picked])
+    near = (np.searchsorted(theta, fold + _NEAR_POLE, side="right")
+            - np.searchsorted(theta, fold - _NEAR_POLE))
+    assert near.max() >= cells
     got = hilbert_step_quantile(sq, u)
     np.testing.assert_array_equal(got[picked],
                                   [hilbert_step_quantile(sq, x) for x in u[picked]])
+    ref = _dense_hilbert(sq, u[picked])
+    assert np.max(np.abs(got[picked] - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -39,9 +39,10 @@ def _peak_mb(fn):
 
 
 def test_boundary_points_memory_is_bounded(beta_2000):
-    """0.84 MB: the polyline keeps the 2 x 8192 rows it is built from and
+    """0.81 MB: the polyline keeps the 2 x 8192 rows it is built from and
     validates them without row-sized temporaries.  A validated copy of the
-    rows took 0.94 MB."""
+    rows took 0.94 MB, and the near-pole column ranges of the Hilbert
+    kernel's row blocks, before its per-point pass, 0.86 MB."""
     assert _peak_mb(lambda: boundary_points(beta_2000, 8192)) < 0.9
 
 

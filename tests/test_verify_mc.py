@@ -80,6 +80,27 @@ def _comb_by_loop(bp):
     return locs, tips
 
 
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40),
+       runs=st.lists(st.integers(1, 4), min_size=40, max_size=40),
+       depth=st.lists(st.floats(0.0, 3.0), min_size=160, max_size=160))
+def test_comb_walls_are_the_runs_of_the_sorted_chain(x, runs, depth):
+    """The walls and their first rows are those of np.unique(return_index=True)
+    on a sorted chain with ties (each x repeated 1-4 times, and equal draws,
+    0.0 and -0.0 among them), and each tip is its run's deepest -y."""
+    xs = np.repeat(np.sort(x), runs[:len(x)])
+    ys = -np.array(depth[:xs.size])
+    t = np.arange(1, xs.size + 1) / (xs.size + 1)
+    half = np.column_stack((t, xs, ys))
+    bp = BoundaryPolyline(points=np.vstack((half[::-1] * [-1.0, 1.0, -1.0], half)))
+    locs, tips = _comb(bp)
+    ref, first = np.unique(xs, return_index=True)
+    np.testing.assert_array_equal(locs, ref)
+    want = -np.maximum.reduceat(ys, first)
+    want[[0, -1]] = 0.0
+    np.testing.assert_array_equal(tips, want)
+
+
 def _tooth_distances(locs, tips, px, py):
     """Distance from (px, py) to every tooth {x = locs[j], |y| >= tips[j]}."""
     return np.hypot(px - locs, np.maximum(tips - abs(py), 0.0))
