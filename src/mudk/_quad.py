@@ -1,4 +1,7 @@
-"""Quadrature rules shared by the error-analysis modules."""
+"""Quadrature rules, and the array rules that every module shares: `apply`
+(a scalar gives a Python scalar), `frozen` (the keep-or-copy hand-over) and
+`row_sums` (weighted sums in numpy's loops: only `gross_map._centre_sums`
+calls BLAS)."""
 
 from __future__ import annotations
 
@@ -31,13 +34,36 @@ _GL_TEMPS = 8
 _GL_BLOCK = _BLOCK_CELLS // _GL_TEMPS // _GL_NODES.size
 
 
+def apply(core, x, kind=float):
+    """`core` on x as a flat array of `kind`, its result in x's shape; a scalar
+    x gives a `kind` back."""
+    arr = np.asarray(x, dtype=kind)
+    out = core(arr.ravel()).reshape(arr.shape)
+    return kind(out) if arr.ndim == 0 else out
+
+
+def frozen(arr):
+    """`arr` if it is frozen and owns its data, else a frozen copy of it, so a
+    caller's writeable array (or a view of one) is never frozen in place."""
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
+def row_sums(values, weights):
+    """sum_j values[..., j] weights[j] in einsum's loops: a row of at most 8192
+    (numpy's buffer) has its one-row bits however many rows share the call."""
+    return np.einsum("...j,j->...", values, weights)
+
+
 def gauss_legendre(f, lo, hi):
     """16-node Gauss-Legendre integral of f over each cell (lo[i], hi[i]).
 
     `f` is called on one block of at most _GL_BLOCK cells at a time, on a
     flat array of the block's nodes, so memory is O(cells) however many
-    temporaries `f` makes.  Each cell's value is the one-shot rule's,
-    half * (f(nodes) @ weights), bit for bit.
+    temporaries `f` makes.  Each cell's value is the one-cell rule's,
+    half * row_sums(f(nodes), weights), bit for bit.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -48,7 +74,7 @@ def gauss_legendre(f, lo, hi):
         h = half[i:i + _GL_BLOCK]
         nodes = mid[i:i + _GL_BLOCK, None] + h[:, None] * _GL_NODES
         values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        out[i:i + _GL_BLOCK] = h * (values @ _GL_WEIGHTS)
+        out[i:i + _GL_BLOCK] = h * row_sums(values, _GL_WEIGHTS)
     return out
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import float_cell, read_floats, write_csv
+from ._quad import frozen
 from .discretize import StepQuantile
 from .distributions import AffineDistribution, Distribution
 from .hilbert import hilbert_step_quantile, pole_gap, pole_levels
@@ -54,12 +55,7 @@ class BoundaryPolyline:
                 sym += max(float(row.max()), -float(row.min()))
             if sym > 1e-9 * scale:
                 raise ValueError("rows must be mirror-symmetric about the real axis")
-        # a frozen array that owns its data is kept; any other is copied,
-        # so a caller's writeable array is never frozen in place
-        if pts.flags.writeable or not pts.flags.owndata:
-            pts = pts.copy()
-            pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", frozen(pts))
 
     @property
     def t(self) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import cell_edges, gauss_legendre
+from ._quad import apply, cell_edges, frozen, gauss_legendre, row_sums
 from .distributions import Distribution, bisect_smallest
 
 
@@ -47,7 +47,8 @@ class StepQuantile:
 
     Every reading (values, c.d.f., jumps, norm, mean) follows one rule,
     q_n(min(u, s_m)) for levels u in (0, 1]: levels past s_m take the final
-    value and levels past 1 are ignored.  Only `widths` is raw.
+    value and levels past 1 are ignored.  Only `widths` is raw.  A scalar
+    gives a Python float (`_quad.apply`).
     """
 
     breakpoints: np.ndarray
@@ -74,19 +75,11 @@ class StepQuantile:
         tol = 1e-12 * (1.0 + max(abs(vals[0]), abs(vals[-1])))
         if not np.all(np.diff(vals) >= -tol):
             raise ValueError("step values must be non-decreasing")
-        # a frozen array that owns its data is kept (the builders hand over
-        # fresh ones); any other is copied, so a caller's writeable array is
-        # never frozen in place.  A copy also snaps s_0 to +0.0.
-        if (bp.flags.writeable or not bp.flags.owndata
-                or bp[0] != 0.0 or np.signbit(bp[0])):
-            bp = bp.copy()
-            bp[0] = 0.0
-            bp.flags.writeable = False
-        if vals.flags.writeable or not vals.flags.owndata:
-            vals = vals.copy()
-            vals.flags.writeable = False
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        # the builders hand over frozen arrays, which are kept (`frozen`)
+        if bp[0] != 0.0 or np.signbit(bp[0]):
+            bp = np.concatenate(([0.0], bp[1:]))
+        object.__setattr__(self, "breakpoints", frozen(bp))
+        object.__setattr__(self, "values", frozen(vals))
 
     @property
     def num_steps(self) -> int:
@@ -110,20 +103,19 @@ class StepQuantile:
     def eval(self, u):
         """Step value at level u in (0, 1]; left-continuous."""
         arr = np.asarray(u, dtype=float)
-        scalar = arr.ndim == 0
         if arr.size and not (arr.min() > 0.0 and arr.max() <= 1.0 + 1e-12):
             raise ValueError("levels must lie in (0, 1]")
         # the levels run from 0 to 1, so each u in (0, 1] falls in a step
-        out = self.values[np.searchsorted(self._levels(), np.minimum(arr, 1.0)) - 1]
-        return float(out) if scalar else out
+        return apply(lambda v: self.values[np.searchsorted(self._levels(), v) - 1],
+                     np.minimum(arr, 1.0))
 
     def cdf(self, x):
         """Level of the steps with value <= x, capped at 1; 1 from v_m on."""
-        return self._levels()[np.searchsorted(self.values, x, side="right")]
+        return apply(lambda v: self._levels()[np.searchsorted(self.values, v, side="right")], x)
 
     def cdf_left(self, x):
         """Left limit of `cdf`: the level of the steps with value < x."""
-        return self._levels()[np.searchsorted(self.values, x, side="left")]
+        return apply(lambda v: self._levels()[np.searchsorted(self.values, v, side="left")], x)
 
     def jumps(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending levels s_j < 1 with a nonzero jump v_{j+1} - v_j, and those jumps."""
@@ -136,10 +128,10 @@ class StepQuantile:
 
     def l1_norm(self) -> float:
         """Integral of |q_n| over the levels (0, 1]."""
-        return float(np.abs(self.values) @ np.diff(self._levels()))
+        return float(row_sums(np.abs(self.values), np.diff(self._levels())))
 
     def mean(self) -> float:
-        return float(self.values @ np.diff(self._levels()))
+        return float(row_sums(self.values, np.diff(self._levels())))
 
     def mass_cuts(self) -> np.ndarray:
         """The step values: the c.d.f. is constant between them."""

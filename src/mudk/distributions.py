@@ -9,9 +9,9 @@ discrete, mixtures), affine reparametrizations, and
 the truncation operator that folds unbounded tails into an atom at the
 origin.
 
-Every law follows one rule, written once in `Distribution`: a scalar
-argument gives a Python float back, an array a float array of its shape,
-and quantile levels must lie in (0, 1), NaN excluded.
+Every law follows one rule, applied in `Distribution` by `_quad.apply`: a
+scalar argument gives a Python float back, an array a float array of its
+shape, and quantile levels must lie in (0, 1), NaN excluded.
 
 The special functions behind Beta and TruncatedNormal (the regularized
 incomplete beta function and the normal c.d.f.) are computed here from
@@ -27,23 +27,7 @@ import math
 
 import numpy as np
 
-from ._quad import cell_edges, gauss_legendre
-
-
-def _check_levels(u):
-    """Refuse quantile levels outside (0, 1); a NaN level is refused too."""
-    if not u.size:
-        return
-    low, high = (float(u), float(u)) if u.ndim == 0 else (u.min(), u.max())
-    if not (low > 0.0 and high < 1.0):       # false for NaN, which min and max carry
-        raise ValueError("quantile level must lie strictly inside (0, 1)")
-
-
-def _apply(core, x):
-    """core(x) on x as a float array; a scalar x gives a Python float."""
-    arr = np.asarray(x, dtype=float)
-    out = core(arr)
-    return float(out) if arr.ndim == 0 else out
+from ._quad import apply, cell_edges, gauss_legendre, row_sums
 
 
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
@@ -258,23 +242,25 @@ class Distribution(abc.ABC):
 
     def cdf(self, x):
         """F(x) = P(X <= x), right-continuous."""
-        return _apply(self._cdf, x)
+        return apply(self._cdf, x)
 
     def cdf_left(self, x):
         """Left limit F(x-); differs from F(x) only at atoms."""
-        return _apply(self._cdf_left, x)
+        return apply(self._cdf_left, x)
 
     def pdf(self, x):
         """Density of the absolutely continuous part (atoms excluded)."""
         if not self.has_density:
             raise ValueError(f"{type(self).__name__} does not expose a density")
-        return _apply(self._pdf, x)
+        return apply(self._pdf, x)
 
     def quantile(self, u):
         """Left-continuous generalized inverse q(u) = inf{x : F(x) >= u}."""
         arr = np.asarray(u, dtype=float)
-        _check_levels(arr)
-        return _apply(self._quantile, arr)
+        # false for a NaN level, which min and max carry
+        if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
+            raise ValueError("quantile level must lie strictly inside (0, 1)")
+        return apply(self._quantile, arr)
 
     # ---- required of every law
 
@@ -539,7 +525,7 @@ class Discrete(Distribution):
         return (float(self.xs[0]), float(self.xs[-1]))
 
     def mean(self):
-        return float(self.xs @ self.ps)
+        return float(row_sums(self.xs, self.ps))
 
 
 class Mixture(Distribution):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _BLOCK_CELLS
+from ._quad import _BLOCK_CELLS, apply, frozen
 from .discretize import StepQuantile
 
 _DISC_MARGIN = 1e-9
@@ -46,9 +46,7 @@ class FourierCoefficients:
         cap = 2.0 * self.source_l1_norm + 1e-12
         if np.any(np.abs(arr) > cap):
             raise ValueError("coefficient bound |a_k| <= 2*||q||_1 violated")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", frozen(arr))
 
     @property
     def order(self) -> int:
@@ -147,12 +145,10 @@ def evaluate_map(fc: FourierCoefficients, z):
     uses Horner evaluation of the polynomial truncation.
     """
     arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
     if arr.size and np.any(np.abs(arr) > 1.0 - _DISC_MARGIN):
         raise ValueError(f"evaluation requires |z| <= 1 - {_DISC_MARGIN}")
     poly = np.concatenate(([0.0], fc.coeffs))
-    out = np.polyval(poly[::-1], arr)
-    return complex(out) if scalar else out
+    return apply(lambda v: np.polyval(poly[::-1], v), arr, complex)
 
 
 def map_distance_bound(l1_gap: float, radius: float) -> float:

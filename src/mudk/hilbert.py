@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._quad import _BLOCK_CELLS, chunks, simpson_adaptive
+from ._quad import _BLOCK_CELLS, apply, chunks, row_sums, simpson_adaptive
 from .discretize import StepQuantile
 
 POLE_RADIUS = 1e-9
@@ -61,9 +61,9 @@ def _fold(u):
 # angle-addition quotient loses at most about 12 ulp / _NEAR_POLE of D.
 _NEAR_POLE = 1e-2
 
-# Columns of a `_jump_sum` block.  einsum's row sums are bit for bit those of
-# a one-row block only up to numpy's 8192-element iterator buffer; past it a
-# row's sum depends on how many rows its block has.
+# Columns of a `_jump_sum` block: `row_sums` gives a row its one-row bits
+# only up to numpy's 8192-element iterator buffer; past it a row's sum
+# depends on how many rows its block has.
 _MAX_COLS = 8192
 
 # Cells per near-pole gather of `_jump_sum`: its ten or so arrays fit _BLOCK_CELLS.
@@ -106,7 +106,7 @@ def _jump_sum(u, theta, coeff):
     direct form log|sin((u-t)/2)| - log|sin((u+t)/2)| less the quotient
     on each point's jumps within _NEAR_POLE of its fold (two sorted
     searches; a NaN fold has none), gathered flat and summed per point, as
-    each einsum row is: a point's value depends on that point alone.
+    each `row_sums` row is: a point's value depends on that point alone.
 
     Memory is O(points + jumps) under the rule of every blocked kernel, at
     most _BLOCK_CELLS float64 cells per loop step: the first pass gathers
@@ -114,8 +114,11 @@ def _jump_sum(u, theta, coeff):
     point with more alone (O(jumps) cells), and the sum runs through three
     buffers of a third of _BLOCK_CELLS each.  A scalar u gives a float.
     """
-    arr = np.asarray(u, dtype=float)
-    pts = np.atleast_1d(arr).ravel()
+    return apply(lambda pts: _flat_jump_sum(pts, theta, coeff), u)
+
+
+def _flat_jump_sum(pts, theta, coeff):
+    """`_jump_sum` at a flat float array of angles."""
     fold = _fold(pts)
     near = pole_gap(fold, theta) < POLE_RADIUS
     if near.any():
@@ -147,9 +150,9 @@ def _jump_sum(u, theta, coeff):
                 np.add(P, Q, out=D)
                 np.subtract(P, Q, out=P)
                 np.log(np.abs(np.divide(P, D, out=D), out=D), out=D)
-                out[i:i + r] += np.einsum("ij,j->i", D, coeff[j:j + c])
+                out[i:i + r] += row_sums(D, coeff[j:j + c])
         out /= np.pi
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return out
 
 
 def hilbert_indicator(a: float, b: float, u):

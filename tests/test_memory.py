@@ -46,6 +46,13 @@ def test_boundary_points_memory_is_bounded(beta_2000):
     assert _peak_mb(lambda: boundary_points(beta_2000, 8192)) < 0.9
 
 
+def test_boundary_points_memory_is_bounded_at_n20000():
+    """1.68 MB at n=20000 and 8192 points.  The ceiling keeps the n=2000
+    test's margin, 0.9 / 0.86 of the peak: 1.68 * 0.9 / 0.86 = 1.76 MB."""
+    sq = build_measure(Beta(2.0, 5.0), 20000)
+    assert _peak_mb(lambda: boundary_points(sq, 8192)) < 1.76
+
+
 def test_fourier_coefficients_memory_is_bounded(beta_2000):
     """0.53 MB at 16000 terms; two GEMMs per jump chunk, each with its own
     operand and product temporaries, took 1.39 MB."""
