@@ -28,17 +28,17 @@ each ``--flag``, spelled in full, is one RunConfig field (``--n-list`` is
 ``n_list``).  A usage error (an unknown command or flag, a missing or bad
 value, a second positional argument) is a configuration problem.
 
-Subcommands: build (boundary CSV and optional SVG), rates (l1 error
-and bound table over an n list), map (power series coefficients),
-simulate (exit samples plus summary JSON; needs --boundary from a
-previous build), check (KS statistic of an existing sample file
-against the configured law; needs --samples).  Exit codes: 0 success,
-2 configuration problem, 3 numerical failure (including a boundary
-that does not enclose the origin), 4 I/O failure (a missing or
-unreadable file, or a --boundary/--samples file that is malformed: a
-wrong header, a row of the wrong width, a cell that is not a finite
-number, a boundary file with no rows, or rows that do not form a valid
-boundary).  A samples file with no rows is exit 2.
+Subcommands: build (boundary CSV and optional SVG), rates (l1 error and
+bound table over an n list), map (power series coefficients plus summary
+JSON), simulate (exit samples plus summary JSON; needs --boundary from a
+previous build), check (KS statistic of an existing sample file against
+the configured law; needs --samples).  Exit codes: 0 success, 2
+configuration problem, 3 numerical failure (including a boundary that
+does not enclose the origin), 4 I/O failure (a missing or unreadable
+file, or a --boundary/--samples file that is malformed: a wrong header,
+a row of the wrong width, a cell that is not a finite number, a boundary
+file with no rows, or rows that do not form a valid boundary).  A samples
+file with no rows is exit 2.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from .discretize import (UnboundedSupportError, build_measure, l1_distance,
 from ._csvio import float_cell, read_floats, write_csv
 from .boundary import (boundary_points, export_csv, export_svg, load_csv,
                        normalize_support, scale_domain)
-from .gross_map import fourier_coefficients
+from .gross_map import fourier_coefficients, term_cap
 from .hilbert import PoleError
 from .verify_mc import TopologyError, ks_distance, simulate_exit
 
@@ -277,8 +277,10 @@ class RunConfig:
                            flag=("cdf", "pdf"))
     points: int = _setting(2048, help="boundary samples per half (default 2048)",
                            flag=int, parse=_as_int, least=1)
-    coeffs: int | None = _setting(None, help="number of series coefficients to export",
-                                  flag=int, parse=_as_int, least=1)
+    coeffs: int | None = _setting(
+        None, help="number of series coefficients to export (default: the fewest, "
+        "from 256 up to 8 per step, whose left-out terms hold at most twice the "
+        "steps' staircase energy)", flag=int, parse=_as_int, least=1)
     out: str | None = _setting(None, help="output file path", role="out")
     svg: str | None = _setting(None, help="also render the boundary to this SVG",
                                role="out")
@@ -400,10 +402,34 @@ def cmd_map(cfg: RunConfig) -> None:
     rows = ((str(k), float_cell(a))
             for k, a in enumerate(fc.coeffs, start=1))
     write_csv(out, cfg.header(), ("k", "a_k"), rows)
+    _write_summary(out, {
+        "terms": fc.order,
+        "cap": cfg.coeffs or term_cap(sq),
+        "tail": fc.tail,
+        "staircase": fc.staircase,
+        "tail_bound": {str(r): fc.tail_bound(r) for r in (0.5, 0.9, 0.99)},
+    })
 
 
 def _summary_path(out: str) -> str:
     return os.path.splitext(out)[0] + ".summary.json"
+
+
+def _write_summary(out: str, summary: dict) -> None:
+    with open(_summary_path(out), "w", newline="\n") as fh:
+        fh.write(_json_text(summary) + "\n")
+
+
+def _json_text(value, indent: str = "") -> str:
+    """`value`, a number, None or a dict of them, as json.dump(value, indent=2,
+    sort_keys=True) writes it, without the pure-Python encoder that json.dump
+    takes, whose closures each call leaves in reference cycles."""
+    if not isinstance(value, dict) or not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    items = (f"{inner}{json.dumps(key)}: {_json_text(value[key], inner)}"
+             for key in sorted(value))
+    return "{\n" + ",\n".join(items) + "\n" + indent + "}"
 
 
 def _sample_report(samples: np.ndarray, dist) -> dict:
@@ -433,9 +459,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
         "step": cfg.step,
         **_sample_report(result.samples, dist),
     }
-    with open(_summary_path(out), "w", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_summary(out, summary)
     if result.truncation_warning:
         print(f"warning: {result.truncated_walks} of {cfg.walks} walks were "
               "truncated; the sample may be biased", file=sys.stderr)
@@ -465,7 +489,8 @@ _COMMANDS = {
     "build": (cmd_build, "trace a domain boundary to CSV (and optional SVG)"),
     "rates": (cmd_rates, "tabulate l1 errors and the c.d.f. scheme's bound over an "
                           "n list (under --scheme pdf, l1 may exceed it)"),
-    "map": (cmd_map, "export the disc map's power series coefficients"),
+    "map": (cmd_map, "export the disc map's power series coefficients and their "
+                     "tail summary"),
     "simulate": (cmd_simulate, "sample Brownian exits from a built boundary"),
     "check": (cmd_check, "KS statistic of an existing sample file"),
 }

@@ -19,23 +19,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _BLOCK_CELLS, apply, frozen
+from ._quad import _BLOCK_CELLS, apply, frozen, row_sums
 from .discretize import StepQuantile
 
 _DISC_MARGIN = 1e-9
+# the fewest terms a default map keeps; its pass runs to `term_cap`
+_MIN_TERMS = 256
 
 
 @dataclass(frozen=True)
 class FourierCoefficients:
-    """Coefficients a_1..a_N of the disc map, with their source norm.
+    """Coefficients a_1..a_K of the disc map, with their source norm and energies.
 
     `source_l1_norm` is the L1 norm of the generating step quantile;
     every coefficient is bounded by twice that norm, which is validated
-    on construction.
+    on construction.  `total` is T_0 = sum_{k >= 1} a_k^2, which is
+    2 var q_n by Parseval; `tail` is T_K = T_0 - sum_{k <= K} a_k^2, the
+    energy of the terms left out; `staircase` is q_n's staircase energy E
+    (`fourier_coefficients`).  Each is nan when not given.
     """
 
     coeffs: np.ndarray
     source_l1_norm: float
+    total: float = math.nan
+    staircase: float = math.nan
+    tail: float = math.nan
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=float)
@@ -52,24 +60,65 @@ class FourierCoefficients:
     def order(self) -> int:
         return self.coeffs.size
 
+    def tail_bound(self, radius: float) -> float:
+        """sqrt(T_K) r^(K+1) / sqrt(1 - r^2): the most the terms past a_K move
+        the map on |z| <= r, by Cauchy-Schwarz on sum_{k > K} a_k z^k."""
+        if not 0.0 < radius < 1.0:
+            raise ValueError(f"radius must lie in (0, 1), got {radius}")
+        return math.sqrt(self.tail) * radius ** (self.order + 1) / math.sqrt(1.0 - radius ** 2)
+
+
+def term_cap(sq: StepQuantile) -> int:
+    """K_max = max(256, 8 * steps), the term count of the default pass."""
+    return max(_MIN_TERMS, 8 * sq.num_steps)
+
 
 def fourier_coefficients(sq: StepQuantile, num_terms: int | None = None) -> FourierCoefficients:
     """Cosine coefficients of the step quantile's even circle extension.
 
     a_k = -(2/(k pi)) sum_j c_j sin(k t_j) over the jumps (s_j, c_j) of
     `StepQuantile.jumps`, t_j = pi s_j; `_sine_sums` forms the sums.
-    `num_terms` defaults to max(256, 8 * number of steps).
+
+    By default the pass runs to the cap K_max = `term_cap(sq)` and keeps
+    the shortest prefix K in [256, K_max] whose tail T_K is at most 2E, or
+    all K_max terms when none is.  E = (1/3) sum_j w_j (v_j - v_{j-1})^2
+    over the steps (width w_j, value v_j) is the staircase energy, q_n's
+    squared L2 gap to the piecewise-linear quantile through its steps.
+    So the terms left out move the map on |z| <= r by at most
+    sqrt(2E) r^(K+1) / sqrt(1 - r^2) (`FourierCoefficients.tail_bound`).
+    `num_terms` keeps exactly that many terms instead.
     """
-    if num_terms is None:
-        num_terms = max(256, 8 * sq.num_steps)
-    if num_terms < 1:
-        raise ValueError(f"num_terms must be >= 1, got {num_terms}")
-    sums = _sine_sums(*sq.jumps(), num_terms)
-    scale = np.arange(1.0, num_terms + 1)
+    cap = term_cap(sq) if num_terms is None else num_terms
+    if cap < 1:
+        raise ValueError(f"num_terms must be >= 1, got {cap}")
+    total, staircase = _energies(sq)
+    coeffs = _sine_sums(*sq.jumps(), cap)
+    a = coeffs[:cap]
+    scale = np.arange(1.0, cap + 1)
     scale *= np.pi
-    sums *= np.divide(-2.0, scale, out=scale)
-    del scale   # the coefficients' validation holds a copy and |a_k| next
-    return FourierCoefficients(coeffs=sums, source_l1_norm=sq.l1_norm())
+    a *= np.divide(-2.0, scale, out=scale)
+    # the partial sums of a_k^2, in place in the scale buffer; they do not
+    # decrease, so one search finds the first K with T_K <= 2E
+    np.square(a, out=scale)
+    np.cumsum(scale, out=scale)
+    if num_terms is None:
+        first = int(np.searchsorted(scale, total - 2.0 * staircase)) + 1
+        num_terms = min(max(first, _MIN_TERMS), cap)
+    tail = max(total - float(scale[num_terms - 1]), 0.0)
+    del a, scale
+    # no view of `coeffs` is left, so it shrinks in place and is kept frozen
+    coeffs.resize(num_terms, refcheck=False)
+    coeffs.flags.writeable = False
+    return FourierCoefficients(coeffs, sq.l1_norm(), total, staircase, tail)
+
+
+def _energies(sq):
+    """T_0 = 2 var q_n and the staircase energy E of q_n, over the steps as the
+    `StepQuantile` rule reads them; their step-sized temporaries die here."""
+    widths, values = np.diff(sq._levels()), sq.values
+    mean = float(row_sums(values, widths))
+    total = 2.0 * float(row_sums(np.square(values - mean), widths))
+    return total, float(row_sums(np.square(np.diff(values)), widths[1:])) / 3.0
 
 
 def _layout(num_terms):
@@ -80,7 +129,8 @@ def _layout(num_terms):
 
 
 def _sine_sums(levels, jumps, num_terms):
-    """sum_j c_j sin(k t_j) for k = 1..K, t_j = pi s_j, by angle addition.
+    """sum_j c_j sin(k t_j) for k = 1..K, t_j = pi s_j, by angle addition:
+    the first K cells of the B * 2R that it returns, an array of its own.
 
     The terms fall in B runs of 2R around the centres k0 = R, 3R, 5R, ...,
     as k = k0 + r and k = k0 - r, and sin((k0 +- r) t) = sin(k0 t) cos(r t)
@@ -99,10 +149,11 @@ def _sine_sums(levels, jumps, num_terms):
     B, R, m = _layout(num_terms)
     sx, sy = _centre_sums(levels, jumps, B, R, m)
     # run b holds k0 - R + 1 .. k0 (r = R - 1 .. 0), then k0 + 1 .. k0 + R
-    terms = np.empty((B, 2 * R))
-    np.subtract(sx[:, R - 1::-1], sy[:, R - 1::-1], out=terms[:, :R])
-    np.add(sx[:, 1:], sy[:, 1:], out=terms[:, R:])
-    return terms.ravel()[:num_terms]
+    terms = np.empty(B * 2 * R)
+    runs = terms.reshape(B, 2 * R)
+    np.subtract(sx[:, R - 1::-1], sy[:, R - 1::-1], out=runs[:, :R])
+    np.add(sx[:, 1:], sy[:, 1:], out=runs[:, R:])
+    return terms
 
 
 def _centre_sums(levels, jumps, B, R, m):

@@ -7,11 +7,20 @@ import shutil
 import subprocess
 import sys
 
+import mudk
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "bench_grid.py")
 LAYERS = {"cdf", "quantile", "build_measure", "rate_bound", "l1_distance",
           "parameter_grid", "boundary_points", "fourier_coefficients",
           "simulate_exit", "ks_distance"}
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("bench_grid", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def _run(out, label, *extra):
@@ -32,8 +41,12 @@ def test_bench_grid_writes_every_law_size_and_layer(tmp_path):
     assert [(r["law"], r["n"]) for r in rows] == [
         (law, n) for law in ("uniform", "beta", "truncated_normal",
                              "truncated_exponential", "mixture") for n in (20, 50)]
+    laws = _load_tool().reference_laws(mudk)
     for row in rows:
-        assert row["points"] == 64 and row["terms"] == max(256, 8 * row["steps"])
+        # the default term count: from 256 up to the cap of 8 per step
+        sq = mudk.build_measure(laws[row["law"]](), row["n"])
+        assert row["points"] == 64 and row["terms"] == mudk.fourier_coefficients(sq).order
+        assert 256 <= row["terms"] <= max(256, 8 * row["steps"])
         assert 0 < row["jumps"] <= row["steps"]
         # the comb has a wall per distinct rendered abscissa: at most one
         # per step value and one per boundary point
@@ -49,9 +62,7 @@ def test_compare_mode_writes_both_sides_cell_by_cell(tmp_path, monkeypatch):
     parent = tmp_path / "parent"
     shutil.copytree(os.path.join(ROOT, "src"), parent / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    spec = importlib.util.spec_from_file_location("bench_grid", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _load_tool()
 
     def no_child(*args, **kwargs):
         raise AssertionError("the tool started a child process")

@@ -16,10 +16,11 @@ import pytest
 
 from mudk.boundary import (boundary_points, export_csv, load_csv, scale_domain,
                            svg_point_count)
-from mudk.cli import (_COMMANDS, ConfigError, RunConfig, _summary_path,
+from mudk.cli import (_COMMANDS, ConfigError, RunConfig, _json_text, _summary_path,
                       build_distribution, load_samples_csv, main, merge_config,
                       read_argv)
 from mudk.discretize import UnboundedSupportError, build_measure
+from mudk.gross_map import fourier_coefficients
 from mudk.hilbert import PoleError
 
 UNIFORM = '{"family": "uniform", "a": -1, "b": 1}'
@@ -124,6 +125,24 @@ def test_map_exports_indexed_coefficients(tmp_path):
     assert float(rows[0][1]) < -0.5  # leading coefficient near -8/pi^2
 
 
+@pytest.mark.parametrize("coeffs", [None, 32])
+def test_map_writes_the_tail_summary_beside_the_coefficients(tmp_path, coeffs):
+    """The default keeps 2413 of beta(2,5) n=2000's 15992-term pass; --coeffs
+    keeps its own count.  The summary reads the coefficients' own ledger."""
+    beta = '{"family": "beta", "alpha": 2, "beta": 5}'
+    out = tmp_path / "b.map.csv"
+    extra = ("--coeffs", str(coeffs)) if coeffs else ()
+    assert run("map", "--dist", beta, "--n", "2000", "--out", str(out), *extra) == 0
+    fc = fourier_coefficients(build_measure(build_distribution(json.loads(beta)), 2000),
+                              num_terms=coeffs)
+    terms = coeffs or 2413
+    assert fc.order == terms and len(out.read_text().splitlines()) == 2 + terms
+    summary = json.loads((tmp_path / "b.map.summary.json").read_text())
+    assert summary == {"terms": terms, "cap": coeffs or 15992, "tail": fc.tail,
+                       "staircase": fc.staircase,
+                       "tail_bound": {str(r): fc.tail_bound(r) for r in (0.5, 0.9, 0.99)}}
+
+
 # ------------------------------------------------------- simulate and check
 
 def test_simulate_check_round_trip(tmp_path, capsys):
@@ -161,6 +180,16 @@ def test_simulate_check_round_trip(tmp_path, capsys):
 ])
 def test_summary_sits_beside_the_samples(out, summary):
     assert _summary_path(out) == summary
+
+
+@pytest.mark.parametrize("summary", [
+    {"walks": 10, "truncated": 0, "seed": 3, "step": 1e-4, "ks": None,
+     "mean": -0.0, "std": float("nan")},
+    {"terms": 256, "cap": 16000, "tail": 1.7e-7, "tail_bound": {"0.5": 0.0, "0.99": 2e-4}},
+    {"b": {}, "a": {"c": {"d": float("inf")}}, "\u00e9": 1},
+])
+def test_summary_text_is_what_json_dump_writes(summary):
+    assert _json_text(summary) == json.dumps(summary, indent=2, sort_keys=True)
 
 
 def test_simulate_rerun_byte_identical(tmp_path):
@@ -1001,13 +1030,14 @@ def _reachable(roots, within) -> set:
     ["check", "--dist", BETA, "--samples", "s.csv"],
 ], ids=lambda argv: argv[0])
 def test_command_leaves_no_cyclic_garbage(tmp_path, monkeypatch, capsys, command):
-    """Only `simulate` and `check` leave objects in reference cycles (33 on
-    CPython 3.11), and those are the closures that `json.dump(..., indent=2)`
-    builds per call in the pure-Python encoder, with what they hold."""
+    """Only `check` leaves objects in reference cycles (33 on CPython 3.11),
+    and those are the closures that `json.dumps(..., indent=2)` builds per
+    call in the pure-Python encoder, with what they hold.  The summaries of
+    `simulate` and `map` are written without it (`cli._json_text`)."""
     monkeypatch.chdir(tmp_path)
     _built_inputs(tmp_path)
     found, garbage = _second_call_garbage(command, capsys)
-    if command[0] in ("rates", "build", "map"):
+    if command[0] in ("rates", "build", "map", "simulate"):
         assert found == 0
         return
     closures = [obj for obj in garbage if isinstance(obj, types.FunctionType)

@@ -1,5 +1,7 @@
 """Tests of the power series coefficients and disc evaluation."""
 
+import functools
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +11,10 @@ import pytest
 
 from mudk.cli import build_distribution
 from mudk.discretize import StepQuantile, build_measure, l1_distance
-from mudk.distributions import Beta, Discrete, Mixture, Uniform
+from mudk.distributions import (Beta, Discrete, Exponential, Mixture, TruncatedNormal,
+                                Uniform)
 from mudk.gross_map import (FourierCoefficients, _layout, evaluate_map,
-                            fourier_coefficients, map_distance_bound)
+                            fourier_coefficients, map_distance_bound, term_cap)
 
 
 def strip_quantile():
@@ -38,9 +41,14 @@ def test_strip_map_matches_arctan_on_disc():
 
 
 def test_default_term_count():
+    """The shortest prefix from 256 terms whose tail is within twice the
+    staircase energy: 256 of uniform n=100's 800-term cap, 256 at n=5 and
+    2413 of beta(2,5) n=2000's 15992."""
     sq = build_measure(Uniform(-1.0, 1.0), 100)
-    assert fourier_coefficients(sq).order == 800
+    assert term_cap(sq) == 800 and fourier_coefficients(sq).order == 256
     assert fourier_coefficients(build_measure(Uniform(-1.0, 1.0), 5)).order == 256
+    sq = build_measure(Beta(2.0, 5.0), 2000)
+    assert term_cap(sq) == 15992 and fourier_coefficients(sq).order == 2413
 
 
 def test_coefficient_magnitude_bound():
@@ -189,6 +197,12 @@ def test_default_terms_match_dense_oracle_at_n2000():
     assert _oracle_gap(sq, fourier_coefficients(sq).order) <= 1e-14
 
 
+def test_capped_pass_matches_dense_oracle_at_n2000():
+    """The whole 15992-term pass that the default's 2413 terms are cut from."""
+    sq = build_measure(Beta(2.0, 5.0), 2000)
+    assert _oracle_gap(sq, 8 * sq.num_steps) <= 1e-14
+
+
 @pytest.mark.parametrize("sq", [
     build_measure(Uniform(-1.0, 1.0), 1), StepQuantile([0.0, 1.0], [0.0]),
 ], ids=["one-step", "constant-zero"])
@@ -228,3 +242,136 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "polynomial
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+# ------------------------------------------------- the default term count
+
+REFERENCE_LAWS = {
+    "uniform": Uniform(-1.0, 1.0),
+    "beta": Beta(2.0, 5.0).center(),
+    "truncated_normal": TruncatedNormal(0.0, 1.0, -2.0, 2.0),
+    "truncated_exponential": Exponential(1.0).center().truncate(3.0),
+    "mixture": Mixture([(0.5, Uniform(-1.0, 1.0)), (0.5, Discrete([(0.0, 1.0)]))]),
+}
+REFERENCE_CASES = [(law, n) for law in REFERENCE_LAWS for n in (200, 2000)]
+
+
+@functools.cache
+def reference_quantile(law, n):
+    return build_measure(REFERENCE_LAWS[law], n)
+
+
+def _parseval_total(sq):
+    """sum_{k >= 1} a_k^2 in closed form over the jumps (s_j, c_j): with
+    t_j = pi s_j, a_k = -(2/(k pi)) sum_j c_j sin(k t_j), 2 sin x sin y =
+    cos(x - y) - cos(x + y) and sum_k cos(k x)/k^2 = pi^2/6 - pi x/2 + x^2/4
+    on [0, 2 pi]."""
+    s, c = sq.jumps()
+    t = np.pi * s
+
+    def cosine_sum(x):
+        return np.pi ** 2 / 6.0 - np.pi * x / 2.0 + x * x / 4.0
+
+    cells = np.outer(c, c) * (cosine_sum(np.abs(t[:, None] - t)) - cosine_sum(t[:, None] + t))
+    return 2.0 / np.pi ** 2 * math.fsum(cells.ravel())
+
+
+PARSEVAL_CASES = {
+    **{law: build_measure(d, 50) for law, d in REFERENCE_LAWS.items()},
+    # masses 0.994 and 1.44: the last value holds past s_m, levels past 1 are unread
+    "beta-pdf": build_measure(Beta(2.0, 5.0).center(), 20, scheme="pdf"),
+    "exponential-pdf": build_measure(
+        build_distribution({"family": "exponential", "rate": 1, "truncate": 3}), 5,
+        scheme="pdf"),
+    "no-jumps": build_measure(Uniform(-1.0, 1.0), 1),
+}
+
+
+@pytest.mark.parametrize("sq", PARSEVAL_CASES.values(), ids=PARSEVAL_CASES.keys())
+def test_total_is_the_parseval_sum(sq):
+    """T_0 = 2 var q_n is sum_k a_k^2: the 400 * steps terms of the pass plus
+    the exact rest, the closed form less the dense oracle's terms.  The
+    oracle reads sin(k pi) at the last level as about 1e-16, not 0, hence
+    the absolute 1e-24 where there are no jumps."""
+    fc = fourier_coefficients(sq)
+    terms = 400 * sq.num_steps
+    head = fourier_coefficients(sq, num_terms=terms)
+    rest = _parseval_total(sq) - math.fsum(_dense_coefficients(sq, terms) ** 2)
+    tol = 1e-12 * fc.total + 1e-24
+    assert head.total == fc.total
+    assert abs(math.fsum(head.coeffs ** 2) + rest - fc.total) <= tol
+    assert abs(head.tail - rest) <= tol
+    if not sq.jumps()[0].size:
+        assert fc.total == fc.tail == 0.0 and fc.order == 256
+
+
+@pytest.mark.parametrize("law, n", REFERENCE_CASES)
+def test_default_is_the_shortest_prefix_within_twice_the_staircase(law, n):
+    """T_K <= 2E, and T_{K-1} > 2E unless K is the floor of 256; T_K is read
+    off the capped pass's partial sums, as the rule reads it."""
+    sq = reference_quantile(law, n)
+    fc = fourier_coefficients(sq)
+    full = fourier_coefficients(sq, num_terms=term_cap(sq))
+    tails = full.total - np.cumsum(np.square(full.coeffs))
+    K = fc.order
+    assert 256 <= K <= term_cap(sq)
+    assert fc.tail == max(tails[K - 1], 0.0) <= 2.0 * fc.staircase
+    assert K == 256 or tails[K - 2] > 2.0 * fc.staircase
+
+
+def test_default_keeps_the_cap_when_its_tail_stays_above_twice_the_staircase():
+    """One wide step, then 40 steps within the last 1e-6 of the levels: E is
+    about 3e-7, and T_K keeps nearly all of T_0 (about 1e-3) up to K_max."""
+    levels = np.concatenate(([0.0], 1.0 - 1e-6 * np.arange(40, -1, -1) / 40.0))
+    sq = StepQuantile(levels, np.arange(41.0))
+    fc = fourier_coefficients(sq)
+    assert term_cap(sq) == 328 and fc.order == 328
+    assert fc.tail > 2.0 * fc.staircase
+
+
+@pytest.mark.parametrize("law, n", REFERENCE_CASES)
+def test_default_coefficients_are_a_prefix_of_the_capped_pass(law, n):
+    sq = reference_quantile(law, n)
+    fc = fourier_coefficients(sq)
+    full = fourier_coefficients(sq, num_terms=term_cap(sq))
+    np.testing.assert_array_equal(fc.coeffs, full.coeffs[:fc.order])
+    assert fc.coeffs.flags.owndata and not fc.coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("law, n", REFERENCE_CASES)
+def test_tail_bound_holds_against_the_capped_series(law, n):
+    """sup_{|z| = r} |f_{K_max} - f_K| <= sqrt(T_K) r^(K+1) / sqrt(1 - r^2),
+    which is at most sqrt(2E) r^(K+1) / sqrt(1 - r^2)."""
+    sq = reference_quantile(law, n)
+    fc = fourier_coefficients(sq)
+    full = fourier_coefficients(sq, num_terms=term_cap(sq))
+    dropped = np.array(full.coeffs)
+    dropped[:fc.order] = 0.0
+    dropped = FourierCoefficients(dropped, full.source_l1_norm)
+    for r in (0.5, 0.9, 0.99):
+        z = r * np.exp(2j * np.pi * np.arange(1024) / 1024.0)
+        bound = fc.tail_bound(r)
+        assert np.max(np.abs(evaluate_map(dropped, z))) <= bound
+        assert bound <= (math.sqrt(2.0 * fc.staircase) * r ** (fc.order + 1)
+                         / math.sqrt(1.0 - r * r))
+    with pytest.raises(ValueError):
+        fc.tail_bound(1.0)
+
+
+def test_tail_bound_is_tight_to_its_factor_for_one_dropped_term():
+    """Four terms kept and a_5 = 0.3 dropped, so T_4 = 0.09: the dropped term
+    reaches 0.3 r^5 on |z| = r, and the bound exceeds that by 1/sqrt(1 - r^2)."""
+    kept = FourierCoefficients(np.full(4, 0.1), 1.0, tail=0.09)
+    for r in (0.5, 0.9, 0.99):
+        gap = 0.3 * r ** 5
+        assert gap <= kept.tail_bound(r)
+        assert kept.tail_bound(r) * math.sqrt(1.0 - r * r) == pytest.approx(gap, rel=1e-12)
+
+
+@pytest.mark.parametrize("law, n", REFERENCE_CASES)
+def test_staircase_energy_is_the_squared_l2_gap_to_the_law(law, n):
+    """E against ||q - q_n||_2^2 by the midpoint rule on 50 levels per cell."""
+    sq = reference_quantile(law, n)
+    u = (np.arange(50 * n) + 0.5) / (50 * n)
+    gap = np.mean((REFERENCE_LAWS[law].quantile(u) - sq.eval(u)) ** 2)
+    assert fourier_coefficients(sq).staircase == pytest.approx(gap, rel=0.02)

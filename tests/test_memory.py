@@ -54,13 +54,17 @@ def test_boundary_points_memory_is_bounded_at_n20000():
 
 
 def test_fourier_coefficients_memory_is_bounded(beta_2000):
-    """0.53 MB at 16000 terms; two GEMMs per jump chunk, each with its own
-    operand and product temporaries, took 1.39 MB."""
+    """0.53 MB for the pass at its 15992-term cap, of which the default keeps
+    2413; two GEMMs per jump chunk, each with its own operand and product
+    temporaries, took 1.39 MB."""
     assert _peak_mb(lambda: fourier_coefficients(beta_2000)) < 0.6
 
 
 def test_fourier_coefficients_memory_is_bounded_at_n20000():
-    """2.9 MB at 160000 terms; the two-GEMM layout took 5.7 MB."""
+    """2.9 MB for the pass at its 159856-term cap, of which the default keeps
+    59371; the two-GEMM layout took 5.7 MB.  The tail scan squares and sums
+    the coefficients in place in a buffer the pass already had: a squared
+    copy and its cumulative sum read 3.81 MB."""
     sq = build_measure(Beta(2.0, 5.0), 20000)
     assert _peak_mb(lambda: fourier_coefficients(sq)) < 3.1
 
@@ -121,7 +125,8 @@ def test_build_command_memory_is_bounded(tmp_path):
 
 
 def test_map_command_memory_is_bounded(tmp_path):
-    """`mudk map` at n=2000 writes its 16000 coefficient rows as it formats them."""
+    """`mudk map` at n=2000 writes its 2413 coefficient rows (of a 15992-term
+    pass) as it formats them."""
     argv = ["map", "--dist", '{"family": "beta", "alpha": 2, "beta": 5}',
             "--n", "2000", "--out", str(tmp_path / "m.csv")]
     assert _peak_mb(lambda: cli.main(argv)) < 2.5
