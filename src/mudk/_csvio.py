@@ -2,11 +2,14 @@
 
 A `# <header comment>` line, the column row, then one row per record, with
 floats written by `repr` so they read back exactly, and LF line endings.
-Reading streams the cells into one float array: a wrong column row, a row
-of the wrong width, or a cell that is not a finite number is a ValueError.
+Reading checks the column row and hands the rows under it to numpy's C
+reader (`np.loadtxt`): a wrong column row, a row of the wrong width, or a
+cell that is not a finite number in plain decimal notation is a ValueError.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -32,34 +35,23 @@ def write_csv(path, header_comment, columns, rows) -> None:
 
 def read_floats(path, columns) -> np.ndarray:
     """The rows under the column row, which must be `columns`, as a
-    (rows, len(columns)) float array that owns its data; blank lines and
-    `#` comment lines are skipped, and every cell must be a finite number."""
+    (rows, len(columns)) float array that owns its data; empty lines and
+    `#` comments are skipped, and every cell must be a finite number."""
+    want = ",".join(columns)
     with open(path) as fh:
-        values = np.fromiter(_cells(fh, columns), dtype=float)
-    # in place: the size is unchanged, so nothing is reallocated or copied
-    values.resize((values.size // len(columns), len(columns)), refcheck=False)
+        # the column row is the first line that is neither blank nor a comment;
+        # a file without one holds no rows
+        header = next((row for row in map(str.strip, fh) if row[:1] not in ("", "#")), want)
+        if header.replace(" ", "") != want:
+            raise ValueError(f"unexpected header {header!r}, need {want!r}")
+        with warnings.catch_warnings():
+            # numpy warns where there are no rows, which read as (0, k)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+    if values.size and values.shape[1] != len(columns):
+        raise ValueError(f"rows have {values.shape[1]} cells, need {len(columns)}")
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         raise ValueError(f"row {int(np.argmax(bad)) + 1} holds a cell that is "
                          "not a finite number")
-    return values
-
-
-def _cells(lines, columns):
-    """The cells of every row under the column row, in order, as floats."""
-    want = ",".join(columns)
-    header = None
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line
-            if header.replace(" ", "") != want:
-                raise ValueError(f"unexpected header {header!r}, need {want!r}")
-            continue
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise ValueError(f"row {line!r} has {len(cells)} cells, "
-                             f"need {len(columns)}")
-        yield from map(float, cells)
+    return values if values.size else np.empty((0, len(columns)))

@@ -33,12 +33,12 @@ bound table over an n list), map (power series coefficients plus summary
 JSON), simulate (exit samples plus summary JSON; needs --boundary from a
 previous build), check (KS statistic of an existing sample file against
 the configured law; needs --samples).  Exit codes: 0 success, 2
-configuration problem, 3 numerical failure (including a boundary that
-does not enclose the origin), 4 I/O failure (a missing or unreadable
-file, or a --boundary/--samples file that is malformed: a wrong header,
-a row of the wrong width, a cell that is not a finite number, a boundary
-file with no rows, or rows that do not form a valid boundary).  A samples
-file with no rows is exit 2.
+configuration problem (also a size numpy cannot index or allocate), 3
+numerical failure (including a boundary that does not enclose the
+origin), 4 I/O failure (a missing or unreadable file, or a malformed
+--boundary/--samples file: a wrong header, a row of the wrong width, a
+cell that is no finite plain decimal, a boundary file with no rows, or
+rows that do not form a boundary).  A samples file with no rows is exit 2.
 """
 
 from __future__ import annotations
@@ -344,14 +344,14 @@ def merge_config(file_cfg: dict, flags: dict) -> RunConfig:
 
 
 def _config_call(fn, *args, **kwargs):
-    """fn(*args, **kwargs), with a law, scheme or size it refuses reported as a
-    config error: numpy refuses a size beyond its index range with a ValueError or
-    an OverflowError.  A pole or a domain off the origin stays numerical."""
+    """fn(*args, **kwargs), with a law, scheme or size it refuses (numpy raises a
+    ValueError, OverflowError or MemoryError for a size it cannot index or allocate)
+    reported as a config error.  A pole or a domain off the origin stays numerical."""
     try:
         return fn(*args, **kwargs)
     except (PoleError, TopologyError):
         raise
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         raise ConfigError(str(exc))
 
 
@@ -402,7 +402,7 @@ def cmd_map(cfg: RunConfig) -> None:
     rows = ((str(k), float_cell(a))
             for k, a in enumerate(fc.coeffs, start=1))
     write_csv(out, cfg.header(), ("k", "a_k"), rows)
-    _write_summary(out, {
+    _write_json(_summary_path(out), {
         "terms": fc.order,
         "cap": cfg.coeffs or term_cap(sq),
         "tail": fc.tail,
@@ -415,9 +415,9 @@ def _summary_path(out: str) -> str:
     return os.path.splitext(out)[0] + ".summary.json"
 
 
-def _write_summary(out: str, summary: dict) -> None:
-    with open(_summary_path(out), "w", newline="\n") as fh:
-        fh.write(_json_text(summary) + "\n")
+def _write_json(path: str, value: dict) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write(_json_text(value) + "\n")
 
 
 def _json_text(value, indent: str = "") -> str:
@@ -459,7 +459,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
         "step": cfg.step,
         **_sample_report(result.samples, dist),
     }
-    _write_summary(out, summary)
+    _write_json(_summary_path(out), summary)
     if result.truncation_warning:
         print(f"warning: {result.truncated_walks} of {cfg.walks} walks were "
               "truncated; the sample may be biased", file=sys.stderr)
@@ -478,11 +478,9 @@ def cmd_check(cfg: RunConfig) -> None:
     if not samples.size:
         raise ConfigError(f"no samples found in {cfg.samples}")
     report = {"samples": int(samples.size), **_sample_report(samples, dist)}
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    print(_json_text(report))
     if cfg.out:
-        with open(cfg.out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
+        _write_json(cfg.out, report)
 
 
 _COMMANDS = {

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import apply, cell_edges, frozen, gauss_legendre, row_sums
-from .distributions import Distribution, bisect_smallest
+from .distributions import Distribution, atom_tolerance, bisect_smallest
 
 
 class UnboundedSupportError(ValueError):
@@ -159,16 +159,16 @@ def _cells(dist: Distribution, n: int):
     """Grid of n cells over the support, the atoms, and where they meet.
 
     Returns the n+1 nodes, the (location, mass) rows of the atoms, the
-    mask of nodes within 1e-12 max(1, b-a) of an atom and the mask of
+    mask of nodes within `_node_tolerance` of an atom and the mask of
     kept cells, those with neither end on an atom.  Atoms closer together
-    than the 1e-12 (1 + |x|) within which `Distribution.cdf_left` matches
-    them share their left limits, so they are rejected.
+    than the `atom_tolerance` within which `Discrete` matches them share
+    their left limits, so they are rejected.
     """
     a, b = _finite_support(dist)
     xs = grid(a, b, n)
     atoms = dist.atoms()
     locs = atoms[:, 0]
-    near = np.diff(locs) <= 1e-12 * (1.0 + np.maximum(np.abs(locs[:-1]), np.abs(locs[1:])))
+    near = np.diff(locs) <= atom_tolerance(np.maximum(np.abs(locs[:-1]), np.abs(locs[1:])))
     if np.any(near):
         lo, hi = locs[np.argmax(near):][:2].tolist()
         raise ValueError(f"atoms at {lo!r} and {hi!r} are closer than "
@@ -180,12 +180,17 @@ def _cells(dist: Distribution, n: int):
     return xs, atoms, on_node, ~(on_node[:-1] | on_node[1:])
 
 
+def _node_tolerance(a, b) -> float:
+    """1e-12 max(1, b - a): a grid node on [a, b] this close to a point meets it."""
+    return 1e-12 * max(1.0, b - a)
+
+
 def _nodes_near(xs, points):
-    """(nodes, points) pairs with a node within 1e-12 max(1, b-a) of a point.
+    """(nodes, points) pairs with a node within `_node_tolerance` of a point.
 
     Only the two nodes on either side of each point are looked at.
     """
-    atol = 1e-12 * max(1.0, xs[-1] - xs[0])
+    atol = _node_tolerance(xs[0], xs[-1])
     right = np.clip(np.searchsorted(xs, points), 1, xs.size - 1)
     for node in (right - 1, right):
         close = np.abs(xs[node] - points) <= atol
@@ -369,7 +374,7 @@ def rate_bound(dist: Distribution, n: int) -> RateBound:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     h = (b - a) / n
-    atol = 1e-12 * max(1.0, b - a)
+    atol = _node_tolerance(a, b)
     # each atom is charged on a side where the next atom or support end is
     # farther than the atom tolerance; the charges are summed exactly
     locs = dist.atoms()[:, 0]

@@ -42,6 +42,11 @@ def _ordered(i):
     return np.asarray(i ^ ((i >> 63) & _MAGNITUDE))
 
 
+def atom_tolerance(x):
+    """1e-12 (1 + |x|): a point this close to an atom at x meets the atom."""
+    return 1e-12 * (1.0 + np.abs(x))
+
+
 def bisect_smallest(predicate, lo, hi):
     """Smallest float x in (lo, hi] where a monotone predicate turns true.
 
@@ -513,10 +518,10 @@ class Discrete(Distribution):
         return np.where(idx > 0, self.cum[np.maximum(idx - 1, 0)], 0.0)
 
     def _cdf(self, x):
-        return self._mass_below(x + 1e-12 * (1.0 + np.abs(x)))
+        return self._mass_below(x + atom_tolerance(x))
 
     def _cdf_left(self, x):
-        return self._mass_below(x - 1e-12 * (1.0 + np.abs(x)))
+        return self._mass_below(x - atom_tolerance(x))
 
     def atoms(self):
         return np.column_stack((self.xs, self.ps))

@@ -116,8 +116,7 @@ def _energies(sq):
     """T_0 = 2 var q_n and the staircase energy E of q_n, over the steps as the
     `StepQuantile` rule reads them; their step-sized temporaries die here."""
     widths, values = np.diff(sq._levels()), sq.values
-    mean = float(row_sums(values, widths))
-    total = 2.0 * float(row_sums(np.square(values - mean), widths))
+    total = 2.0 * float(row_sums(np.square(values - sq.mean()), widths))
     return total, float(row_sums(np.square(np.diff(values)), widths[1:])) / 3.0
 
 

@@ -197,7 +197,7 @@ def test_load_csv_rejects_wrong_header(tmp_path):
 def test_load_csv_rejects_a_row_of_the_wrong_width(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,x,y\n-0.5,1,-1\n0.5,1\n")
-    with pytest.raises(ValueError, match="has 2 cells, need 3"):
+    with pytest.raises(ValueError, match="columns changed from 3 to 2"):
         load_csv(path)
 
 
