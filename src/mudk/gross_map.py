@@ -3,9 +3,10 @@
 The boundary real part of the map is the even 2*pi-periodic extension of
 u -> q_n(min(u / pi, s_m)) on (0, pi] (the `StepQuantile` rule), so the
 coefficients are its Fourier cosine coefficients; for a step function
-they reduce to a sine sum over the quantile's jumps.  The constant term
-is dropped (it vanishes for centered targets up to discretization bias),
-which makes the map fix the origin.
+they reduce to a sine sum over the quantile's jumps, which one pass forms
+over doubling ranges of k only as far as the terms it keeps.  The
+constant term is dropped (it vanishes for centered targets up to
+discretization bias), which makes the map fix the origin.
 
 Evaluation is restricted to the open disc; boundary values come from the
 boundary module instead, where the conjugate function is available in
@@ -23,7 +24,7 @@ from ._quad import _BLOCK_CELLS, apply, frozen, row_sums
 from .discretize import StepQuantile
 
 _DISC_MARGIN = 1e-9
-# the fewest terms a default map keeps; its pass runs to `term_cap`
+# the fewest terms a default map keeps, and the end of the first k range
 _MIN_TERMS = 256
 
 
@@ -52,7 +53,7 @@ class FourierCoefficients:
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficients must be finite")
         cap = 2.0 * self.source_l1_norm + 1e-12
-        if np.any(np.abs(arr) > cap):
+        if not np.all(np.abs(arr) <= cap):          # false for a NaN norm
             raise ValueError("coefficient bound |a_k| <= 2*||q||_1 violated")
         object.__setattr__(self, "coeffs", frozen(arr))
 
@@ -69,7 +70,7 @@ class FourierCoefficients:
 
 
 def term_cap(sq: StepQuantile) -> int:
-    """K_max = max(256, 8 * steps), the term count of the default pass."""
+    """K_max = max(256, 8 * steps), the most terms the default keeps."""
     return max(_MIN_TERMS, 8 * sq.num_steps)
 
 
@@ -77,39 +78,42 @@ def fourier_coefficients(sq: StepQuantile, num_terms: int | None = None) -> Four
     """Cosine coefficients of the step quantile's even circle extension.
 
     a_k = -(2/(k pi)) sum_j c_j sin(k t_j) over the jumps (s_j, c_j) of
-    `StepQuantile.jumps`, t_j = pi s_j; `_sine_sums` forms the sums.
-
-    By default the pass runs to the cap K_max = `term_cap(sq)` and keeps
-    the shortest prefix K in [256, K_max] whose tail T_K is at most 2E, or
-    all K_max terms when none is.  E = (1/3) sum_j w_j (v_j - v_{j-1})^2
-    over the steps (width w_j, value v_j) is the staircase energy, q_n's
-    squared L2 gap to the piecewise-linear quantile through its steps.
-    So the terms left out move the map on |z| <= r by at most
-    sqrt(2E) r^(K+1) / sqrt(1 - r^2) (`FourierCoefficients.tail_bound`).
-    `num_terms` keeps exactly that many terms instead.
+    `StepQuantile.jumps`, t_j = pi s_j, each k range (0, 256], (256, 512],
+    (512, 1024], ... summed whole (`_range_sums`), so the bits of a_k
+    depend on k and q_n alone.  `num_terms` keeps that many terms.  By
+    default the pass stops after the first range whose sum of a_k^2 reaches
+    T_0 - 2E and keeps the shortest prefix K in [256, K_max = `term_cap(sq)`]
+    whose tail T_K is at most 2E, or all K_max terms when none is.
+    E = (1/3) sum_j w_j (v_j - v_{j-1})^2 over the steps (width w_j, value
+    v_j) is the staircase energy, q_n's squared L2 gap to the piecewise-linear
+    quantile through its steps, so the terms left out move the map on
+    |z| <= r by at most sqrt(2E) r^(K+1) / sqrt(1 - r^2) (`tail_bound`).
     """
     cap = term_cap(sq) if num_terms is None else num_terms
     if cap < 1:
         raise ValueError(f"num_terms must be >= 1, got {cap}")
+    # every term that can be kept: a size numpy cannot allocate fails here
+    coeffs = np.empty(cap)
     total, staircase = _energies(sq)
-    coeffs = _sine_sums(*sq.jumps(), cap)
-    a = coeffs[:cap]
-    scale = np.arange(1.0, cap + 1)
-    scale *= np.pi
-    a *= np.divide(-2.0, scale, out=scale)
-    # the partial sums of a_k^2, in place in the scale buffer; they do not
-    # decrease, so one search finds the first K with T_K <= 2E
-    np.square(a, out=scale)
-    np.cumsum(scale, out=scale)
-    if num_terms is None:
-        first = int(np.searchsorted(scale, total - 2.0 * staircase)) + 1
-        num_terms = min(max(first, _MIN_TERMS), cap)
-    tail = max(total - float(scale[num_terms - 1]), 0.0)
-    del a, scale
-    # no view of `coeffs` is left, so it shrinks in place and is kept frozen
-    coeffs.resize(num_terms, refcheck=False)
-    coeffs.flags.writeable = False
-    return FourierCoefficients(coeffs, sq.l1_norm(), total, staircase, tail)
+    target = total - 2.0 * staircase if num_terms is None else math.inf
+    levels, jumps = sq.jumps()
+    hi, energy = 0, 0.0
+    while hi < cap:
+        lo, hi = hi, max(_MIN_TERMS, 2 * hi)
+        a = coeffs[lo:hi]
+        a[:] = _range_sums(levels, jumps, lo, hi)[:a.size]
+        scale = np.pi * np.arange(lo + 1.0, lo + a.size + 1)
+        a *= np.divide(-2.0, scale, out=scale)
+        # the partial sums of a_k^2, added in k order on from the last range's
+        sums = np.square(a, out=scale)
+        sums[0] += energy
+        energy = np.cumsum(sums, out=sums)[-1]
+        if energy >= target:
+            break
+    # the sums do not decrease: one search finds the first K with T_K <= 2E
+    K = min(max(lo + int(np.searchsorted(sums, target)) + 1, _MIN_TERMS), cap)
+    tail = max(total - float(sums[K - 1 - lo]), 0.0)
+    return FourierCoefficients(coeffs[:K], sq.l1_norm(), total, staircase, tail)
 
 
 def _energies(sq):
@@ -120,43 +124,38 @@ def _energies(sq):
     return total, float(row_sums(np.square(np.diff(values)), widths[1:])) / 3.0
 
 
-def _layout(num_terms):
-    """Centres B, offsets R and jumps per chunk m of `_sine_sums` for K terms."""
-    R = max(1, math.isqrt(-(-num_terms // 2)))
-    B = -(-num_terms // (2 * R))
+def _layout(size):
+    """Runs B, offsets R and jumps per chunk m of `_range_sums` for `size` terms."""
+    R = math.isqrt(-(-size // 2))
+    B = -(-(size + R) // (2 * R))
     return B, R, max(1, _BLOCK_CELLS // (2 * (B + R + 1)))
 
 
-def _sine_sums(levels, jumps, num_terms):
-    """sum_j c_j sin(k t_j) for k = 1..K, t_j = pi s_j, by angle addition:
-    the first K cells of the B * 2R that it returns, an array of its own.
+def _range_sums(levels, jumps, lo, hi):
+    """sum_j c_j sin(k t_j), t_j = pi s_j, for k = lo + 1 .. hi by angle
+    addition: the first hi - lo cells of the array that it returns.
 
-    The terms fall in B runs of 2R around the centres k0 = R, 3R, 5R, ...,
-    as k = k0 + r and k = k0 - r, and sin((k0 +- r) t) = sin(k0 t) cos(r t)
+    The terms fall in B runs of 2R around the centres k0 = lo, lo + 2R,
+    lo + 4R, ..., as k = k0 +- r, and sin((k0 +- r) t) = sin(k0 t) cos(r t)
     +- cos(k0 t) sin(r t).  So a chunk of m jumps costs two GEMMs of inner
     dimension m, X = [c sin(k0 t)] @ [cos(r t)] and Y = [c cos(k0 t)] @
-    [sin(r t)] into B x (R + 1) sums, with O(sqrt(K)) sines per jump
-    instead of K; the terms are X + Y and X - Y.  sin(k0 t) is evaluated
-    directly, not by recurrence, so rounding does not build up with k.
-
-    One rule bounds the memory of every blocked kernel: the temporaries of
-    one loop step hold at most _BLOCK_CELLS float64 cells.  Here they are
-    the chunk's operands, 2m (B + R + 1) cells, computed in place in
-    scratch allocated once.  The sums and the product hold about K/2
-    cells each, so memory is O(terms + jumps).
+    [sin(r t)], into B x (R + 1) sums, with O(sqrt(hi - lo)) sines per
+    jump; the terms are X + Y and X - Y, less the first run's k <= lo.
+    sin(k0 t) is evaluated directly, not by recurrence, so rounding does
+    not build up with k; the first range's k <= R are sin(k t) itself.  A
+    chunk's operands, 2m (B + R + 1) cells, fit in _BLOCK_CELLS (`_quad`'s rule).
     """
-    B, R, m = _layout(num_terms)
-    sx, sy = _centre_sums(levels, jumps, B, R, m)
+    B, R, m = _layout(hi - lo)
+    sx, sy = _centre_sums(levels, jumps, lo, B, R, m)
     # run b holds k0 - R + 1 .. k0 (r = R - 1 .. 0), then k0 + 1 .. k0 + R
-    terms = np.empty(B * 2 * R)
-    runs = terms.reshape(B, 2 * R)
+    runs = np.empty((B, 2 * R))
     np.subtract(sx[:, R - 1::-1], sy[:, R - 1::-1], out=runs[:, :R])
     np.add(sx[:, 1:], sy[:, 1:], out=runs[:, R:])
-    return terms
+    return runs.ravel()[R:]
 
 
-def _centre_sums(levels, jumps, B, R, m):
-    """The B x (R + 1) sums X and Y of `_sine_sums`, in chunks of m jumps.
+def _centre_sums(levels, jumps, lo, B, R, m):
+    """The B x (R + 1) sums X and Y of `_range_sums`, in chunks of m jumps.
 
     The scratch lives only in this call, so it is freed before the terms
     are assembled.  No jumps give zero sums.
@@ -164,9 +163,8 @@ def _centre_sums(levels, jumps, B, R, m):
     sx, sy, prod = np.zeros((B, R + 1)), np.zeros((B, R + 1)), np.empty((B, R + 1))
     # a chunk's operands, stored transposed: [c sin(k0 t); c cos(k0 t)] and
     # [cos(r t); sin(r t)], one row per jump
-    lhs = np.empty((2 * m, B))
-    rhs = np.empty((2 * m, R + 1))
-    k0, r = np.arange(R, 2 * R * B, 2.0 * R), np.arange(R + 1)
+    lhs, rhs = np.empty((2 * m, B)), np.empty((2 * m, R + 1))
+    k0, r = lo + np.arange(0.0, 2 * R * B, 2.0 * R), np.arange(R + 1)
     for j in range(0, levels.size, m):
         s, c = levels[j:j + m, None], jumps[j:j + m, None]
         w = s.size
@@ -210,6 +208,6 @@ def map_distance_bound(l1_gap: float, radius: float) -> float:
     """
     if not 0.0 < radius < 1.0:
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
-    if l1_gap < 0.0:
+    if not l1_gap >= 0.0:
         raise ValueError(f"l1_gap must be nonnegative, got {l1_gap}")
     return 2.0 * l1_gap * radius / (1.0 - radius)

@@ -126,7 +126,7 @@ def test_map_exports_indexed_coefficients(tmp_path):
 
 @pytest.mark.parametrize("coeffs", [None, 32])
 def test_map_writes_the_tail_summary_beside_the_coefficients(tmp_path, coeffs):
-    """The default keeps 2413 of beta(2,5) n=2000's 15992-term pass; --coeffs
+    """The default keeps 2413 of beta(2,5) n=2000's 15992-term cap; --coeffs
     keeps its own count.  The summary reads the coefficients' own ledger."""
     beta = '{"family": "beta", "alpha": 2, "beta": 5}'
     out = tmp_path / "b.map.csv"

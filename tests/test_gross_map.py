@@ -13,7 +13,7 @@ from mudk.cli import build_distribution
 from mudk.discretize import StepQuantile, build_measure, l1_distance
 from mudk.distributions import (Beta, Discrete, Exponential, Mixture, TruncatedNormal,
                                 Uniform)
-from mudk.gross_map import (FourierCoefficients, _layout, evaluate_map,
+from mudk.gross_map import (_MIN_TERMS, FourierCoefficients, _layout, evaluate_map,
                             fourier_coefficients, map_distance_bound, term_cap)
 
 
@@ -85,6 +85,11 @@ def test_map_distance_bound_formula():
         map_distance_bound(-0.1, 0.5)
 
 
+def test_map_distance_bound_refuses_a_nan_gap():
+    with pytest.raises(ValueError):
+        map_distance_bound(float("nan"), 0.5)
+
+
 def test_pairwise_map_gap_respects_l1_bound():
     d = Uniform(-1.0, 1.0)
     z = 0.5 * np.exp(2j * np.pi * np.arange(64) / 64.0)
@@ -134,6 +139,12 @@ def test_coefficients_validate_inputs():
         fourier_coefficients(strip_quantile(), num_terms=0)
 
 
+def test_coefficient_bound_refuses_a_nan_norm():
+    """|a_k| <= 2 ||q||_1 cannot be checked against a NaN norm, so it fails."""
+    with pytest.raises(ValueError):
+        FourierCoefficients([0.1, 0.2], source_l1_norm=float("nan"))
+
+
 def _dense_coefficients(sq, num_terms):
     """Reference: sine differences over the (terms x breakpoints) matrix.
 
@@ -157,17 +168,19 @@ def _oracle_gap(sq, terms):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
-# K terms are summed as B = ceil(K/2R) runs of 2R terms around their
-# centres, R = isqrt(ceil(K/2)), so 2R*R terms tile the layout exactly and
-# 2R*R +- 1 sit on either side of that edge; 1599-1601 leave a short last
-# run and 1009 is prime.
-_R = 40
-_EDGE = 2 * _R * _R
-EDGE_TERMS = (1, 2, 3, 1599, 1600, 1601, _EDGE - 1, _EDGE, _EDGE + 1, 1009)
-# At 2R*R terms a jump chunk holds m jumps, so that its operands of
-# 2m (B + R + 1) cells fit one block; a uniform law on m + 2 cells has
-# one jump more, so it takes two chunks.
-_M = _layout(_EDGE)[2]
+# The pass sums k over the ranges (0, 256], (256, 512], (512, 1024], ...,
+# each whole in runs of 2R around the centres lo, lo + 2R, ... (R = 11 for
+# the first two), and cuts the last range it sums.  1-3 and 11-12 sit in
+# the first range's runs about k0 = 0 and k0 = 22, 255-257 and 511-513 on
+# either side of a range edge, and 1009 (prime), 1599-1601 and 3199-3201
+# cut the ranges (512, 1024], (1024, 2048] and (2048, 4096] inside.
+_EDGE = 2048        # a range edge, straddled with 2 * _EDGE + 1 below
+EDGE_TERMS = (1, 2, 3, 11, 12, 255, 256, 257, 511, 512, 513, 1009,
+              1599, 1600, 1601, 3199, 3200, 3201)
+# A jump chunk holds m jumps, so that its operands of 2m (B + R + 1) cells
+# fit one block; m is largest in the first range, so a uniform law on
+# m + 2 cells has one jump more than every range's chunk and takes two.
+_M = _layout(_MIN_TERMS)[2]
 BEYOND_CHUNK = _M + 2
 
 LAWS = {
@@ -198,7 +211,7 @@ def test_default_terms_match_dense_oracle_at_n2000():
 
 
 def test_capped_pass_matches_dense_oracle_at_n2000():
-    """The whole 15992-term pass that the default's 2413 terms are cut from."""
+    """All 15992 terms of the cap, of which the default keeps 2413."""
     sq = build_measure(Beta(2.0, 5.0), 2000)
     assert _oracle_gap(sq, 8 * sq.num_steps) <= 1e-14
 
@@ -206,7 +219,7 @@ def test_capped_pass_matches_dense_oracle_at_n2000():
 @pytest.mark.parametrize("sq", [
     build_measure(Uniform(-1.0, 1.0), 1), StepQuantile([0.0, 1.0], [0.0]),
 ], ids=["one-step", "constant-zero"])
-@pytest.mark.parametrize("terms", (None, 1, _EDGE + 1))
+@pytest.mark.parametrize("terms", (None, 1, 3201))
 def test_quantile_without_jumps_has_zero_coefficients(sq, terms):
     assert sq.jumps()[0].size == 0
     fc = fourier_coefficients(sq, num_terms=terms)
@@ -336,6 +349,21 @@ def test_default_coefficients_are_a_prefix_of_the_capped_pass(law, n):
     full = fourier_coefficients(sq, num_terms=term_cap(sq))
     np.testing.assert_array_equal(fc.coeffs, full.coeffs[:fc.order])
     assert fc.coeffs.flags.owndata and not fc.coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("law, n", REFERENCE_CASES)
+def test_fewer_terms_are_a_bit_prefix_of_more(law, n):
+    """The ranges of k are fixed and each is summed whole, so N terms are the
+    first N of any M > N, bit for bit, on either side of the range edges and
+    up to the cap."""
+    sq = reference_quantile(law, n)
+    cap = term_cap(sq)
+    counts = (1, 255, 256, 257, 511, 512, 513, cap - 1, cap)
+    coeffs = {N: fourier_coefficients(sq, num_terms=N).coeffs for N in counts}
+    for N in counts:
+        for M in counts:
+            if N < M:
+                np.testing.assert_array_equal(coeffs[N], coeffs[M][:N])
 
 
 @pytest.mark.parametrize("law, n", REFERENCE_CASES)

@@ -54,17 +54,18 @@ def test_boundary_points_memory_is_bounded_at_n20000():
 
 
 def test_fourier_coefficients_memory_is_bounded(beta_2000):
-    """0.53 MB for the pass at its 15992-term cap, of which the default keeps
-    2413; two GEMMs per jump chunk, each with its own operand and product
-    temporaries, took 1.39 MB."""
+    """0.50 MB: the pass sums the k ranges up to 4096 and keeps 2413 terms.
+    The whole 15992-term pass to the cap read 0.53 MB, and two GEMMs per
+    jump chunk, each with its own operand and product temporaries, 1.39 MB."""
     assert _peak_mb(lambda: fourier_coefficients(beta_2000)) < 0.6
 
 
 def test_fourier_coefficients_memory_is_bounded_at_n20000():
-    """2.9 MB for the pass at its 159856-term cap, of which the default keeps
-    59371; the two-GEMM layout took 5.7 MB.  The tail scan squares and sums
-    the coefficients in place in a buffer the pass already had: a squared
-    copy and its cumulative sum read 3.81 MB."""
+    """2.35 MB: the pass sums the k ranges up to 65536 and keeps 59371 terms.
+    The whole 159856-term pass to the cap read 2.9 MB, and the two-GEMM
+    layout 5.7 MB.  Each range's partial sums of a_k^2 go in place into a
+    buffer the range already has: a squared copy and its cumulative sum of
+    the whole pass read 3.81 MB."""
     sq = build_measure(Beta(2.0, 5.0), 20000)
     assert _peak_mb(lambda: fourier_coefficients(sq)) < 3.1
 
@@ -125,8 +126,8 @@ def test_build_command_memory_is_bounded(tmp_path):
 
 
 def test_map_command_memory_is_bounded(tmp_path):
-    """`mudk map` at n=2000 writes its 2413 coefficient rows (of a 15992-term
-    pass) as it formats them."""
+    """`mudk map` at n=2000 writes its 2413 coefficient rows (of a pass over
+    k <= 4096) as it formats them."""
     argv = ["map", "--dist", '{"family": "beta", "alpha": 2, "beta": 5}',
             "--n", "2000", "--out", str(tmp_path / "m.csv")]
     assert _peak_mb(lambda: cli.main(argv)) < 2.5
