@@ -32,13 +32,13 @@ Subcommands: build (boundary CSV and optional SVG), rates (l1 error and
 bound table over an n list), map (power series coefficients plus summary
 JSON), simulate (exit samples plus summary JSON; needs --boundary from a
 previous build), check (KS statistic of an existing sample file against
-the configured law; needs --samples).  Exit codes: 0 success, 2
-configuration problem (also a size numpy cannot index or allocate), 3
-numerical failure (including a boundary that does not enclose the
-origin), 4 I/O failure (a missing or unreadable file, or a malformed
---boundary/--samples file: a wrong header, a row of the wrong width, a
-cell that is no finite plain decimal, a boundary file with no rows, or
-rows that do not form a boundary).  A samples file with no rows is exit 2.
+the configured law; needs --samples).  `main` maps an outcome to its exit
+code by exception class: 0 success; 3 numerical failure, a PoleError or
+TopologyError (also a boundary off the origin); 4 I/O failure, an OSError
+or InputFileError (a missing, unreadable or malformed --boundary/--samples
+file); 2 configuration problem, any other ValueError, an OverflowError or a
+MemoryError (a law, scheme or size the config, a layer or numpy refuses; a
+samples file with no rows too).  Anything else is a bug: traceback, exit 1.
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ except ImportError:
 from . import __version__
 from .distributions import (Beta, Discrete, Distribution, Exponential,
                             Mixture, TruncatedNormal, Uniform)
-from .discretize import (UnboundedSupportError, build_measure, l1_distance,
-                         rate_bound)
+from .discretize import build_measure, l1_distance, rate_bound
 from ._csvio import float_cell, read_floats, write_csv
 from .boundary import (boundary_points, export_csv, export_svg, load_csv,
                        normalize_support, scale_domain)
@@ -87,7 +86,7 @@ class InputFileError(Exception):
 
 
 def _read_input(loader, path):
-    """loader(path), with a malformed file reported under its name."""
+    """loader(path), where a ValueError (a malformed file) is exit 4 under its name."""
     try:
         return loader(path)
     except ValueError as exc:
@@ -343,18 +342,6 @@ def merge_config(file_cfg: dict, flags: dict) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _config_call(fn, *args, **kwargs):
-    """fn(*args, **kwargs), with a law, scheme or size it refuses (numpy raises a
-    ValueError, OverflowError or MemoryError for a size it cannot index or allocate)
-    reported as a config error.  A pole or a domain off the origin stays numerical."""
-    try:
-        return fn(*args, **kwargs)
-    except (PoleError, TopologyError):
-        raise
-    except (ValueError, OverflowError, MemoryError) as exc:
-        raise ConfigError(str(exc))
-
-
 def _build_polyline(cfg: RunConfig):
     """The build pipeline: normalize, discretize, trace, scale back.
 
@@ -365,9 +352,9 @@ def _build_polyline(cfg: RunConfig):
     (ROADMAP item 18).
     """
     dist = build_distribution(cfg.dist)
-    norm, width, left = _config_call(normalize_support, dist)
-    sq = _config_call(build_measure, norm, cfg.n, cfg.scheme)
-    traced = _config_call(boundary_points, sq, num_points=cfg.points)
+    norm, width, left = normalize_support(dist)
+    sq = build_measure(norm, cfg.n, cfg.scheme)
+    traced = boundary_points(sq, num_points=cfg.points)
     return scale_domain(traced, width, left)
 
 
@@ -376,7 +363,7 @@ def cmd_build(cfg: RunConfig) -> None:
     bp = _build_polyline(cfg)
     # the SVG first: `export_svg` refuses a flat domain before it opens a file
     if cfg.svg:
-        _config_call(export_svg, bp, cfg.svg)
+        export_svg(bp, cfg.svg)
     export_csv(bp, out, header_comment=cfg.header())
 
 
@@ -386,7 +373,7 @@ def cmd_rates(cfg: RunConfig) -> None:
     ns = cfg.n_list or (cfg.n,)
     rows = []
     for n in ns:
-        sq = _config_call(build_measure, dist, n, cfg.scheme)
+        sq = build_measure(dist, n, cfg.scheme)
         l1 = l1_distance(dist, sq)
         rb = rate_bound(dist, n)
         rows.append((str(n), float_cell(l1), float_cell(rb.bound),
@@ -397,8 +384,8 @@ def cmd_rates(cfg: RunConfig) -> None:
 def cmd_map(cfg: RunConfig) -> None:
     out = cfg.out or "map.csv"
     dist = build_distribution(cfg.dist)
-    sq = _config_call(build_measure, dist, cfg.n, cfg.scheme)
-    fc = _config_call(fourier_coefficients, sq, num_terms=cfg.coeffs)
+    sq = build_measure(dist, cfg.n, cfg.scheme)
+    fc = fourier_coefficients(sq, num_terms=cfg.coeffs)
     rows = ((str(k), float_cell(a))
             for k, a in enumerate(fc.coeffs, start=1))
     write_csv(out, cfg.header(), ("k", "a_k"), rows)
@@ -447,8 +434,8 @@ def cmd_simulate(cfg: RunConfig) -> None:
     out = cfg.out or "samples.csv"
     dist = build_distribution(cfg.dist)
     bp = _read_input(load_csv, cfg.boundary)
-    result = _config_call(simulate_exit, bp, walks=cfg.walks, step=cfg.step,
-                          seed=cfg.seed, max_steps=cfg.max_steps)
+    result = simulate_exit(bp, walks=cfg.walks, step=cfg.step, seed=cfg.seed,
+                           max_steps=cfg.max_steps)
     rows = ((str(w), float_cell(x))
             for w, x in zip(result.walk_ids, result.samples))
     write_csv(out, cfg.header(), ("walk", "x_exit"), rows)
@@ -551,13 +538,14 @@ def main(argv=None) -> int:
         command, config, flags = read_argv(argv)
         file_cfg = _load_json_arg(config, "config") if config else {}
         _COMMANDS[command][0](merge_config(file_cfg, flags))
-    except (ConfigError, UnboundedSupportError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    # the one exit-code table; PoleError and TopologyError are ValueErrors
     except (PoleError, TopologyError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, InputFileError) as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4
+    except (ValueError, OverflowError, MemoryError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     return 0

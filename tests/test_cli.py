@@ -21,6 +21,7 @@ from mudk.cli import (_COMMANDS, ConfigError, RunConfig, _json_text, _summary_pa
 from mudk.discretize import UnboundedSupportError, build_measure
 from mudk.gross_map import fourier_coefficients
 from mudk.hilbert import PoleError
+from mudk.verify_mc import TopologyError
 
 UNIFORM = '{"family": "uniform", "a": -1, "b": 1}'
 HEADER_RE = re.compile(r"^# mu-domain-kit v0\.1\.0, config hash [0-9a-f]{12}$")
@@ -709,6 +710,48 @@ def test_a_size_the_machine_cannot_allocate_is_config_error(tmp_path, monkeypatc
     assert run(*command, "--dist", UNIFORM, "--out", str(out)) == 2
     assert capsys.readouterr().err == "config error: Unable to allocate 7.28 TiB\n"
     assert not out.exists()
+
+
+# every name a command calls through mudk.cli, and what each exception class exits
+_LAYERS = {
+    "build": ("normalize_support", "build_measure", "boundary_points", "scale_domain",
+              "export_svg", "export_csv"),
+    "rates": ("build_measure", "l1_distance", "rate_bound"),
+    "map": ("build_measure", "fourier_coefficients"),
+    "simulate": ("simulate_exit", "ks_distance"),
+    "check": ("ks_distance",),
+}
+_EXIT_BY_CLASS = ((ValueError, 2), (OverflowError, 2), (MemoryError, 2), (PoleError, 3),
+                  (TopologyError, 3), (OSError, 4))
+_LABELS = {2: "config error", 3: "numerical failure", 4: "i/o failure"}
+
+
+@pytest.fixture(scope="module")
+def built_files(tmp_path_factory):
+    return _built_files(tmp_path_factory.mktemp("built"))
+
+
+@pytest.mark.parametrize("command, layer, raised, code", [
+    *((command, layer, raised, code) for command, layers in _LAYERS.items()
+      for layer in layers for raised, code in _EXIT_BY_CLASS),
+    # the one exception: a ValueError while reading a named input file
+    ("simulate", "load_csv", ValueError, 4),
+    ("check", "load_samples_csv", ValueError, 4),
+], ids=lambda value: value.__name__ if isinstance(value, type) else str(value))
+def test_a_layer_failure_exits_by_its_class(tmp_path, monkeypatch, capsys, built_files,
+                                            command, layer, raised, code):
+    """main alone maps a failure to 2, 3 or 4, whichever layer raises it."""
+    def refuse(*args, **kwargs):
+        raise raised("stubbed refusal")
+
+    boundary, samples = built_files
+    monkeypatch.setattr(f"mudk.cli.{layer}", refuse)
+    rc = run(command, "--dist", UNIFORM, "--n", "4", "--points", "16", "--walks", "4",
+             "--step", "1e-2", "--boundary", str(boundary), "--samples", str(samples),
+             "--svg", str(tmp_path / "b.svg"), "--out", str(tmp_path / "out.csv"))
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith(_LABELS[code] + ": ") and err.endswith("stubbed refusal\n")
 
 
 def test_boundary_off_the_origin_is_numerical_failure(tmp_path, capsys):
