@@ -14,7 +14,7 @@ import numpy as np
 from mudk.boundary import boundary_points, export_svg
 from mudk.discretize import build_measure
 from mudk.distributions import Mixture, Uniform
-from mudk.verify_mc import point_in_domain
+from mudk.verify_mc import Comb, point_in_domain
 
 
 def main(out_dir="demo_output"):
@@ -29,8 +29,9 @@ def main(out_dir="demo_output"):
           f"{gap_hi:+.4f}")
     print(f"tallest boundary point: |y| = {tallest:.4f}")
 
+    comb = Comb.from_polyline(bp)
     for height in (tallest, 10 * tallest, 1000 * tallest):
-        inside = point_in_domain(bp, (0.0, height))
+        inside = point_in_domain(comb, (0.0, height))
         print(f"point (0, {height:10.3f}) inside: {inside}")
 
     path = os.path.join(out_dir, "two_piece.svg")

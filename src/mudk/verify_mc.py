@@ -1,10 +1,11 @@
 """Monte Carlo verification of the embedding property.
 
 The domain of a step quantile with values v_1 < ... < v_W is a comb: the
-strip v_1 < x < v_W minus the teeth {x = v_j, |y| >= d_j}.  `_comb` reads
-it off the polyline once (walls at the distinct x of the lower chain,
-d_j the wall's closest rendered approach to the axis, d = 0 at the outer
-walls), and both membership and sampling use it.  `point_in_domain`
+strip v_1 < x < v_W minus the teeth {x = v_j, |y| >= d_j}, held by one
+`Comb`.  `Comb.from_polyline` reads it off the polyline (walls at the
+distinct x of the lower chain, d_j the wall's closest rendered approach
+to the axis, d = 0 at the outer walls), and both membership and sampling
+take a comb, or a polyline that they read into one.  `point_in_domain`
 counts a point as inside when it lies strictly between the outer walls
 and farther than a round-off tolerance from every tooth.  The sampler
 runs walk on spheres (Muller 1956) from the origin, all walks in numpy
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _BLOCK_CELLS, chunks
+from ._quad import _BLOCK_CELLS, chunks, frozen
 from .boundary import BoundaryPolyline
 from .distributions import Distribution
 
@@ -58,34 +59,48 @@ class ExitSampleSet:
         return self.truncated_walks > 0.01 * self.walks
 
 
-def _lower_chain(bp: BoundaryPolyline):
-    """Positive-parameter half as an x-sorted chain with y <= 0."""
-    if bp.num_points < 2:
-        raise TopologyError("polyline has too few points")
-    half = bp.points[bp.points[:, 0] > 0]
-    xs, ys = half[:, 1], half[:, 2]
-    scale = 1.0 + float(np.max(np.abs(half[:, 1:])))
-    if np.any(np.diff(xs) < 0):
-        raise TopologyError("boundary chain is not monotone in x")
-    if np.any(ys > 1e-9 * scale):
-        raise TopologyError("lower boundary chain crosses the real axis")
-    return xs, np.minimum(ys, 0.0)
+@dataclass(frozen=True)
+class Comb:
+    """The domain of a step quantile: the strip walls[0] < x < walls[-1]
+    minus the teeth {x = walls[j], |y| >= tips[j]}, one per distinct step
+    value; the outer walls have tip 0.  `tol` is the round-off distance
+    within which a point counts as on a tooth."""
+
+    walls: np.ndarray
+    tips: np.ndarray
+    tol: float
+
+    @classmethod
+    def from_polyline(cls, bp: BoundaryPolyline) -> Comb:
+        """The comb a polyline renders, read off its t > 0 half, an x-sorted
+        chain with y <= 0: the walls start the chain's runs of equal x, and
+        a tip is the wall's closest rendered approach to the axis."""
+        half = bp.points[bp.points[:, 0] > 0]
+        if not half.shape[0]:
+            raise TopologyError("polyline has no row at t > 0")
+        xs, ys = half[:, 1], half[:, 2]
+        if np.any(np.diff(xs) < 0):
+            raise TopologyError("boundary chain is not monotone in x")
+        if np.any(ys > 1e-9 * (1.0 + float(np.max(np.abs(half[:, 1:]))))):
+            raise TopologyError("lower boundary chain crosses the real axis")
+        start = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+        tips = -np.maximum.reduceat(np.minimum(ys, 0.0), start)
+        tips[[0, -1]] = 0.0
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(bp.points[:, 1:]))))
+        return cls(frozen(xs[start]), frozen(tips), tol)
+
+    def clearance(self, point) -> float:
+        """Distance from a point to the nearest tooth, or 0.0 where the
+        point is not in the domain of `point_in_domain`."""
+        px, py = float(point[0]), float(point[1])
+        if not (self.walls[0] < px < self.walls[-1] and np.isfinite(py)):
+            return 0.0
+        dist = float(_nearest_tooth(self.walls, self.tips,
+                                    np.array([px]), np.array([py]))[0][0])
+        return dist if dist > self.tol else 0.0
 
 
-def _comb(bp: BoundaryPolyline):
-    """Wall locations and tooth tips of the comb read off the polyline.
-
-    The walls start the runs of equal x in the sorted lower chain; a tip is
-    the wall's closest rendered approach to the axis; outer walls have tip 0.
-    """
-    xs, ys = _lower_chain(bp)
-    start = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
-    tips = -np.maximum.reduceat(ys, start)
-    tips[[0, -1]] = 0.0
-    return xs[start], tips
-
-
-def point_in_domain(bp: BoundaryPolyline, point) -> bool:
+def point_in_domain(domain: Comb | BoundaryPolyline, point) -> bool:
     """Membership in the comb that `simulate_exit` samples.
 
     The domain of a step quantile is the strip between the outer walls
@@ -93,20 +108,11 @@ def point_in_domain(bp: BoundaryPolyline, point) -> bool:
     teeth it is vertically unbounded, which is what makes gap
     distributions contain a full vertical strip.  A point strictly
     between the outer walls, with finite y, is inside when it is
-    farther than 1e-12 (relative to the domain scale) from every tooth.
+    farther than `Comb.tol` from every tooth.  A polyline is read into
+    its comb first.
     """
-    return _clearance(bp, *_comb(bp), point) > 0.0
-
-
-def _clearance(bp, locs, tips, point) -> float:
-    """Distance from a point to the nearest tooth of the comb (locs, tips),
-    or 0.0 where the point is not in the domain of `point_in_domain`."""
-    px, py = float(point[0]), float(point[1])
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(bp.points[:, 1:]))))
-    if not (locs[0] < px < locs[-1] and np.isfinite(py)):
-        return 0.0
-    dist = float(_nearest_tooth(locs, tips, np.array([px]), np.array([py]))[0][0])
-    return dist if dist > tol else 0.0
+    comb = domain if isinstance(domain, Comb) else Comb.from_polyline(domain)
+    return comb.clearance(point) > 0.0
 
 
 # The nearest-tooth search under the memory rule of `_quad`: a block of
@@ -121,11 +127,11 @@ _GATHER_CELLS = _BLOCK_CELLS // 8
 _REACH = 4 * np.finfo(float).eps
 
 
-def _nearest_tooth(locs, tips, x, y):
+def _nearest_tooth(walls, tips, x, y):
     """Distance from each finite (x, y) to the nearest tooth, and its index.
 
-    Tooth j is the pair of rays {x = locs[j], |y| >= tips[j]}, at distance
-    hypot(locs[j] - x, max(tips[j] - |y|, 0)) from (x, y).  The nearer of
+    Tooth j is the pair of rays {x = walls[j], |y| >= tips[j]}, at distance
+    hypot(walls[j] - x, max(tips[j] - |y|, 0)) from (x, y).  The nearer of
     the teeth of the two walls around x bounds that distance, so the
     candidates are the walls whose gap to x is within the bound, found by
     two sorted searches.  Points are taken in blocks of _WALK_BLOCK, and
@@ -139,25 +145,25 @@ def _nearest_tooth(locs, tips, x, y):
     for i in range(0, x.size, _WALK_BLOCK):
         block = slice(i, i + _WALK_BLOCK)
         px, ay = x[block], np.abs(y[block])
-        right = np.searchsorted(locs, px)
+        right = np.searchsorted(walls, px)
         bound = np.minimum(
-            _tooth_distance(locs, tips, np.maximum(right - 1, 0), px, ay),
-            _tooth_distance(locs, tips, np.minimum(right, locs.size - 1), px, ay))
+            _tooth_distance(walls, tips, np.maximum(right - 1, 0), px, ay),
+            _tooth_distance(walls, tips, np.minimum(right, walls.size - 1), px, ay))
         reach = bound + _REACH * (np.abs(px) + bound)
-        lo = np.searchsorted(locs, px - reach)
-        hi = np.searchsorted(locs, px + reach, side="right")
+        lo = np.searchsorted(walls, px - reach)
+        hi = np.searchsorted(walls, px + reach, side="right")
         for s in chunks(hi - lo, _GATHER_CELLS):
             best[block][s], near[block][s] = _nearest_candidate(
-                locs, tips, px[s], ay[s], right[s], lo[s], hi[s])
+                walls, tips, px[s], ay[s], right[s], lo[s], hi[s])
     return best, near
 
 
-def _tooth_distance(locs, tips, j, x, ay):
+def _tooth_distance(walls, tips, j, x, ay):
     """Distance from (x, y) to tooth j, given ay = |y|."""
-    return np.hypot(locs[j] - x, np.maximum(tips[j] - ay, 0.0))
+    return np.hypot(walls[j] - x, np.maximum(tips[j] - ay, 0.0))
 
 
-def _nearest_candidate(locs, tips, x, ay, right, lo, hi):
+def _nearest_candidate(walls, tips, x, ay, right, lo, hi):
     """Nearest tooth of each point among its walls lo..hi-1, in one gather.
 
     A point's candidates are laid out as the walls left of x (below
@@ -171,7 +177,7 @@ def _nearest_candidate(locs, tips, x, ay, right, lo, hi):
     runs = np.column_stack((right - lo, hi - right)).ravel()
     pivots = np.column_stack((starts + right - 1, starts - lo)).ravel()
     j = np.abs(np.arange(starts[-1] + counts[-1]) - np.repeat(pivots, runs))
-    d = _tooth_distance(locs, tips, j, np.repeat(x, counts), np.repeat(ay, counts))
+    d = _tooth_distance(walls, tips, j, np.repeat(x, counts), np.repeat(ay, counts))
     best = np.minimum.reduceat(d, starts)
     hits = np.flatnonzero(d == np.repeat(best, counts))
     return best, j[hits[np.searchsorted(hits, starts)]]
@@ -200,15 +206,16 @@ def _angles(seed, walk_ids, sweep):
     return (bits >> 11).astype(float) * (2.0 * np.pi / 2 ** 53)
 
 
-def simulate_exit(bp: BoundaryPolyline, walks: int, step: float, seed: int,
-                  max_steps: int = 10_000_000) -> ExitSampleSet:
+def simulate_exit(domain: Comb | BoundaryPolyline, walks: int, step: float,
+                  seed: int, max_steps: int = 10_000_000) -> ExitSampleSet:
     """Walk on spheres from the origin until each walk reaches a tooth.
 
     Each sweep moves every live walk to a uniform point on the largest
     circle around it that avoids all teeth; a walk that lands within
     `step` (the shell width) of a tooth exits at that tooth's abscissa.
     Walks still inside after `max_steps` sweeps are counted as truncated
-    and excluded from the sample.
+    and excluded from the sample.  A polyline is read into its comb once,
+    after the arguments are checked.
     """
     if walks < 1:
         raise ValueError(f"walks must be >= 1, got {walks}")
@@ -216,8 +223,8 @@ def simulate_exit(bp: BoundaryPolyline, walks: int, step: float, seed: int,
         raise ValueError(f"step must be positive, got {step}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    locs, tips = _comb(bp)
-    origin = _clearance(bp, locs, tips, (0.0, 0.0))
+    comb = domain if isinstance(domain, Comb) else Comb.from_polyline(domain)
+    origin = comb.clearance((0.0, 0.0))
     if origin == 0.0:
         raise TopologyError("origin is not inside the domain")
 
@@ -227,8 +234,8 @@ def simulate_exit(bp: BoundaryPolyline, walks: int, step: float, seed: int,
         theta = _angles(seed, ids, sweep)
         x += r * np.cos(theta)
         y += r * np.sin(theta)
-        r, near = _nearest_tooth(locs, tips, x, y)
-        exits[ids[r < step]] = locs[near[r < step]]
+        r, near = _nearest_tooth(comb.walls, comb.tips, x, y)
+        exits[ids[r < step]] = comb.walls[near[r < step]]
         live = r >= step
         ids, x, y, r = ids[live], x[live], y[live], r[live]
         if not ids.size:

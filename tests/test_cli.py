@@ -764,6 +764,20 @@ def test_boundary_off_the_origin_is_numerical_failure(tmp_path, capsys):
     assert "origin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, message", [
+    # mirror-symmetric within the polyline's tolerance, but all at t < 0
+    ("-2e-10,1,-1\n-1e-10,1,1\n", "polyline has no row at t > 0"),
+    ("-0.5,1,-1\n0.5,1,1\n", "lower boundary chain crosses the real axis"),
+], ids=["no-positive-half", "crosses-axis"])
+def test_boundary_that_is_no_comb_is_numerical_failure(tmp_path, capsys, rows, message):
+    boundary = tmp_path / "b.csv"
+    boundary.write_text("t,x,y\n" + rows)
+    rc = run("simulate", "--dist", UNIFORM, "--boundary", str(boundary),
+             "--walks", "4", "--out", str(tmp_path / "out.csv"))
+    assert rc == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+
 def test_version_flag(capsys):
     assert run("--version") == 0
     assert capsys.readouterr().out == "mu-domain-kit 0.1.0\n"

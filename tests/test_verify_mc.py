@@ -10,9 +10,8 @@ from mudk.boundary import (BoundaryPolyline, boundary_points,
 from mudk.discretize import build_measure
 from mudk.distributions import Beta, Discrete, Exponential, Mixture, Uniform
 import mudk.verify_mc as verify_mc
-from mudk.verify_mc import (ExitSampleSet, TopologyError, _comb, _lower_chain,
-                            _nearest_tooth, ks_distance, point_in_domain,
-                            simulate_exit)
+from mudk.verify_mc import (Comb, ExitSampleSet, TopologyError, _nearest_tooth,
+                            ks_distance, point_in_domain, simulate_exit)
 
 
 def box_polyline(half_width, depth):
@@ -72,8 +71,9 @@ def test_extreme_wall_caps(uniform_bp):
 
 
 def _comb_by_loop(bp):
-    """Oracle for _comb: one Python max per wall, outer walls open to the axis."""
-    xs, ys = _lower_chain(bp)
+    """Oracle for Comb.from_polyline: one Python max per wall of the t > 0
+    half, its y clipped at the axis, outer walls open to the axis."""
+    xs, ys = bp.x[bp.t > 0], np.minimum(bp.y[bp.t > 0], 0.0)
     locs = np.unique(xs)
     tips = np.array([-np.max(ys[xs == v]) for v in locs])
     tips[[0, -1]] = 0.0
@@ -93,12 +93,13 @@ def test_comb_walls_are_the_runs_of_the_sorted_chain(x, runs, depth):
     t = np.arange(1, xs.size + 1) / (xs.size + 1)
     half = np.column_stack((t, xs, ys))
     bp = BoundaryPolyline(points=np.vstack((half[::-1] * [-1.0, 1.0, -1.0], half)))
-    locs, tips = _comb(bp)
+    comb = Comb.from_polyline(bp)
     ref, first = np.unique(xs, return_index=True)
-    np.testing.assert_array_equal(locs, ref)
+    np.testing.assert_array_equal(comb.walls, ref)
     want = -np.maximum.reduceat(ys, first)
     want[[0, -1]] = 0.0
-    np.testing.assert_array_equal(tips, want)
+    np.testing.assert_array_equal(comb.tips, want)
+    assert not (comb.walls.flags.writeable or comb.tips.flags.writeable)
 
 
 def _tooth_distances(locs, tips, px, py):
@@ -120,14 +121,14 @@ def membership_domains(uniform_bp):
 @given(data=st.data())
 def test_membership_matches_brute_force_comb(membership_domains, data):
     bp = data.draw(st.sampled_from(membership_domains), label="domain")
-    locs, tips = _comb(bp)
+    comb = Comb.from_polyline(bp)
+    locs, tips, tol = comb.walls, comb.tips, comb.tol
     ref_locs, ref_tips = _comb_by_loop(bp)
     assert np.array_equal(locs, ref_locs)
     assert np.array_equal(tips, ref_tips)
 
     i = data.draw(st.integers(0, locs.size - 1), label="wall")
     nxt = locs[min(i + 1, locs.size - 1)]
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(bp.points[:, 1:]))))
     px = data.draw(st.one_of(
         st.sampled_from([locs[i], locs[0], locs[-1], 0.5 * (locs[i] + nxt),
                          np.nextafter(locs[i], -np.inf),
@@ -149,6 +150,7 @@ def test_membership_matches_brute_force_comb(membership_domains, data):
         assert ref[near[0]] == best[0]
     inside = bool(locs[0] < px < locs[-1] and ref.min() > tol)
     assert point_in_domain(bp, (px, py)) == inside
+    assert point_in_domain(comb, (px, py)) == inside
 
 
 def _nearest_tooth_by_scan(locs, tips, x, y):
@@ -210,7 +212,8 @@ def test_nearest_tooth_matches_the_scan(membership_domains, data):
     bp = data.draw(st.sampled_from(membership_domains), label="domain")
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     size = data.draw(st.sampled_from([1, 2, 37, 600, 1500]), label="size")
-    locs, tips = _comb(bp)
+    comb = Comb.from_polyline(bp)
+    locs, tips = comb.walls, comb.tips
     _assert_matches_scan(locs, tips, *_probe_points(locs, tips,
                                                     np.random.default_rng(seed), size))
 
@@ -247,7 +250,8 @@ def test_batch_spans_several_gathers(membership_domains, monkeypatch):
     """Points on the axis, below the tall middle tips, have most walls
     within their bound, so a walk block needs several gathers; each holds
     at most _GATHER_CELLS candidates."""
-    locs, tips = _comb(membership_domains[0])
+    comb = Comb.from_polyline(membership_domains[0])
+    locs, tips = comb.walls, comb.tips
     x, y = _probe_points(locs, tips, np.random.default_rng(0), 1500)
     y[:] = 0.0
     gathers = _count_gathers(monkeypatch)
@@ -293,6 +297,16 @@ def test_topology_rejects_chain_above_axis():
     bad = BoundaryPolyline(points=pts)
     with pytest.raises(TopologyError, match="axis"):
         point_in_domain(bad, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("rows", [
+    np.empty((0, 3)),
+    # mirror-symmetric within the polyline's 1e-9 tolerance, all at t < 0
+    [[-2e-10, 1.0, -1.0], [-1e-10, 1.0, 1.0]],
+], ids=["empty", "no-positive-half"])
+def test_topology_rejects_polyline_without_a_positive_half(rows):
+    with pytest.raises(TopologyError, match="no row at t > 0"):
+        Comb.from_polyline(BoundaryPolyline(points=rows))
 
 
 # ---------------------------------------------------------------- simulation
@@ -374,21 +388,20 @@ def test_origin_outside_raises():
 
 def test_simulation_reads_the_comb_once(uniform_bp, monkeypatch):
     """The origin check and the walks share one comb and one origin search."""
-    import mudk.verify_mc as verify_mc
-    calls = {"_comb": 0, "_nearest_tooth": 0}
+    calls = {"from_polyline": 0, "_nearest_tooth": 0}
 
-    def counted(name):
-        fn = getattr(verify_mc, name)
-
+    def counted(name, fn):
         def wrapped(*args):
             calls[name] += 1
             return fn(*args)
         return wrapped
 
-    for name in calls:
-        monkeypatch.setattr(verify_mc, name, counted(name))
+    monkeypatch.setattr(Comb, "from_polyline",
+                        staticmethod(counted("from_polyline", Comb.from_polyline)))
+    monkeypatch.setattr(verify_mc, "_nearest_tooth",
+                        counted("_nearest_tooth", verify_mc._nearest_tooth))
     res = simulate_exit(uniform_bp, walks=8, step=1e-3, seed=4, max_steps=1)
-    assert calls == {"_comb": 1, "_nearest_tooth": 2}
+    assert calls == {"from_polyline": 1, "_nearest_tooth": 2}
     assert res.walks == 8
 
 
@@ -400,6 +413,9 @@ def test_simulation_reads_the_comb_once(uniform_bp, monkeypatch):
 def test_exit_samples_match_the_scan_sampler(dist, n, monkeypatch):
     bp, _ = _centered_domain(dist, n, 2048)
     fast = [simulate_exit(bp, walks=1000, step=1e-4, seed=s) for s in (20, 21, 22)]
+    by_comb = simulate_exit(Comb.from_polyline(bp), walks=1000, step=1e-4, seed=20)
+    assert np.array_equal(by_comb.samples, fast[0].samples)
+    assert np.array_equal(by_comb.walk_ids, fast[0].walk_ids)
     monkeypatch.setattr(verify_mc, "_nearest_tooth", _nearest_tooth_by_scan)
     for s, res in zip((20, 21, 22), fast):
         ref = simulate_exit(bp, walks=1000, step=1e-4, seed=s)

@@ -96,7 +96,6 @@ def cell(pkg, law: str, n: int, points: int):
     """The row of sizes and the layer calls of one side for one (law, n) cell;
     the inputs of the calls are built here, untimed."""
     parameter_grid = importlib.import_module(".boundary", pkg.__name__).parameter_grid
-    comb = importlib.import_module(".verify_mc", pkg.__name__)._comb
     make = reference_laws(pkg)[law]
     sq = pkg.build_measure(make(), n)
     bp = pkg.boundary_points(sq, points)
@@ -105,7 +104,8 @@ def cell(pkg, law: str, n: int, points: int):
     levels = (np.arange(points) + 0.5) / points
     row = {"law": law, "n": n, "steps": sq.num_steps,
            "jumps": int(pkg.pole_levels(sq).size), "points": points,
-           "terms": pkg.fourier_coefficients(sq).order, "walls": int(comb(bp)[0].size)}
+           "terms": pkg.fourier_coefficients(sq).order,
+           "walls": int(np.unique(bp.x[bp.t > 0]).size)}
     return row, {
         "cdf": lambda: make().cdf(xs),
         "quantile": lambda: make().quantile(levels),
